@@ -169,16 +169,23 @@ def _run_verify(cfg: RunConfig) -> tuple[int, str]:
         rows = [row for r in reports for row in r.to_csv_rows()]
         return code, _emit_csv(["report", "family", "label", "status", "residual"], rows)
     lines = [r.to_text() for r in reports]
+    lines += [
+        f"FAIL {r.name} [{c.family}] {c.label}  residual: {c.residual}"
+        for r in reports
+        for c in r.failures()
+    ]
     total = sum(len(r.checks) for r in reports)
     lines.append(f"VERIFY: {'PASS' if all_passed else 'FAIL'} ({total} checks)")
     return code, "\n".join(lines)
 
 
 def _irrep_rows(k_max: Fraction) -> list[dict]:
+    if not 0 <= k_max <= irrep.DEFAULT_K_MAX:
+        raise ValueError(f"--k-max must lie in 0..{irrep.DEFAULT_K_MAX}, got {k_max}")
     rows = []
     k = Fraction(0)
     while k <= k_max:
-        rep = irrep.build_irrep(k, k_max=k_max)
+        rep = irrep.build_irrep(k)
         value = irrep.casimir_eigenvalue(rep)
         expected = float(2 * k * (k + 1))
         denom = irrep.denominator_eigenvalue(k)

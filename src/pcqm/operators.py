@@ -98,7 +98,7 @@ class NcPolynomial:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Word, PcScalar] | Iterable[tuple[Word, PcScalar]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        items = terms.items() if isinstance(terms, dict) or hasattr(terms, "items") else terms
         clean: dict[Word, PcScalar] = {}
         for word, coeff in items:
             if coeff.is_zero():

@@ -6,6 +6,13 @@ pseudo-imaginary unit ``I`` with ``I*I == 1``.  The zero-divisor basis
 ``sigma_plus = (1+I)/2``, ``sigma_minus = (1-I)/2`` splits every scalar into
 two independent components in which multiplication is componentwise.
 
+Storage follows that split.  A ``BaseScalar`` is one flat dict
+``(l_degree, has_i) -> nonzero Fraction``, where ``has_i`` marks the ordinary
+imaginary unit ``i``.  A ``PcScalar`` stores its ``sigma_plus`` and
+``sigma_minus`` components, so a product is two component products,
+pseudo-conjugation is a swap, and the ``re + I*im`` parts are derived on
+demand.
+
 Everything here is exact rational arithmetic; no floating point.
 """
 
@@ -16,6 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 Rational = Union[int, Fraction]
+Terms = dict[tuple[int, bool], Fraction]
 
 
 class DegreeWindowError(ArithmeticError):
@@ -26,7 +34,17 @@ _degree_window = (-4, 4)
 
 
 def set_degree_window(lo: int, hi: int) -> None:
-    """Set the allowed range of l-exponents (inclusive bounds)."""
+    """Set the allowed range of l-exponents (inclusive bounds).
+
+    The window is enforced on every term that ends up stored: the
+    ``BaseScalar`` constructor and the result of a product, a ``shift`` or a
+    ``reciprocal`` raise ``DegreeWindowError`` when a nonzero term falls
+    outside it.  A term that cancels to zero is never stored and never
+    raises, so ``(SIGMA_PLUS*pc_l(3)) * (SIGMA_MINUS*pc_l(2)) == 0`` under
+    the default ``-4..4``.  Sums, negation and scaling by a constant keep the
+    degrees of their operands and are not re-checked; narrowing the window
+    therefore takes effect at the next product.
+    """
     global _degree_window
     lo, hi = int(lo), int(hi)
     if lo > hi:
@@ -81,31 +99,82 @@ class GaussianRational:
         return GaussianRational(self.re * q, self.im * q)
 
 
-_GZERO = GaussianRational()
-_GONE = GaussianRational.of(1)
+_ZERO = Fraction(0)
+_HALF = Fraction(1, 2)
+
+
+def _gaussian_terms(degree: int, re: Rational, im: Rational) -> Terms:
+    out = {}
+    if re:
+        out[(degree, False)] = Fraction(re)
+    if im:
+        out[(degree, True)] = Fraction(im)
+    return out
+
+
+def _sum(a: Terms, b: Terms) -> Terms:
+    out = dict(a)
+    for key, q in b.items():
+        prev = out.get(key)
+        if prev is None:
+            out[key] = q
+            continue
+        total = prev + q
+        if total:
+            out[key] = total
+        else:
+            del out[key]
+    return out
+
+
+def _product(a: Terms, b: Terms) -> Terms:
+    """Term-map product: degrees add, ``i*i`` flips the sign, zero sums drop."""
+    out: Terms = {}
+    get = out.get
+    b_items = b.items()
+    for (d1, i1), q1 in a.items():
+        for (d2, i2), q2 in b_items:
+            key = (d1 + d2, i1 ^ i2)
+            p = q1 * q2
+            prev = get(key)
+            if i1 and i2:
+                out[key] = -p if prev is None else prev - p
+            else:
+                out[key] = p if prev is None else prev + p
+    return {key: q for key, q in out.items() if q}
+
+
+def _in_window(terms: Terms) -> Terms:
+    lo, hi = _degree_window
+    for d, _ in terms:
+        if d < lo or d > hi:
+            raise DegreeWindowError(f"l^{d} outside degree window {lo}..{hi}")
+    return terms
+
+
+def _base(terms: Terms) -> "BaseScalar":
+    """Wrap an already clean term map without re-validating it."""
+    out = object.__new__(BaseScalar)
+    out._terms = terms
+    return out
 
 
 class BaseScalar:
     """Laurent polynomial in l with Gaussian-rational coefficients.
 
-    Canonical form stores no zero coefficients; equality is term-map
-    equality.  Construction and multiplication reject exponents outside the
-    configured degree window.
+    Stored as a flat map ``(l_degree, has_i) -> nonzero Fraction``; equality
+    is term-map equality.  Construction and multiplication reject exponents
+    outside the configured degree window (see ``set_degree_window``).
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[int, GaussianRational] | Iterable[tuple[int, GaussianRational]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        lo, hi = _degree_window
-        clean: dict[int, GaussianRational] = {}
+        items = terms.items() if isinstance(terms, dict) or hasattr(terms, "items") else terms
+        clean: Terms = {}
         for deg, coeff in items:
-            if coeff.is_zero():
-                continue
-            if deg < lo or deg > hi:
-                raise DegreeWindowError(f"l^{deg} outside degree window {lo}..{hi}")
-            clean[deg] = clean.get(deg, _GZERO) + coeff
-        object.__setattr__(self, "_terms", tuple(sorted((d, c) for d, c in clean.items() if not c.is_zero())))
+            clean = _sum(clean, _gaussian_terms(deg, coeff.re, coeff.im))
+        self._terms = _in_window(clean)
 
     @classmethod
     def zero(cls) -> "BaseScalar":
@@ -128,66 +197,57 @@ class BaseScalar:
         return cls([(degree, GaussianRational.of(coeff))])
 
     def terms(self) -> tuple[tuple[int, GaussianRational], ...]:
-        return self._terms
+        """``(degree, coefficient)`` pairs in ascending degree."""
+        return tuple((d, self.coefficient(d)) for d in self.degrees())
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def coefficient(self, degree: int) -> GaussianRational:
-        for d, c in self._terms:
-            if d == degree:
-                return c
-        return _GZERO
+        t = self._terms
+        return GaussianRational(t.get((degree, False), _ZERO), t.get((degree, True), _ZERO))
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(d for d, _ in self._terms)
+        return tuple(sorted({d for d, _ in self._terms}))
 
     def __add__(self, other: "BaseScalar") -> "BaseScalar":
-        out = dict(self._terms)
-        for d, c in other._terms:
-            out[d] = out.get(d, _GZERO) + c
-        return BaseScalar(out)
+        return _base(_sum(self._terms, other._terms))
 
     def __sub__(self, other: "BaseScalar") -> "BaseScalar":
         return self + (-other)
 
     def __neg__(self) -> "BaseScalar":
-        return BaseScalar([(d, -c) for d, c in self._terms])
+        return _base({key: -q for key, q in self._terms.items()})
 
     def __mul__(self, other: "BaseScalar") -> "BaseScalar":
-        out: dict[int, GaussianRational] = {}
-        for d1, c1 in self._terms:
-            for d2, c2 in other._terms:
-                d = d1 + d2
-                out[d] = out.get(d, _GZERO) + c1 * c2
-        return BaseScalar(out)
+        return _base(_in_window(_product(self._terms, other._terms)))
 
     def scale(self, q: GaussianRational | Rational) -> "BaseScalar":
-        if not isinstance(q, GaussianRational):
-            q = GaussianRational.of(q)
-        return BaseScalar([(d, c * q) for d, c in self._terms])
+        re, im = (q.re, q.im) if isinstance(q, GaussianRational) else (q, 0)
+        return _base(_product(self._terms, _gaussian_terms(0, re, im)))
 
     def shift(self, degree: int) -> "BaseScalar":
         """Multiply by l**degree."""
-        return BaseScalar([(d + degree, c) for d, c in self._terms])
+        return _base(_in_window({(d + degree, i): q for (d, i), q in self._terms.items()}))
 
     def is_unit(self) -> bool:
-        return len(self._terms) == 1
+        return len(self.degrees()) == 1
 
     def reciprocal(self) -> "BaseScalar":
         if not self.is_unit():
             raise ZeroDivisionError("only single-term Laurent scalars are invertible")
-        d, c = self._terms[0]
-        return BaseScalar([(-d, c.reciprocal())])
+        (d,) = self.degrees()
+        c = self.coefficient(d).reciprocal()
+        return _base(_in_window(_gaussian_terms(-d, c.re, c.im)))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, BaseScalar) and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(self._terms)
+        return hash(frozenset(self._terms.items()))
 
     def __repr__(self) -> str:
-        return f"BaseScalar({self._terms!r})"
+        return f"BaseScalar({self.terms()!r})"
 
 
 @dataclass(frozen=True)
@@ -204,62 +264,82 @@ class ZeroDivisorPair:
         return self.plus.is_zero() != self.minus.is_zero()
 
 
-@dataclass(frozen=True)
-class PcScalar:
-    """Pseudo-complex scalar ``re + I*im`` with BaseScalar parts and I*I = 1."""
+def _pc(plus: BaseScalar, minus: BaseScalar) -> "PcScalar":
+    """Build from zero-divisor components without converting from re/im."""
+    out = object.__new__(PcScalar)
+    out._plus = plus
+    out._minus = minus
+    return out
 
-    re: BaseScalar
-    im: BaseScalar
+
+class PcScalar:
+    """Pseudo-complex scalar ``re + I*im`` with BaseScalar parts and I*I = 1.
+
+    Stored as its components ``plus = re + im`` and ``minus = re - im`` along
+    ``sigma_plus`` and ``sigma_minus``; ``re`` and ``im`` are derived.
+    """
+
+    __slots__ = ("_plus", "_minus")
+
+    def __init__(self, re: BaseScalar, im: BaseScalar):
+        self._plus = re + im
+        self._minus = re - im
+
+    @property
+    def re(self) -> BaseScalar:
+        return (self._plus + self._minus).scale(_HALF)
+
+    @property
+    def im(self) -> BaseScalar:
+        return (self._plus - self._minus).scale(_HALF)
 
     def is_zero(self) -> bool:
-        return self.re.is_zero() and self.im.is_zero()
+        return not self._plus._terms and not self._minus._terms
 
     def __add__(self, other: "PcScalar") -> "PcScalar":
-        return PcScalar(self.re + other.re, self.im + other.im)
+        return _pc(self._plus + other._plus, self._minus + other._minus)
 
     def __sub__(self, other: "PcScalar") -> "PcScalar":
-        return PcScalar(self.re - other.re, self.im - other.im)
+        return _pc(self._plus - other._plus, self._minus - other._minus)
 
     def __neg__(self) -> "PcScalar":
-        return PcScalar(-self.re, -self.im)
+        return _pc(-self._plus, -self._minus)
 
     def __mul__(self, other: "PcScalar") -> "PcScalar":
-        # (a + I b)(c + I d) = (ac + bd) + I(ad + bc)
-        return PcScalar(
-            self.re * other.re + self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        return _pc(self._plus * other._plus, self._minus * other._minus)
 
     def scale(self, q: GaussianRational | Rational) -> "PcScalar":
-        return PcScalar(self.re.scale(q), self.im.scale(q))
+        return _pc(self._plus.scale(q), self._minus.scale(q))
 
     def shift(self, degree: int) -> "PcScalar":
-        return PcScalar(self.re.shift(degree), self.im.shift(degree))
+        return _pc(self._plus.shift(degree), self._minus.shift(degree))
 
     def conjugate(self) -> "PcScalar":
         """Pseudo-conjugation I -> -I; swaps the zero-divisor components."""
-        return PcScalar(self.re, -self.im)
+        return _pc(self._minus, self._plus)
 
     def to_zero_divisor(self) -> ZeroDivisorPair:
-        return ZeroDivisorPair(self.re + self.im, self.re - self.im)
+        return ZeroDivisorPair(self._plus, self._minus)
 
     @staticmethod
     def from_zero_divisor(pair: ZeroDivisorPair) -> "PcScalar":
-        half = Fraction(1, 2)
-        return PcScalar(
-            (pair.plus + pair.minus).scale(half),
-            (pair.plus - pair.minus).scale(half),
-        )
+        return _pc(pair.plus, pair.minus)
 
     def is_unit(self) -> bool:
-        pair = self.to_zero_divisor()
-        return pair.plus.is_unit() and pair.minus.is_unit()
+        return self._plus.is_unit() and self._minus.is_unit()
 
     def reciprocal(self) -> "PcScalar":
-        pair = self.to_zero_divisor()
-        return PcScalar.from_zero_divisor(
-            ZeroDivisorPair(pair.plus.reciprocal(), pair.minus.reciprocal())
+        return _pc(self._plus.reciprocal(), self._minus.reciprocal())
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, PcScalar)
+            and self._plus._terms == other._plus._terms
+            and self._minus._terms == other._minus._terms
         )
+
+    def __hash__(self) -> int:
+        return hash((self._plus, self._minus))
 
     def __str__(self) -> str:
         return render_pc(self)
@@ -268,48 +348,58 @@ class PcScalar:
         return f"PcScalar({render_pc(self)!r})"
 
 
+def _real(base: BaseScalar) -> PcScalar:
+    """A scalar without I: equal sigma_plus and sigma_minus components."""
+    return _pc(base, base)
+
+
 def pc_rational(q: Rational) -> PcScalar:
-    return PcScalar(BaseScalar.rational(q), BaseScalar.zero())
+    return _real(BaseScalar.rational(q))
 
 
 def pc_gaussian(re: Rational = 0, im: Rational = 0) -> PcScalar:
     """re + i*im with the ordinary imaginary unit."""
-    return PcScalar(BaseScalar.gaussian(re, im), BaseScalar.zero())
+    return _real(BaseScalar.gaussian(re, im))
 
 
 def pc_imag(q: Rational = 1) -> PcScalar:
     """q*i."""
-    return PcScalar(BaseScalar.gaussian(0, q), BaseScalar.zero())
+    return _real(BaseScalar.gaussian(0, q))
 
 
 def pc_l(degree: int = 1, coeff: Rational = 1) -> PcScalar:
     """coeff * l**degree."""
-    return PcScalar(BaseScalar.l_power(degree, coeff), BaseScalar.zero())
+    return _real(BaseScalar.l_power(degree, coeff))
 
 
 def pc_pseudo(q: Rational = 1) -> PcScalar:
     """q*I."""
-    return PcScalar(BaseScalar.zero(), BaseScalar.rational(q))
+    return _pc(BaseScalar.rational(q), BaseScalar.rational(-Fraction(q)))
 
 
 PC_ZERO = pc_rational(0)
 PC_ONE = pc_rational(1)
 PC_I = pc_imag()
 PSEUDO_UNIT = pc_pseudo()
-SIGMA_PLUS = PcScalar(BaseScalar.rational(Fraction(1, 2)), BaseScalar.rational(Fraction(1, 2)))
-SIGMA_MINUS = PcScalar(BaseScalar.rational(Fraction(1, 2)), BaseScalar.rational(Fraction(-1, 2)))
+SIGMA_PLUS = _pc(BaseScalar.rational(1), BaseScalar.zero())
+SIGMA_MINUS = _pc(BaseScalar.zero(), BaseScalar.rational(1))
 
 
 def _atoms(x: PcScalar) -> list[tuple[Fraction, bool, int, bool]]:
     """Flatten to (rational, has_i, l_degree, has_I) atoms in canonical order."""
-    out: list[tuple[Fraction, bool, int, bool]] = []
-    for part, has_pseudo in ((x.re, False), (x.im, True)):
-        for deg, coeff in part.terms():
-            if coeff.re:
-                out.append((coeff.re, False, deg, has_pseudo))
-            if coeff.im:
-                out.append((coeff.im, True, deg, has_pseudo))
-    return out
+    plus, minus = x._plus._terms, x._minus._terms
+    real: list[tuple[Fraction, bool, int, bool]] = []
+    pseudo: list[tuple[Fraction, bool, int, bool]] = []
+    for key in sorted(plus.keys() | minus.keys()):
+        p, m = plus.get(key, _ZERO), minus.get(key, _ZERO)
+        # re = (p + m)/2 and im = (p - m)/2 over one common denominator.
+        pd, md = p.numerator * m.denominator, m.numerator * p.denominator
+        den = 2 * p.denominator * m.denominator
+        if pd != -md:
+            real.append((Fraction(pd + md, den), key[1], key[0], False))
+        if pd != md:
+            pseudo.append((Fraction(pd - md, den), key[1], key[0], True))
+    return real + pseudo
 
 
 def _atom_str(q: Fraction, has_i: bool, deg: int, has_pseudo: bool) -> str:

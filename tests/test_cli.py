@@ -193,3 +193,36 @@ def test_degree_window_and_word_cap_flags():
 def test_main_prints_and_returns(capsys):
     assert main(["eval", "[X+_1, P+_1]"]) == 0
     assert capsys.readouterr().out.strip() == "i"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["irrep", "--k-max", "-1"],
+        ["-f", "csv", "irrep", "--k-max", "-1"],
+        ["irrep", "--k-max", "12"],
+        ["irrep", "--k-max", "21/2"],
+    ],
+)
+def test_irrep_rejects_k_max_outside_default_range(argv):
+    code, output = run_argv(argv)
+    assert code == 2
+    assert output.startswith("error:") and "--k-max" in output
+
+
+def test_verify_text_names_failing_checks(monkeypatch):
+    from pcqm import operators
+    from pcqm.reports import Check, IdentityReport
+
+    def failing_suite():
+        check = Check(family="same-branch", label="[X+_1, P+_1]", residual="i", passed=False)
+        return IdentityReport(name="canonical-quantization", checks=(check,))
+
+    monkeypatch.setattr(operators, "verify_canonical_relations", failing_suite)
+    code, output = run_argv(["verify"])
+    assert code == 1
+    lines = output.splitlines()
+    assert [line for line in lines if line.startswith("FAIL ")] == [
+        "FAIL canonical-quantization [same-branch] [X+_1, P+_1]  residual: i"
+    ]
+    assert lines[-1] == "VERIFY: FAIL (467 checks)"

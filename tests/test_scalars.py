@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
-from helpers import random_pc_scalar
+from helpers import random_pc_scalar, random_rational
 from pcqm.scalars import (
     BaseScalar,
     DegreeWindowError,
@@ -152,3 +153,86 @@ def test_render_examples():
     assert render_pc(pc_imag(-1)) == "-i"
     assert render_pc(SIGMA_PLUS) == "1/2 + 1/2*I"
     assert render_pc(pc_l(-1, Fraction(1, 2))) == "1/2*l^-1"
+
+
+def test_window_ignores_terms_that_cancel_to_zero():
+    assert (SIGMA_PLUS * pc_l(3)) * (SIGMA_MINUS * pc_l(2)) == PC_ZERO
+    with pytest.raises(DegreeWindowError):
+        (SIGMA_PLUS * pc_l(3)) * (SIGMA_PLUS * pc_l(2))
+    with pytest.raises(DegreeWindowError):
+        pc_l(3).shift(2)
+    assert (pc_l(3) - pc_l(3)).shift(2).is_zero()
+
+
+def test_narrowing_the_window_applies_to_the_next_product():
+    x = pc_l(3)
+    set_degree_window(-2, 2)
+    assert x + x == x.scale(2)  # sums and scaling keep their operands' degrees
+    with pytest.raises(DegreeWindowError):
+        x * PC_ONE
+    with pytest.raises(DegreeWindowError):
+        pc_l(3)
+
+
+# Independent oracle: sympy expressions in the symbols l, i, I.  Every
+# expression compared below has degree at most 2 in i and in I, so reducing
+# i**2 -> -1 and I**2 -> +1 once is enough.
+SYM_L, SYM_I, SYM_PSEUDO = sympy.symbols("l i I")
+
+
+def _reduce(expr):
+    return sympy.expand(sympy.expand(expr).subs({SYM_I**2: -1, SYM_PSEUDO**2: 1}))
+
+
+def _sym_base(x: BaseScalar):
+    return sum(
+        (sympy.Rational(c.re) + sympy.Rational(c.im) * SYM_I) * SYM_L**d for d, c in x.terms()
+    )
+
+
+def _sym(x: PcScalar):
+    return _sym_base(x.re) + SYM_PSEUDO * _sym_base(x.im)
+
+
+def _random_with_reference(rng: random.Random, max_degree: int = 2):
+    """A random scalar built through the public constructor, with its sympy value."""
+    parts, values = [], []
+    for _ in range(2):
+        terms, value = [], 0
+        for _ in range(rng.randint(0, 3)):
+            deg = rng.randint(-max_degree, max_degree)
+            re, im = random_rational(rng), random_rational(rng)
+            terms.append((deg, GaussianRational(re, im)))
+            value += (sympy.Rational(re) + sympy.Rational(im) * SYM_I) * SYM_L**deg
+        parts.append(BaseScalar(terms))
+        values.append(value)
+    return PcScalar(*parts), values[0] + SYM_PSEUDO * values[1]
+
+
+def _same(expr, x: PcScalar) -> bool:
+    return _reduce(expr - _sym(x)) == 0
+
+
+def test_arithmetic_against_sympy_oracle():
+    rng = random.Random(SEED + 4)
+    for _ in range(50):
+        (x, sx), (y, sy) = _random_with_reference(rng), _random_with_reference(rng)
+        assert _same(sx, x)
+        assert _same(sx + sy, x + y)
+        assert _same(sx - sy, x - y)
+        assert _same(sx * sy, x * y)
+        assert _same(sx.subs(SYM_PSEUDO, -SYM_PSEUDO), x.conjugate())
+        pair = x.to_zero_divisor()
+        assert _reduce(sx.subs(SYM_PSEUDO, 1) - _sym_base(pair.plus)) == 0
+        assert _reduce(sx.subs(SYM_PSEUDO, -1) - _sym_base(pair.minus)) == 0
+
+
+def test_unit_reciprocal_against_sympy_oracle():
+    rng = random.Random(SEED + 5)
+    units = 0
+    while units < 40:
+        x, sx = _random_with_reference(rng)
+        if not x.is_unit():
+            continue
+        units += 1
+        assert _reduce(sx * _sym(x.reciprocal())) == 1
