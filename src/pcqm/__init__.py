@@ -80,6 +80,6 @@ from .hydrogen import (
 )
 from .units import ConstantSet, DimensionError, Quantity, convert, dimension_of, quantity
 from .expr import ExprSyntaxError, evaluate, evaluate_text, parse, render
-from .reports import Check, ClosureReport, IdentityReport
+from .reports import Check, IdentityReport
 
 __version__ = "0.1.0"

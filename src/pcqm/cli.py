@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import hydrogen, irrep, operators, so4, units
 from .expr import evaluate_text
-from .scalars import set_degree_window
+from .scalars import get_degree_window, set_degree_window
 from .units import ConstantSet
 
 CONSTANTS_ENV = "PCQM_CONSTANTS"
@@ -138,15 +138,37 @@ def config_from_args(argv: list[str] | None = None) -> RunConfig:
     )
 
 
-def _emit_csv(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue().rstrip("\n")
+@dataclass(frozen=True)
+class Result:
+    """One command's outcome in every output format."""
+
+    code: int
+    payload: dict  # JSON document, carrying its "schema" tag
+    header: list[str]  # CSV
+    rows: list[list]
+    text: str
 
 
-def _run_verify(cfg: RunConfig) -> tuple[int, str]:
+def _columns(records: list[dict]) -> tuple[list[str], list[list]]:
+    """CSV header and rows of a list of same-keyed records."""
+    header = list(records[0])
+    return header, [[r[h] for h in header] for r in records]
+
+
+def render(result: Result, fmt: str) -> str:
+    """The result as text, JSON or CSV."""
+    if fmt == "json":
+        return json.dumps(result.payload, indent=2)
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(result.header)
+        writer.writerows(result.rows)
+        return buf.getvalue().rstrip("\n")
+    return result.text
+
+
+def _run_verify(cfg: RunConfig) -> Result:
     reports = [
         operators.verify_canonical_relations(),
         operators.verify_induced_relations(),
@@ -157,17 +179,6 @@ def _run_verify(cfg: RunConfig) -> tuple[int, str]:
         so4.casimir_expansion().report(),
     ]
     all_passed = all(r.all_passed for r in reports)
-    code = 0 if all_passed else 1
-    if cfg.fmt == "json":
-        payload = {
-            "schema": "verify-report/v1",
-            "all_passed": all_passed,
-            "reports": [r.to_dict() for r in reports],
-        }
-        return code, json.dumps(payload, indent=2)
-    if cfg.fmt == "csv":
-        rows = [row for r in reports for row in r.to_csv_rows()]
-        return code, _emit_csv(["report", "family", "label", "status", "residual"], rows)
     lines = [r.to_text() for r in reports]
     lines += [
         f"FAIL {r.name} [{c.family}] {c.label}  residual: {c.residual}"
@@ -176,7 +187,17 @@ def _run_verify(cfg: RunConfig) -> tuple[int, str]:
     ]
     total = sum(len(r.checks) for r in reports)
     lines.append(f"VERIFY: {'PASS' if all_passed else 'FAIL'} ({total} checks)")
-    return code, "\n".join(lines)
+    return Result(
+        0 if all_passed else 1,
+        {
+            "schema": "verify-report/v1",
+            "all_passed": all_passed,
+            "reports": [r.to_dict() for r in reports],
+        },
+        ["report", "family", "label", "status", "residual"],
+        [row for r in reports for row in r.to_csv_rows()],
+        "\n".join(lines),
+    )
 
 
 def _irrep_rows(k_max: Fraction) -> list[dict]:
@@ -204,20 +225,12 @@ def _irrep_rows(k_max: Fraction) -> list[dict]:
     return rows
 
 
-def _run_irrep(cfg: RunConfig) -> tuple[int, str]:
+def _run_irrep(cfg: RunConfig) -> Result:
     rows = _irrep_rows(cfg.params["k_max"])
     ok = all(
         r["deviation"] < 1e-12 and r["denominator"] == r["denominator_closed_form"]
         for r in rows
     )
-    code = 0 if ok else 1
-    if cfg.fmt == "json":
-        return code, json.dumps(
-            {"schema": "irrep-sweep/v1", "all_passed": ok, "rows": rows}, indent=2
-        )
-    if cfg.fmt == "csv":
-        header = list(rows[0])
-        return code, _emit_csv(header, [[r[h] for h in header] for r in rows])
     lines = [
         f"{'k':>4} {'dim':>5} {'casimir':>10} {'2k(k+1)':>9} {'deviation':>10} {'4(C+1/2)':>9}"
     ]
@@ -227,13 +240,17 @@ def _run_irrep(cfg: RunConfig) -> tuple[int, str]:
             f"{r['deviation']:>10.2e} {r['denominator']:>9}"
         )
     lines.append(f"IRREP SWEEP: {'PASS' if ok else 'FAIL'}")
-    return code, "\n".join(lines)
+    return Result(
+        0 if ok else 1,
+        {"schema": "irrep-sweep/v1", "all_passed": ok, "rows": rows},
+        *_columns(rows),
+        "\n".join(lines),
+    )
 
 
-def _run_spectrum(cfg: RunConfig) -> tuple[int, str]:
-    constants = hydrogen.PhysicalConstants.from_mode(cfg.constants_mode)
+def _run_spectrum(cfg: RunConfig) -> Result:
     spectrum_cfg = hydrogen.SpectrumConfig(
-        constants=constants,
+        constants=hydrogen.PhysicalConstants(),
         l_gevinv=cfg.params["l"],
         kappa_gev2=cfg.params["kappa"],
         n_max=cfg.params["n_max"],
@@ -242,18 +259,13 @@ def _run_spectrum(cfg: RunConfig) -> tuple[int, str]:
         else hydrogen.NUMERATOR_BOHR,
     )
     levels = hydrogen.corrected_spectrum(spectrum_cfg)
-    if cfg.fmt == "json":
-        return 0, json.dumps(
-            {"schema": "spectrum/v1", "levels": hydrogen.spectrum_rows(levels)}, indent=2
-        )
-    if cfg.fmt == "csv":
-        rows = hydrogen.spectrum_rows(levels)
-        header = list(rows[0])
-        return 0, _emit_csv(header, [[r[h] for h in header] for r in rows])
-    return 0, hydrogen.spectrum_text(levels)
+    rows = hydrogen.spectrum_rows(levels)
+    return Result(
+        0, {"schema": "spectrum/v1", "levels": rows}, *_columns(rows), hydrogen.spectrum_text(levels)
+    )
 
 
-def _run_bound(cfg: RunConfig) -> tuple[int, str]:
+def _run_bound(cfg: RunConfig) -> Result:
     constants = ConstantSet.from_mode(cfg.constants_mode)
     bound = hydrogen.length_bound(
         delta_e_ev=_energy_in_ev(cfg.params["delta_e"], constants),
@@ -261,50 +273,31 @@ def _run_bound(cfg: RunConfig) -> tuple[int, str]:
         kappa_gev2=cfg.params["kappa"],
         constants=constants,
     )
-    if cfg.fmt == "json":
-        return 0, json.dumps(hydrogen.bound_dict(bound), indent=2)
-    if cfg.fmt == "csv":
-        payload = hydrogen.bound_dict(bound)
-        payload.pop("schema")
-        return 0, _emit_csv(list(payload), [[payload[k] for k in payload]])
-    return 0, hydrogen.bound_text(bound)
+    payload = hydrogen.bound_dict(bound)
+    fields = {k: v for k, v in payload.items() if k != "schema"}
+    return Result(0, payload, *_columns([fields]), hydrogen.bound_text(bound))
 
 
-def _run_convert(cfg: RunConfig) -> tuple[int, str]:
+def _run_convert(cfg: RunConfig) -> Result:
     constants = ConstantSet.from_mode(cfg.constants_mode)
-    q = units.quantity(cfg.params["value"], cfg.params["from_unit"])
+    value = cfg.params["value"]
+    q = units.quantity(value, cfg.params["from_unit"])
     out = units.convert(q, cfg.params["to_unit"], constants)
-    if cfg.fmt == "json":
-        return 0, json.dumps(
-            {
-                "schema": "convert/v1",
-                "value": cfg.params["value"],
-                "from": q.unit,
-                "to": out.unit,
-                "result": float(out.magnitude),
-                "constants": constants.mode,
-            },
-            indent=2,
-        )
-    if cfg.fmt == "csv":
-        return 0, _emit_csv(
-            ["value", "from", "to", "result"],
-            [[cfg.params["value"], q.unit, out.unit, float(out.magnitude)]],
-        )
-    return 0, f"{cfg.params['value']:g} {q.unit} = {float(out.magnitude):.6g} {out.unit}"
+    record = {"value": value, "from": q.unit, "to": out.unit, "result": float(out.magnitude)}
+    return Result(
+        0,
+        {"schema": "convert/v1", **record, "constants": constants.mode},
+        *_columns([record]),
+        f"{value:g} {q.unit} = {record['result']:.6g} {out.unit}",
+    )
 
 
-def _run_eval(cfg: RunConfig) -> tuple[int, str]:
-    result = evaluate_text(cfg.params["expression"])
-    rendered = result.render()
-    if cfg.fmt == "json":
-        return 0, json.dumps(
-            {"schema": "eval/v1", "expression": cfg.params["expression"], "normal_form": rendered},
-            indent=2,
-        )
-    if cfg.fmt == "csv":
-        return 0, _emit_csv(["expression", "normal_form"], [[cfg.params["expression"], rendered]])
-    return 0, rendered
+def _run_eval(cfg: RunConfig) -> Result:
+    expression = cfg.params["expression"]
+    record = {"expression": expression, "normal_form": evaluate_text(expression).render()}
+    return Result(
+        0, {"schema": "eval/v1", **record}, *_columns([record]), record["normal_form"]
+    )
 
 
 _RUNNERS = {
@@ -318,27 +311,26 @@ _RUNNERS = {
 
 
 def run(cfg: RunConfig) -> tuple[int, str]:
-    """Execute one subcommand; returns (exit status, rendered output)."""
-    saved_window = saved_cap = None
-    if cfg.degree_window is not None:
-        from .scalars import get_degree_window
+    """Execute one subcommand; returns (exit status, rendered output).
 
-        saved_window = get_degree_window()
-        set_degree_window(*cfg.degree_window)
-    if cfg.word_cap is not None:
-        saved_cap = operators.get_word_length_cap()
-        operators.set_word_length_cap(cfg.word_cap)
+    The degree window and word cap apply to this call only: both are
+    restored on every exit, including a rejected value.
+    """
+    window, cap = get_degree_window(), operators.get_word_length_cap()
     try:
-        return _RUNNERS[cfg.command](cfg)
+        if cfg.degree_window is not None:
+            set_degree_window(*cfg.degree_window)
+        if cfg.word_cap is not None:
+            operators.set_word_length_cap(cfg.word_cap)
+        result = _RUNNERS[cfg.command](cfg)
+        return result.code, render(result, cfg.fmt)
     except (ValueError, ArithmeticError) as err:
         if cfg.fmt == "json":
             return 2, json.dumps({"schema": "error/v1", "error": str(err)})
         return 2, f"error: {err}"
     finally:
-        if saved_window is not None:
-            set_degree_window(*saved_window)
-        if saved_cap is not None:
-            operators.set_word_length_cap(saved_cap)
+        set_degree_window(*window)
+        operators.set_word_length_cap(cap)
 
 
 def main(argv: list[str] | None = None) -> int:

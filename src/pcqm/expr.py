@@ -26,13 +26,12 @@ from fractions import Fraction
 from typing import Union
 
 from . import so4
-from .operators import NcPolynomial, commutator, expand_alias, generator_poly
+from .operators import BRANCHES, NcPolynomial, commutator, expand_alias, generator_poly
 from .scalars import PSEUDO_UNIT, pc_imag, pc_l, pc_rational
 
-L_FROM_VECTOR = {1: (2, 3), 2: (1, 3), 3: (1, 2)}
-M_FROM_VECTOR = {1: (1, 4), 2: (2, 4), 3: (3, 4)}
-COMPONENT_TAGS = ("x", "y", "xy", "yx", "R", "I")
 CASIMIR_TAGS = ("R", "x", "y", "+", "-")
+# Largest operator exponent '^n' accepted; powers multiply once per unit.
+MAX_EXPONENT = 64
 
 
 class ExprSyntaxError(ValueError):
@@ -212,6 +211,8 @@ class _Parser:
         if self.at("^") and not isinstance(node, LengthPower):
             self.next()
             tok = self.expect("INT")
+            if int(tok[1]) > MAX_EXPONENT:
+                raise ExprSyntaxError(f"exponent {tok[1]} exceeds {MAX_EXPONENT}", tok[2])
             node = Pow(node, int(tok[1]))
         return node
 
@@ -274,12 +275,12 @@ class _Parser:
         letter, comp = name[0], name[1:] or None
         if comp is None and (self.at("+") or self.at("-")) and self.at("_", 1):
             comp = self.next()[0]
-        if comp is not None and comp not in COMPONENT_TAGS and comp not in ("+", "-"):
+        if comp not in (None, "R", "I", *BRANCHES, *so4.COMPONENT_FACTORS):
             raise ExprSyntaxError(f"unknown component tag {comp!r} on {letter}", pos)
         digits = self._indices(1, 2)
         if len(digits) == 1:
             a = digits[0]
-            table = L_FROM_VECTOR if letter == "L" else M_FROM_VECTOR
+            table = so4.L_VECTOR_PAIRS if letter == "L" else so4.M_VECTOR_PAIRS
             if a not in table:
                 raise ExprSyntaxError(f"vector label {letter}_{a} must use 1..3", pos)
             i, j = table[a]
@@ -390,11 +391,7 @@ def evaluate(node: Node) -> NcPolynomial:
     if isinstance(node, AliasSym):
         return expand_alias(node.name, node.index)
     if isinstance(node, NamedOp):
-        if node.comp is None:
-            return so4.pc_generator_poly(node.i, node.j)
-        if node.comp in ("+", "-"):
-            return so4.branch_generator(node.i, node.j, node.comp)
-        return so4.component(node.i, node.j, node.comp)
+        return so4.labelled(node.comp, node.i, node.j)
     if isinstance(node, CasimirOp):
         return so4.casimir(node.comp)
     if isinstance(node, Neg):

@@ -32,43 +32,14 @@ NUMERATOR_LITERAL_E2 = "literal-e2"
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    mu_gev: Fraction
-    alpha: Fraction
-    mode: str
+    mu_gev: Fraction = Fraction("0.51099895e-3")
+    alpha: Fraction = 1 / Fraction("137.035999")
 
     def __post_init__(self):
         if self.mu_gev <= 0:
             raise ValueError("reduced mass must be positive")
         if not (0 < self.alpha < 1):
             raise ValueError("fine-structure constant must lie in (0, 1)")
-
-    @classmethod
-    def precise(cls) -> "PhysicalConstants":
-        return cls(
-            mu_gev=Fraction("0.51099895e-3"),
-            alpha=1 / Fraction("137.035999"),
-            mode="precise",
-        )
-
-    @classmethod
-    def paper_approx(cls) -> "PhysicalConstants":
-        # Same mass and coupling; the tag selects the rounded unit factors.
-        return cls(
-            mu_gev=Fraction("0.51099895e-3"),
-            alpha=1 / Fraction("137.035999"),
-            mode="paper-approx",
-        )
-
-    @classmethod
-    def from_mode(cls, mode: str) -> "PhysicalConstants":
-        if mode == "precise":
-            return cls.precise()
-        if mode == "paper-approx":
-            return cls.paper_approx()
-        raise ValueError(f"unknown constants mode {mode!r}")
-
-    def unit_constants(self) -> ConstantSet:
-        return ConstantSet.from_mode(self.mode)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,6 @@ from .scalars import (
 
 INDICES = (1, 2, 3, 4)
 BRANCHES = ("+", "-")
-ALIASES = ("x", "y", "px", "py")
 
 _BLOCK = {("X", "+"): 0, ("P", "+"): 1, ("X", "-"): 2, ("P", "-"): 3}
 
@@ -139,12 +138,6 @@ class NcPolynomial:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def is_normal_ordered(self) -> bool:
-        return all(
-            all(word[t].sort_key <= word[t + 1].sort_key for t in range(len(word) - 1))
-            for word in self._terms
-        )
 
     def branches(self) -> set[str]:
         return {g.branch for word in self._terms for g in word}
@@ -332,10 +325,6 @@ def expand_alias(name: str, index: int) -> NcPolynomial:
     if name in ("x", "px"):
         return (plus + minus).scale(_HALF)
     return (plus - minus).scale(_HALF_OVER_L)
-
-
-def alias_table() -> dict[tuple[str, int], NcPolynomial]:
-    return {(name, i): expand_alias(name, i) for name in ALIASES for i in INDICES}
 
 
 def _delta(i: int, j: int) -> int:

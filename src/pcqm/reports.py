@@ -52,25 +52,12 @@ class IdentityReport:
             "checks": [c.to_dict() for c in self.checks],
         }
 
-    def to_text(self, verbose: bool = False) -> str:
-        lines = []
-        if verbose:
-            for c in self.checks:
-                status = "pass" if c.passed else "FAIL"
-                lines.append(f"  {status}  [{c.family}] {c.label}  residual: {c.residual}")
+    def to_text(self) -> str:
         verdict = "all pass" if self.all_passed else f"{len(self.failures())} FAILED"
-        lines.append(f"{self.name:28s} {len(self.checks):4d} checks   {verdict}")
-        return "\n".join(lines)
+        return f"{self.name:28s} {len(self.checks):4d} checks   {verdict}"
 
     def to_csv_rows(self) -> list[list[str]]:
         return [
             [self.name, c.family, c.label, "pass" if c.passed else "fail", c.residual]
             for c in self.checks
         ]
-
-
-@dataclass(frozen=True)
-class ClosureReport(IdentityReport):
-    """Identity report whose checks carry structure-constant expansions."""
-
-    schema: str = "closure-report/v1"

@@ -31,7 +31,7 @@ from .operators import (
     pc_momentum,
     render_poly,
 )
-from .reports import Check, ClosureReport, IdentityReport
+from .reports import Check, IdentityReport
 from .scalars import (
     PSEUDO_UNIT,
     PcScalar,
@@ -41,11 +41,12 @@ from .scalars import (
     pc_l,
 )
 
-COMPONENTS = ("x", "y", "xy", "yx", "R", "I")
-
 # Vector operator labels: L_a and M_a in terms of index pairs.
 L_VECTOR_PAIRS = {1: (2, 3), 2: (1, 3), 3: (1, 2)}
 M_VECTOR_PAIRS = {1: (1, 4), 2: (2, 4), 3: (3, 4)}
+
+# Alias factors (a, b) of the x/y components: Lc_ij = a_i b_j - a_j b_i.
+COMPONENT_FACTORS = {"x": ("x", "px"), "y": ("y", "py"), "xy": ("x", "py"), "yx": ("y", "px")}
 
 _HALF = Fraction(1, 2)
 _L2 = pc_l(2)
@@ -83,11 +84,9 @@ def component(i: int, j: int, comp: str) -> NcPolynomial:
         return (branch_generator(i, j, "+") + branch_generator(i, j, "-")).scale(_HALF)
     if comp == "I":
         return (branch_generator(i, j, "+") - branch_generator(i, j, "-")).scale(_HALF)
-    first, second = {"x": ("x", "px"), "y": ("y", "py"), "xy": ("x", "py"), "yx": ("y", "px")}.get(
-        comp, (None, None)
-    )
-    if first is None:
+    if comp not in COMPONENT_FACTORS:
         raise ValueError(f"unknown component {comp!r}")
+    first, second = COMPONENT_FACTORS[comp]
     return multiply(expand_alias(first, i), expand_alias(second, j)) - multiply(
         expand_alias(first, j), expand_alias(second, i)
     )
@@ -139,7 +138,8 @@ def component_set(i: int, j: int) -> ComponentSet:
     )
 
 
-def _labelled(comp: str | None, i: int, j: int) -> NcPolynomial:
+def labelled(comp: str | None, i: int, j: int) -> NcPolynomial:
+    """L_ij at one level: pc (None), a branch ('+'/'-') or a component tag."""
     if comp is None:
         return pc_generator_poly(i, j)
     if comp in BRANCHES:
@@ -160,8 +160,8 @@ class VectorOperators:
 
 
 def vector_operators(comp: str | None = None) -> VectorOperators:
-    l_vec = tuple(_labelled(comp, *L_VECTOR_PAIRS[a]) for a in (1, 2, 3))
-    m_vec = tuple(_labelled(comp, *M_VECTOR_PAIRS[a]) for a in (1, 2, 3))
+    l_vec = tuple(labelled(comp, *L_VECTOR_PAIRS[a]) for a in (1, 2, 3))
+    m_vec = tuple(labelled(comp, *M_VECTOR_PAIRS[a]) for a in (1, 2, 3))
     l_squared = sum((multiply(op, op) for op in l_vec), NcPolynomial.zero())
     m_squared = sum((multiply(op, op) for op in m_vec), NcPolynomial.zero())
     return VectorOperators(
@@ -290,7 +290,7 @@ def _component_basis(comp: str) -> dict[str, NcPolynomial]:
     return {f"L{comp}_{i}{j}": component(i, j, comp) for i, j in _PAIRS}
 
 
-def verify_component_closure() -> ClosureReport:
+def verify_component_closure() -> IdentityReport:
     """Expand component commutators over component spans by exact solving.
 
     The verified claims: [R,R] and [I,I] land in span{R}, [R,I] lands in
@@ -326,7 +326,9 @@ def verify_component_closure() -> ClosureReport:
                     extra={"expansion": {lbl: str(c) for lbl, c in coeffs.items()}},
                 )
             )
-    return ClosureReport(name="component-closure", checks=tuple(checks))
+    return IdentityReport(
+        name="component-closure", checks=tuple(checks), schema="closure-report/v1"
+    )
 
 
 def _symmetrized_dot(

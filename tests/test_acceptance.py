@@ -111,14 +111,14 @@ def test_criterion_4_bound_reproduction():
 
 def test_criterion_5_spectrum_sanity():
     with criterion(5, "spectrum sanity and self-consistency loop"):
-        cfg = SpectrumConfig(constants=PhysicalConstants.precise(), n_max=5)
+        cfg = SpectrumConfig(constants=PhysicalConstants(), n_max=5)
         levels = corrected_spectrum(cfg)
         assert float(levels[0].e0_ev) == pytest.approx(-13.606, rel=1e-3)
         for level in levels:
             assert level.e0_ev / levels[0].e0_ev == Fraction(1, level.n ** 2)
             assert level.shift_ev == 0
         shifted = SpectrumConfig(
-            constants=PhysicalConstants.precise(), l_gevinv=3e-10 ** 0.5, n_max=1
+            constants=PhysicalConstants(), l_gevinv=3e-10 ** 0.5, n_max=1
         )
         assert float(-energy_level(shifted, 1).shift_ev) == pytest.approx(4e-9, rel=0.05)
 

@@ -4,8 +4,11 @@ from pathlib import Path
 import pytest
 
 from pcqm.cli import config_from_args, main, parse_value_with_unit, run
+from pcqm.operators import get_word_length_cap
+from pcqm.scalars import get_degree_window
 
 DATA = Path(__file__).parent / "data"
+CLI_FORMATS = json.loads((DATA / "cli_formats.json").read_text())
 
 
 def run_argv(argv: list[str]) -> tuple[int, str]:
@@ -190,6 +193,23 @@ def test_degree_window_and_word_cap_flags():
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--degree-window=4:-4", "eval", "l"],
+        ["--word-cap", "0", "eval", "x_1"],
+        ["--degree-window=-8:8", "--word-cap", "0", "eval", "l"],
+    ],
+)
+def test_bad_window_or_cap_exits_2_and_restores_state(argv):
+    state = (get_degree_window(), get_word_length_cap())
+    code, output = run_argv(argv)
+    assert code == 2 and output.startswith("error:")
+    code, output = run_argv(["-f", "json", *argv])
+    assert code == 2 and json.loads(output)["schema"] == "error/v1"
+    assert (get_degree_window(), get_word_length_cap()) == state
+
+
 def test_main_prints_and_returns(capsys):
     assert main(["eval", "[X+_1, P+_1]"]) == 0
     assert capsys.readouterr().out.strip() == "i"
@@ -226,3 +246,10 @@ def test_verify_text_names_failing_checks(monkeypatch):
         "FAIL canonical-quantization [same-branch] [X+_1, P+_1]  residual: i"
     ]
     assert lines[-1] == "VERIFY: FAIL (467 checks)"
+
+
+@pytest.mark.parametrize("case", sorted(CLI_FORMATS))
+def test_cli_formats_golden(case, capsys):
+    expected = CLI_FORMATS[case]
+    assert main(expected["argv"]) == expected["code"]
+    assert capsys.readouterr().out == expected["stdout"]

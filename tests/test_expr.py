@@ -8,6 +8,7 @@ from pcqm import so4
 from pcqm.expr import (
     Add,
     AliasSym,
+    MAX_EXPONENT,
     Bracket,
     CasimirOp,
     ExprSyntaxError,
@@ -158,6 +159,14 @@ def test_operator_power_must_be_non_negative():
     # '^' on operators only accepts unsigned integers at parse level
     with pytest.raises(ExprSyntaxError):
         parse("x_1^-2")
+
+
+def test_operator_power_is_bounded():
+    assert parse(f"i^{MAX_EXPONENT}") == Pow(ImagUnit(), MAX_EXPONENT)
+    for bad in (f"i^{MAX_EXPONENT + 1}", "(x_1 + 2)^1000000"):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(bad)
+        assert "exceeds" in str(err.value)
 
 
 def test_evaluate_rejects_unknown_trailing_input():

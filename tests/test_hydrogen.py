@@ -20,7 +20,7 @@ from pcqm.hydrogen import (
 from pcqm.irrep import denominator_eigenvalue
 from pcqm.units import ConstantSet
 
-PRECISE = PhysicalConstants.precise()
+PRECISE = PhysicalConstants()
 
 
 def bohr_ground_state_ev() -> float:
@@ -159,4 +159,4 @@ def test_input_validation():
     with pytest.raises(ValueError):
         born_infeld_length(0)
     with pytest.raises(ValueError):
-        PhysicalConstants(mu_gev=Fraction(-1), alpha=Fraction(1, 137), mode="precise")
+        PhysicalConstants(mu_gev=Fraction(-1), alpha=Fraction(1, 137))
