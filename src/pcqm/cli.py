@@ -200,14 +200,23 @@ def _run_verify(cfg: RunConfig) -> Result:
     )
 
 
-def _irrep_rows(k_max: Fraction) -> list[dict]:
+_IRREP_COLUMNS = [
+    "k", "dim", "casimir", "expected", "deviation", "denominator", "denominator_closed_form",
+]
+
+
+def _irrep_rows(k_max: Fraction) -> tuple[list[dict], str | None]:
+    """Rows of the sweep up to k_max, and the numeric failure that ended it early."""
     if not 0 <= k_max <= irrep.DEFAULT_K_MAX:
         raise ValueError(f"--k-max must lie in 0..{irrep.DEFAULT_K_MAX}, got {k_max}")
     rows = []
     k = Fraction(0)
     while k <= k_max:
         rep = irrep.build_irrep(k)
-        value = irrep.casimir_eigenvalue(rep)
+        try:
+            value = irrep.casimir_eigenvalue(rep)
+        except ArithmeticError as err:
+            return rows, f"k={k}: {err}"
         expected = float(2 * k * (k + 1))
         denom = irrep.denominator_eigenvalue(k)
         rows.append(
@@ -222,12 +231,12 @@ def _irrep_rows(k_max: Fraction) -> list[dict]:
             }
         )
         k += Fraction(1, 2)
-    return rows
+    return rows, None
 
 
 def _run_irrep(cfg: RunConfig) -> Result:
-    rows = _irrep_rows(cfg.params["k_max"])
-    ok = all(
+    rows, error = _irrep_rows(cfg.params["k_max"])
+    ok = error is None and all(
         r["deviation"] < 1e-12 and r["denominator"] == r["denominator_closed_form"]
         for r in rows
     )
@@ -239,11 +248,16 @@ def _run_irrep(cfg: RunConfig) -> Result:
             f"{r['k']:>4} {r['dim']:>5} {r['casimir']:>10.6g} {r['expected']:>9.6g} "
             f"{r['deviation']:>10.2e} {r['denominator']:>9}"
         )
+    payload = {"schema": "irrep-sweep/v1", "all_passed": ok, "rows": rows}
+    if error is not None:
+        lines.append(f"FAIL {error}")
+        payload["error"] = error
     lines.append(f"IRREP SWEEP: {'PASS' if ok else 'FAIL'}")
     return Result(
         0 if ok else 1,
-        {"schema": "irrep-sweep/v1", "all_passed": ok, "rows": rows},
-        *_columns(rows),
+        payload,
+        _IRREP_COLUMNS,
+        [[r[h] for h in _IRREP_COLUMNS] for r in rows],
         "\n".join(lines),
     )
 

@@ -30,7 +30,8 @@ from .operators import BRANCHES, NcPolynomial, commutator, expand_alias, generat
 from .scalars import PSEUDO_UNIT, pc_imag, pc_l, pc_rational
 
 CASIMIR_TAGS = ("R", "x", "y", "+", "-")
-# Largest operator exponent '^n' accepted; powers multiply once per unit.
+# Largest operator exponent '^n' accepted, also as the product of nested
+# exponents such as (a^8)^8; powers multiply once per unit.
 MAX_EXPONENT = 64
 
 
@@ -211,8 +212,10 @@ class _Parser:
         if self.at("^") and not isinstance(node, LengthPower):
             self.next()
             tok = self.expect("INT")
-            if int(tok[1]) > MAX_EXPONENT:
-                raise ExprSyntaxError(f"exponent {tok[1]} exceeds {MAX_EXPONENT}", tok[2])
+            nested = _exponent_product(node)
+            if int(tok[1]) * nested > MAX_EXPONENT:
+                inside = f" times {nested} inside its base" if nested > 1 else ""
+                raise ExprSyntaxError(f"exponent {tok[1]}{inside} exceeds {MAX_EXPONENT}", tok[2])
             node = Pow(node, int(tok[1]))
         return node
 
@@ -318,6 +321,14 @@ class _Parser:
         if not 1 <= idx <= 4:
             raise ExprSyntaxError(f"index {idx} out of range 1..4", pos)
         return idx
+
+
+def _exponent_product(node: Node) -> int:
+    """Largest product of the '^n' exponents on any path down from ``node``."""
+    if isinstance(node, Pow):
+        return node.exponent * _exponent_product(node.base)
+    children = [getattr(node, name) for name in ("operand", "left", "right") if hasattr(node, name)]
+    return max(map(_exponent_product, children), default=1)
 
 
 def parse(text: str) -> Node:

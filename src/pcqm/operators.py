@@ -27,6 +27,7 @@ from .scalars import (
     SIGMA_PLUS,
     _atom_str,
     _atoms,
+    _join_signed,
     pc_imag,
     pc_l,
     pc_rational,
@@ -91,6 +92,20 @@ def render_word(word: Word) -> str:
     return "*".join(str(g) for g in word) if word else "1"
 
 
+def _accumulate(
+    out: dict[Word, PcScalar], items: Iterable[tuple[Word, PcScalar]]
+) -> dict[Word, PcScalar]:
+    """Add ``(word, coeff)`` pairs into ``out``, dropping words that cancel."""
+    for word, coeff in items:
+        prev = out.get(word)
+        total = coeff if prev is None else prev + coeff
+        if total.is_zero():
+            out.pop(word, None)
+        else:
+            out[word] = total
+    return out
+
+
 class NcPolynomial:
     """Finite map word -> PcScalar; zero coefficients are never stored."""
 
@@ -98,17 +113,7 @@ class NcPolynomial:
 
     def __init__(self, terms: Mapping[Word, PcScalar] | Iterable[tuple[Word, PcScalar]] = ()):
         items = terms.items() if isinstance(terms, dict) or hasattr(terms, "items") else terms
-        clean: dict[Word, PcScalar] = {}
-        for word, coeff in items:
-            if coeff.is_zero():
-                continue
-            prev = clean.get(word)
-            total = coeff if prev is None else prev + coeff
-            if total.is_zero():
-                clean.pop(word, None)
-            else:
-                clean[word] = total
-        self._terms = clean
+        self._terms = _accumulate({}, items)
 
     @classmethod
     def zero(cls) -> "NcPolynomial":
@@ -143,16 +148,8 @@ class NcPolynomial:
         return {g.branch for word in self._terms for g in word}
 
     def __add__(self, other: "NcPolynomial") -> "NcPolynomial":
-        out = dict(self._terms)
-        for word, coeff in other._terms.items():
-            prev = out.get(word)
-            total = coeff if prev is None else prev + coeff
-            if total.is_zero():
-                out.pop(word, None)
-            else:
-                out[word] = total
         result = NcPolynomial.__new__(NcPolynomial)
-        result._terms = out
+        result._terms = _accumulate(dict(self._terms), other._terms.items())
         return result
 
     def __sub__(self, other: "NcPolynomial") -> "NcPolynomial":
@@ -206,28 +203,20 @@ class NcPolynomial:
 
 def render_poly(p: NcPolynomial) -> str:
     """Canonical text form; longest words first, CLI-parseable."""
-    if p.is_zero():
-        return "0"
-    parts: list[str] = []
     order = sorted(p.terms().items(), key=lambda t: (-len(t[0]), _word_key(t[0])))
-    for n, (word, coeff) in enumerate(order):
-        atoms = _atoms(coeff)
-        if len(atoms) == 1:
-            q, has_i, deg, has_pseudo = atoms[0]
-            body = _atom_str(q, has_i, deg, has_pseudo)
-            if word:
-                body = render_word(word) if body == "1" else f"{body}*{render_word(word)}"
-            negative = q < 0
-        else:
-            body = f"({render_pc(coeff)})"
-            if word:
-                body = f"{body}*{render_word(word)}"
-            negative = False
-        if n == 0:
-            parts.append(f"-{body}" if negative else body)
-        else:
-            parts.append(f"- {body}" if negative else f"+ {body}")
-    return " ".join(parts)
+    return _join_signed(_signed_term(word, coeff) for word, coeff in order)
+
+
+def _signed_term(word: Word, coeff: PcScalar) -> tuple[str, bool]:
+    """One rendered term and whether it carries a leading minus sign."""
+    atoms = _atoms(coeff)
+    if len(atoms) == 1:
+        body, negative = _atom_str(*atoms[0]), atoms[0][0] < 0
+    else:
+        body, negative = f"({render_pc(coeff)})", False
+    if word:
+        body = render_word(word) if body == "1" else f"{body}*{render_word(word)}"
+    return body, negative
 
 
 _MINUS_I = pc_imag(-1)
@@ -252,12 +241,7 @@ def normal_form(
             t for t in range(len(word) - 1) if word[t].sort_key > word[t + 1].sort_key
         ]
         if not positions:
-            prev = out.get(word)
-            total = coeff if prev is None else prev + coeff
-            if total.is_zero():
-                out.pop(word, None)
-            else:
-                out[word] = total
+            _accumulate(out, ((word, coeff),))
             continue
         t = positions[0] if pick is None else pick(positions)
         a, b = word[t], word[t + 1]
@@ -343,25 +327,11 @@ def verify_canonical_relations() -> IdentityReport:
             residual = commutator(
                 generator_poly("X", b, i), generator_poly("P", b, j)
             ) - NcPolynomial.scalar(pc_imag(_delta(i, j)))
-            checks.append(
-                Check(
-                    family="same-branch",
-                    label=f"[X{b}_{i}, P{b}_{j}]",
-                    residual=render_poly(residual),
-                    passed=residual.is_zero(),
-                )
-            )
+            checks.append(Check.of("same-branch", f"[X{b}_{i}, P{b}_{j}]", residual))
     for b, other in (("+", "-"), ("-", "+")):
         for i, j in itertools.product(INDICES, INDICES):
             residual = commutator(generator_poly("X", b, i), generator_poly("P", other, j))
-            checks.append(
-                Check(
-                    family="cross-branch",
-                    label=f"[X{b}_{i}, P{other}_{j}]",
-                    residual=render_poly(residual),
-                    passed=residual.is_zero(),
-                )
-            )
+            checks.append(Check.of("cross-branch", f"[X{b}_{i}, P{other}_{j}]", residual))
     return IdentityReport(name="canonical-quantization", checks=tuple(checks))
 
 
@@ -394,7 +364,7 @@ def verify_induced_relations() -> IdentityReport:
         ]
 
     checks = [
-        Check(family=family, label=f"i={i} j={j}", residual=render_poly(r), passed=r.is_zero())
+        Check.of(family, f"i={i} j={j}", r)
         for i, j in itertools.product(INDICES, INDICES)
         for family, r in residuals(i, j)
     ]

@@ -14,6 +14,11 @@ class Check:
     passed: bool
     extra: Mapping[str, object] | None = None
 
+    @classmethod
+    def of(cls, family: str, label: str, residual, extra: Mapping[str, object] | None = None) -> "Check":
+        """The check that ``residual`` (an operator polynomial) is zero."""
+        return cls(family, label, str(residual), residual.is_zero(), extra)
+
     def to_dict(self) -> dict:
         out = {
             "family": self.family,

@@ -67,36 +67,11 @@ class GaussianRational:
     def of(re: Rational = 0, im: Rational = 0) -> "GaussianRational":
         return GaussianRational(Fraction(re), Fraction(im))
 
-    def is_zero(self) -> bool:
-        return not self.re and not self.im
-
-    def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
-
-    def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     def reciprocal(self) -> "GaussianRational":
         n = self.re * self.re + self.im * self.im
         if not n:
             raise ZeroDivisionError("zero Gaussian rational has no reciprocal")
         return GaussianRational(self.re / n, -self.im / n)
-
-    def scale(self, q: Rational) -> "GaussianRational":
-        q = Fraction(q)
-        return GaussianRational(self.re * q, self.im * q)
 
 
 _ZERO = Fraction(0)
@@ -189,10 +164,6 @@ class BaseScalar:
         return cls([(0, GaussianRational.of(re, im))])
 
     @classmethod
-    def term(cls, degree: int, re: Rational = 0, im: Rational = 0) -> "BaseScalar":
-        return cls([(degree, GaussianRational.of(re, im))])
-
-    @classmethod
     def l_power(cls, degree: int, coeff: Rational = 1) -> "BaseScalar":
         return cls([(degree, GaussianRational.of(coeff))])
 
@@ -222,9 +193,8 @@ class BaseScalar:
     def __mul__(self, other: "BaseScalar") -> "BaseScalar":
         return _base(_in_window(_product(self._terms, other._terms)))
 
-    def scale(self, q: GaussianRational | Rational) -> "BaseScalar":
-        re, im = (q.re, q.im) if isinstance(q, GaussianRational) else (q, 0)
-        return _base(_product(self._terms, _gaussian_terms(0, re, im)))
+    def scale(self, q: Rational) -> "BaseScalar":
+        return _base(_product(self._terms, _gaussian_terms(0, q, 0)))
 
     def shift(self, degree: int) -> "BaseScalar":
         """Multiply by l**degree."""
@@ -308,7 +278,7 @@ class PcScalar:
     def __mul__(self, other: "PcScalar") -> "PcScalar":
         return _pc(self._plus * other._plus, self._minus * other._minus)
 
-    def scale(self, q: GaussianRational | Rational) -> "PcScalar":
+    def scale(self, q: Rational) -> "PcScalar":
         return _pc(self._plus.scale(q), self._minus.scale(q))
 
     def shift(self, degree: int) -> "PcScalar":
@@ -415,16 +385,14 @@ def _atom_str(q: Fraction, has_i: bool, deg: int, has_pseudo: bool) -> str:
     return "*".join(pieces)
 
 
+def _join_signed(terms: Iterable[tuple[str, bool]]) -> str:
+    """Join ``(body, negative)`` pairs as ``a - b + c``; ``0`` when empty."""
+    text = " ".join(("- " if negative else "+ ") + body for body, negative in terms)
+    if not text:
+        return "0"
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
 def render_pc(x: PcScalar) -> str:
     """Plain-text rendering, e.g. ``3/2 + 1/2*i - l^2*I``; parseable by the CLI."""
-    atoms = _atoms(x)
-    if not atoms:
-        return "0"
-    out = []
-    for n, (q, has_i, deg, has_pseudo) in enumerate(atoms):
-        body = _atom_str(q, has_i, deg, has_pseudo)
-        if n == 0:
-            out.append(f"-{body}" if q < 0 else body)
-        else:
-            out.append(f"- {body}" if q < 0 else f"+ {body}")
-    return " ".join(out)
+    return _join_signed((_atom_str(*atom), atom[0] < 0) for atom in _atoms(x))

@@ -17,7 +17,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from functools import partial
+from typing import Callable, Mapping, Sequence
 
 from .operators import (
     INDICES,
@@ -29,7 +30,6 @@ from .operators import (
     multiply,
     pc_coordinate,
     pc_momentum,
-    render_poly,
 )
 from .reports import Check, IdentityReport
 from .scalars import (
@@ -57,20 +57,25 @@ def _check_pair(i: int, j: int) -> None:
         raise ValueError(f"generator indices must be 1..4, got ({i}, {j})")
 
 
+def _antisymmetrized(
+    a: Callable[[int], NcPolynomial], b: Callable[[int], NcPolynomial], i: int, j: int
+) -> NcPolynomial:
+    """a_i b_j - a_j b_i."""
+    return multiply(a(i), b(j)) - multiply(a(j), b(i))
+
+
 def branch_generator(i: int, j: int, branch: str) -> NcPolynomial:
     """L<branch>_ij = X<b>_i P<b>_j - X<b>_j P<b>_i (zero when i == j)."""
     _check_pair(i, j)
-    return multiply(generator_poly("X", branch, i), generator_poly("P", branch, j)) - multiply(
-        generator_poly("X", branch, j), generator_poly("P", branch, i)
+    return _antisymmetrized(
+        partial(generator_poly, "X", branch), partial(generator_poly, "P", branch), i, j
     )
 
 
 def pc_generator_poly(i: int, j: int) -> NcPolynomial:
     """Pseudo-complex L_ij = X_i P_j - X_j P_i with sigma-weighted coefficients."""
     _check_pair(i, j)
-    return multiply(pc_coordinate(i), pc_momentum(j)) - multiply(
-        pc_coordinate(j), pc_momentum(i)
-    )
+    return _antisymmetrized(pc_coordinate, pc_momentum, i, j)
 
 
 def component(i: int, j: int, comp: str) -> NcPolynomial:
@@ -87,9 +92,7 @@ def component(i: int, j: int, comp: str) -> NcPolynomial:
     if comp not in COMPONENT_FACTORS:
         raise ValueError(f"unknown component {comp!r}")
     first, second = COMPONENT_FACTORS[comp]
-    return multiply(expand_alias(first, i), expand_alias(second, j)) - multiply(
-        expand_alias(first, j), expand_alias(second, i)
-    )
+    return _antisymmetrized(partial(expand_alias, first), partial(expand_alias, second), i, j)
 
 
 @dataclass(frozen=True)
@@ -211,20 +214,14 @@ def verify_so4_relations() -> IdentityReport:
         residual = commutator(pc_cache[(i, j)], pc_cache[(k, q)]) - _so4_rhs(
             pc_generator_poly, i, j, k, q
         )
-        checks.append(
-            Check("pc-level", label, render_poly(residual), residual.is_zero())
-        )
+        checks.append(Check.of("pc-level", label, residual))
         for b in BRANCHES:
             residual = commutator(br_cache[(i, j, b)], br_cache[(k, q, b)]) - _so4_rhs(
                 lambda a, c, _b=b: branch_generator(a, c, _b), i, j, k, q
             )
-            checks.append(
-                Check(f"branch{b}", label, render_poly(residual), residual.is_zero())
-            )
+            checks.append(Check.of(f"branch{b}", label, residual))
         residual = commutator(br_cache[(i, j, "+")], br_cache[(k, q, "-")])
-        checks.append(
-            Check("cross-branch", label, render_poly(residual), residual.is_zero())
-        )
+        checks.append(Check.of("cross-branch", label, residual))
     return IdentityReport(name="so4-commutators", checks=tuple(checks))
 
 
@@ -242,25 +239,19 @@ def verify_recomposition() -> IdentityReport:
         cross = cs.xy + cs.yx
         for b, sign in (("+", 1), ("-", -1)):
             residual = branch_generator(i, j, b) - (base + cross.scale(pc_l(1, sign)))
-            checks.append(
-                Check("branch-components", f"L{b}_{i}{j}", render_poly(residual), residual.is_zero())
-            )
+            checks.append(Check.of("branch-components", f"L{b}_{i}{j}", residual))
         residual = cs.real - base
-        checks.append(Check("real-part", f"LR_{i}{j}", render_poly(residual), residual.is_zero()))
+        checks.append(Check.of("real-part", f"LR_{i}{j}", residual))
         residual = cs.imag - cross.scale(pc_l(1))
-        checks.append(Check("pseudo-part", f"LI_{i}{j}", render_poly(residual), residual.is_zero()))
+        checks.append(Check.of("pseudo-part", f"LI_{i}{j}", residual))
         pc_body = pc_generator_poly(i, j)
         residual = pc_body - (cs.real + cs.imag.scale(PSEUDO_UNIT))
-        checks.append(
-            Check("pc-recombination", f"L_{i}{j}", render_poly(residual), residual.is_zero())
-        )
+        checks.append(Check.of("pc-recombination", f"L_{i}{j}", residual))
         residual = pc_body - (
             branch_generator(i, j, "+").scale(SIGMA_PLUS)
             + branch_generator(i, j, "-").scale(SIGMA_MINUS)
         )
-        checks.append(
-            Check("zero-divisor-recombination", f"L_{i}{j}", render_poly(residual), residual.is_zero())
-        )
+        checks.append(Check.of("zero-divisor-recombination", f"L_{i}{j}", residual))
     return IdentityReport(name="component-recomposition", checks=tuple(checks))
 
 
@@ -318,12 +309,11 @@ def verify_component_closure() -> IdentityReport:
             bracket = commutator(left_ops[(i, j)], right_ops[(k, q)])
             coeffs, residual = express_in_span(bracket, basis)
             checks.append(
-                Check(
-                    family=f"[{family}]",
-                    label=f"({i}{j}),({k}{q})",
-                    residual=render_poly(residual),
-                    passed=residual.is_zero(),
-                    extra={"expansion": {lbl: str(c) for lbl, c in coeffs.items()}},
+                Check.of(
+                    f"[{family}]",
+                    f"({i}{j}),({k}{q})",
+                    residual,
+                    {"expansion": {lbl: str(c) for lbl, c in coeffs.items()}},
                 )
             )
     return IdentityReport(
@@ -363,27 +353,20 @@ class CasimirExpansion:
 
     @property
     def passed(self) -> bool:
-        return (
-            self.decomposition_residual.is_zero()
-            and self.ordering_residual.is_zero()
-            and self.difference == self.order4_residual.scale(pc_l(4))
-            and not self.order4_residual.is_zero()
-        )
+        return self.report().all_passed
 
     def report(self) -> IdentityReport:
         diff_is_l4 = self.difference == self.order4_residual.scale(pc_l(4))
         checks = (
-            Check(
+            Check.of(
                 "casimir-expansion",
                 "no order l^0 or l^2 terms (c_x == s0 + l^2 s1 + l^4 s2)",
-                render_poly(self.decomposition_residual),
-                self.decomposition_residual.is_zero(),
+                self.decomposition_residual,
             ),
-            Check(
+            Check.of(
                 "casimir-expansion",
                 "dot-product ordering immaterial at order l^2",
-                render_poly(self.ordering_residual),
-                self.ordering_residual.is_zero(),
+                self.ordering_residual,
             ),
             Check(
                 "casimir-expansion",
@@ -450,7 +433,5 @@ def verify_casimir_commutes() -> IdentityReport:
     checks = []
     for i, j in _PAIRS:
         residual = commutator(c_r, component(i, j, "R"))
-        checks.append(
-            Check("casimir-central", f"[C^R, LR_{i}{j}]", render_poly(residual), residual.is_zero())
-        )
+        checks.append(Check.of("casimir-central", f"[C^R, LR_{i}{j}]", residual))
     return IdentityReport(name="casimir-central", checks=tuple(checks))

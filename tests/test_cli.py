@@ -248,6 +248,26 @@ def test_verify_text_names_failing_checks(monkeypatch):
     assert lines[-1] == "VERIFY: FAIL (467 checks)"
 
 
+def test_irrep_numeric_failure_exits_1(monkeypatch):
+    from pcqm import irrep
+
+    rep = irrep.build_irrep(1)
+    broken = type(rep)(k=rep.k, dim=rep.dim, l_ops=rep.l_ops, m_ops=(rep.l_ops[0] + 1,) + rep.m_ops[1:])
+    monkeypatch.setattr(irrep, "build_irrep", lambda k: broken)
+    code, output = run_argv(["irrep", "--k-max", "1"])
+    assert code == 1
+    lines = output.splitlines()
+    assert lines[-2].startswith("FAIL k=0: Casimir matrix is not scalar")
+    assert lines[-1] == "IRREP SWEEP: FAIL"
+    code, output = run_argv(["--format", "json", "irrep", "--k-max", "1"])
+    assert code == 1
+    payload = json.loads(output)
+    assert payload["schema"] == "irrep-sweep/v1"
+    assert payload["all_passed"] is False
+    assert payload["rows"] == []
+    assert "not scalar" in payload["error"]
+
+
 @pytest.mark.parametrize("case", sorted(CLI_FORMATS))
 def test_cli_formats_golden(case, capsys):
     expected = CLI_FORMATS[case]

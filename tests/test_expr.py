@@ -150,7 +150,8 @@ def test_syntax_errors_carry_position():
     with pytest.raises(ExprSyntaxError) as err:
         parse("[X+_1, ")
     assert "col" in str(err.value)
-    for bad in ("", "  ", "X+_5", "x_0", "L_11", "M_12", "Lq_12", "C", "1/0", "foo", "2 +", "(1", "[1, 2", "x_1 ^"):
+    for bad in ("", "  ", "X+_5", "x_0", "L_11", "M_12", "Lq_12", "C", "1/0", "foo", "2 +", "(1", "[1, 2", "x_1 ^",
+                "x_1 $ 2", "*2", "X*_1", "L_4", "L_123", "x_12"):
         with pytest.raises(ExprSyntaxError):
             parse(bad)
 
@@ -163,7 +164,8 @@ def test_operator_power_must_be_non_negative():
 
 def test_operator_power_is_bounded():
     assert parse(f"i^{MAX_EXPONENT}") == Pow(ImagUnit(), MAX_EXPONENT)
-    for bad in (f"i^{MAX_EXPONENT + 1}", "(x_1 + 2)^1000000"):
+    assert parse("(i^8)^8") == Pow(Pow(ImagUnit(), 8), 8)
+    for bad in (f"i^{MAX_EXPONENT + 1}", "(x_1 + 2)^1000000", "((2^64)^64)^64", "(2^64*2)^64"):
         with pytest.raises(ExprSyntaxError) as err:
             parse(bad)
         assert "exceeds" in str(err.value)

@@ -241,3 +241,14 @@ def test_power_and_scalar_arithmetic():
 def test_render_word_order_longest_first():
     p = multiply(generator_poly("P", "+", 1), generator_poly("X", "+", 1))
     assert p.render() == "X+_1*P+_1 - i"
+
+
+def test_residual_check_fails_on_nonzero_residual():
+    from pcqm.reports import Check
+
+    p = multiply(generator_poly("P", "+", 1), generator_poly("X", "+", 1))
+    failing = Check.of("family", "label", p, {"note": 1})
+    assert (failing.residual, failing.passed) == ("X+_1*P+_1 - i", False)
+    assert failing.to_dict()["note"] == 1
+    passing = Check.of("family", "label", p - p)
+    assert (passing.residual, passing.passed) == ("0", True)
