@@ -219,17 +219,11 @@ def _irrep_rows(k_max: Fraction) -> tuple[list[dict], str | None]:
             return rows, f"k={k}: {err}"
         expected = float(2 * k * (k + 1))
         denom = irrep.denominator_eigenvalue(k)
-        rows.append(
-            {
-                "k": str(k),
-                "dim": rep.dim,
-                "casimir": value,
-                "expected": expected,
-                "deviation": abs(value - expected),
-                "denominator": str(denom),
-                "denominator_closed_form": str(2 * (2 * k + 1) ** 2),
-            }
+        values = (
+            str(k), rep.dim, value, expected, abs(value - expected), str(denom),
+            str(2 * (2 * k + 1) ** 2),
         )
+        rows.append(dict(zip(_IRREP_COLUMNS, values)))
         k += Fraction(1, 2)
     return rows, None
 
@@ -257,7 +251,7 @@ def _run_irrep(cfg: RunConfig) -> Result:
         0 if ok else 1,
         payload,
         _IRREP_COLUMNS,
-        [[r[h] for h in _IRREP_COLUMNS] for r in rows],
+        [list(r.values()) for r in rows],
         "\n".join(lines),
     )
 

@@ -324,9 +324,12 @@ class _Parser:
 
 
 def _exponent_product(node: Node) -> int:
-    """Largest product of the '^n' exponents on any path down from ``node``."""
+    """Largest product of the '^n' exponents on any path down from ``node``.
+
+    A '^0' counts as 1, so it cannot hide the exponents above it.
+    """
     if isinstance(node, Pow):
-        return node.exponent * _exponent_product(node.base)
+        return max(node.exponent, 1) * _exponent_product(node.base)
     children = [getattr(node, name) for name in ("operand", "left", "right") if hasattr(node, name)]
     return max(map(_exponent_product, children), default=1)
 

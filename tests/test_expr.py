@@ -165,7 +165,8 @@ def test_operator_power_must_be_non_negative():
 def test_operator_power_is_bounded():
     assert parse(f"i^{MAX_EXPONENT}") == Pow(ImagUnit(), MAX_EXPONENT)
     assert parse("(i^8)^8") == Pow(Pow(ImagUnit(), 8), 8)
-    for bad in (f"i^{MAX_EXPONENT + 1}", "(x_1 + 2)^1000000", "((2^64)^64)^64", "(2^64*2)^64"):
+    for bad in (f"i^{MAX_EXPONENT + 1}", "(x_1 + 2)^1000000", "((2^64)^64)^64", "(2^64*2)^64",
+                "(i^0)^65", "(x_1^0)^1000000"):
         with pytest.raises(ExprSyntaxError) as err:
             parse(bad)
         assert "exceeds" in str(err.value)
