@@ -5,6 +5,7 @@ branch operator algebra, symbolic SO(4) verification, (k,k) matrix irreps,
 the minimal-length hydrogen spectrum, and natural-units conversion.
 """
 
+from .limits import Limits, current_limits
 from .scalars import (
     BaseScalar,
     DegreeWindowError,
@@ -17,13 +18,11 @@ from .scalars import (
     PSEUDO_UNIT,
     SIGMA_MINUS,
     SIGMA_PLUS,
-    get_degree_window,
     pc_gaussian,
     pc_imag,
     pc_l,
     pc_pseudo,
     pc_rational,
-    set_degree_window,
 )
 from .operators import (
     Generator,
@@ -33,12 +32,10 @@ from .operators import (
     expand_alias,
     gen,
     generator_poly,
-    get_word_length_cap,
     multiply,
     normal_form,
     pc_coordinate,
     pc_momentum,
-    set_word_length_cap,
     verify_canonical_relations,
     verify_induced_relations,
 )

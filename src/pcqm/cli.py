@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import hydrogen, irrep, operators, so4, units
 from .expr import evaluate_text
-from .scalars import get_degree_window, set_degree_window
+from .limits import limits
 from .units import ConstantSet
 
 CONSTANTS_ENV = "PCQM_CONSTANTS"
@@ -321,24 +321,17 @@ _RUNNERS = {
 def run(cfg: RunConfig) -> tuple[int, str]:
     """Execute one subcommand; returns (exit status, rendered output).
 
-    The degree window and word cap apply to this call only: both are
-    restored on every exit, including a rejected value.
+    The degree window and word cap apply to this call only.
     """
-    window, cap = get_degree_window(), operators.get_word_length_cap()
+    overrides = {"window": cfg.degree_window, "word_cap": cfg.word_cap}
     try:
-        if cfg.degree_window is not None:
-            set_degree_window(*cfg.degree_window)
-        if cfg.word_cap is not None:
-            operators.set_word_length_cap(cfg.word_cap)
-        result = _RUNNERS[cfg.command](cfg)
-        return result.code, render(result, cfg.fmt)
+        with limits(**{k: v for k, v in overrides.items() if v is not None}):
+            result = _RUNNERS[cfg.command](cfg)
+            return result.code, render(result, cfg.fmt)
     except (ValueError, ArithmeticError) as err:
         if cfg.fmt == "json":
             return 2, json.dumps({"schema": "error/v1", "error": str(err)})
         return 2, f"error: {err}"
-    finally:
-        set_degree_window(*window)
-        operators.set_word_length_cap(cap)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -18,6 +18,7 @@ import itertools
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
+from .limits import current_limits
 from .reports import Check, IdentityReport
 from .scalars import (
     PC_ONE,
@@ -42,20 +43,6 @@ _BLOCK = {("X", "+"): 0, ("P", "+"): 1, ("X", "-"): 2, ("P", "-"): 3}
 
 class WordLengthError(ValueError):
     """A product would exceed the configured word-length cap."""
-
-
-_word_cap = 8
-
-
-def set_word_length_cap(cap: int) -> None:
-    global _word_cap
-    if cap < 1:
-        raise ValueError("word length cap must be positive")
-    _word_cap = int(cap)
-
-
-def get_word_length_cap() -> int:
-    return _word_cap
 
 
 class Generator(NamedTuple):
@@ -127,9 +114,9 @@ class NcPolynomial:
 
     @classmethod
     def from_word(cls, word: Sequence[Generator], coeff: PcScalar = PC_ONE) -> "NcPolynomial":
-        word = tuple(word)
-        if len(word) > _word_cap:
-            raise WordLengthError(f"word length {len(word)} exceeds cap {_word_cap}")
+        word, cap = tuple(word), current_limits().word_cap
+        if len(word) > cap:
+            raise WordLengthError(f"word length {len(word)} exceeds cap {cap}")
         return cls({word: coeff})
 
     def terms(self) -> dict[Word, PcScalar]:
@@ -254,7 +241,7 @@ def normal_form(
 def multiply(p: NcPolynomial, q: NcPolynomial) -> NcPolynomial:
     """Concatenate words, then normal-order.  Bilinear and associative."""
     raw: dict[Word, PcScalar] = {}
-    cap = _word_cap
+    cap = current_limits().word_cap
     for w1, c1 in p.terms().items():
         for w2, c2 in q.terms().items():
             if len(w1) + len(w2) > cap:

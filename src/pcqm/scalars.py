@@ -22,38 +22,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
+from .limits import current_limits
+
 Rational = Union[int, Fraction]
 Terms = dict[tuple[int, bool], Fraction]
 
 
 class DegreeWindowError(ArithmeticError):
     """A Laurent term in l fell outside the configured degree window."""
-
-
-_degree_window = (-4, 4)
-
-
-def set_degree_window(lo: int, hi: int) -> None:
-    """Set the allowed range of l-exponents (inclusive bounds).
-
-    The window is enforced on every term that ends up stored: the
-    ``BaseScalar`` constructor and the result of a product, a ``shift`` or a
-    ``reciprocal`` raise ``DegreeWindowError`` when a nonzero term falls
-    outside it.  A term that cancels to zero is never stored and never
-    raises, so ``(SIGMA_PLUS*pc_l(3)) * (SIGMA_MINUS*pc_l(2)) == 0`` under
-    the default ``-4..4``.  Sums, negation and scaling by a constant keep the
-    degrees of their operands and are not re-checked; narrowing the window
-    therefore takes effect at the next product.
-    """
-    global _degree_window
-    lo, hi = int(lo), int(hi)
-    if lo > hi:
-        raise ValueError(f"empty degree window {lo}..{hi}")
-    _degree_window = (lo, hi)
-
-
-def get_degree_window() -> tuple[int, int]:
-    return _degree_window
 
 
 @dataclass(frozen=True)
@@ -120,7 +96,7 @@ def _product(a: Terms, b: Terms) -> Terms:
 
 
 def _in_window(terms: Terms) -> Terms:
-    lo, hi = _degree_window
+    lo, hi = current_limits().window
     for d, _ in terms:
         if d < lo or d > hi:
             raise DegreeWindowError(f"l^{d} outside degree window {lo}..{hi}")
@@ -139,7 +115,7 @@ class BaseScalar:
 
     Stored as a flat map ``(l_degree, has_i) -> nonzero Fraction``; equality
     is term-map equality.  Construction and multiplication reject exponents
-    outside the configured degree window (see ``set_degree_window``).
+    outside the active degree window (see ``pcqm.limits.Limits``).
     """
 
     __slots__ = ("_terms",)

@@ -4,8 +4,7 @@ from pathlib import Path
 import pytest
 
 from pcqm.cli import config_from_args, main, parse_value_with_unit, run
-from pcqm.operators import get_word_length_cap
-from pcqm.scalars import get_degree_window
+from pcqm.limits import current_limits
 
 DATA = Path(__file__).parent / "data"
 CLI_FORMATS = json.loads((DATA / "cli_formats.json").read_text())
@@ -202,12 +201,12 @@ def test_degree_window_and_word_cap_flags():
     ],
 )
 def test_bad_window_or_cap_exits_2_and_restores_state(argv):
-    state = (get_degree_window(), get_word_length_cap())
+    state = current_limits()
     code, output = run_argv(argv)
     assert code == 2 and output.startswith("error:")
     code, output = run_argv(["-f", "json", *argv])
     assert code == 2 and json.loads(output)["schema"] == "error/v1"
-    assert (get_degree_window(), get_word_length_cap()) == state
+    assert current_limits() == state
 
 
 def test_main_prints_and_returns(capsys):

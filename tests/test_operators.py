@@ -11,6 +11,7 @@ from helpers import (
     oracle_poly,
     random_poly,
 )
+from pcqm.limits import limits
 from pcqm.operators import (
     INDICES,
     NcPolynomial,
@@ -23,7 +24,6 @@ from pcqm.operators import (
     normal_form,
     pc_coordinate,
     pc_momentum,
-    set_word_length_cap,
     verify_canonical_relations,
     verify_induced_relations,
 )
@@ -215,13 +215,13 @@ def test_verify_induced_relations():
 
 
 def test_word_cap_enforced():
-    set_word_length_cap(3)
-    p = NcPolynomial.from_word((XP1, XP1))
-    with pytest.raises(WordLengthError):
-        multiply(p, p)
-    with pytest.raises(WordLengthError):
-        NcPolynomial.from_word((XP1,) * 4)
-    assert multiply(p, generator_poly("P", "+", 1)) is not None
+    with limits(word_cap=3):
+        p = NcPolynomial.from_word((XP1, XP1))
+        with pytest.raises(WordLengthError):
+            multiply(p, p)
+        with pytest.raises(WordLengthError):
+            NcPolynomial.from_word((XP1,) * 4)
+        assert multiply(p, generator_poly("P", "+", 1)) is not None
 
 
 def test_degree_overflow_propagates_through_multiply():

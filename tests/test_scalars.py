@@ -1,10 +1,13 @@
+import asyncio
 import random
+import threading
 from fractions import Fraction
 
 import pytest
 import sympy
 
 from helpers import random_pc_scalar, random_rational
+from pcqm.limits import current_limits, limits
 from pcqm.scalars import (
     BaseScalar,
     DegreeWindowError,
@@ -22,7 +25,6 @@ from pcqm.scalars import (
     pc_pseudo,
     pc_rational,
     render_pc,
-    set_degree_window,
 )
 
 SEED = 20260810
@@ -122,8 +124,22 @@ def test_degree_window_overflow():
 
 
 def test_degree_window_configurable():
-    set_degree_window(-8, 8)
-    assert pc_l(3) * pc_l(2) == pc_l(5)
+    with limits(window=(-8, 8)):
+        assert pc_l(3) * pc_l(2) == pc_l(5)
+
+
+def test_limits_are_per_thread_and_inherited_by_tasks():
+    async def window_in_task():
+        return current_limits().window
+
+    raised = []
+    with limits(window=(-8, 8)):
+        thread = threading.Thread(target=lambda: raised.append(pytest.raises(DegreeWindowError, pc_l, 5)))
+        thread.start()
+        thread.join()
+        assert pc_l(5) == pc_l(1) * pc_l(4)
+        assert asyncio.run(window_in_task()) == (-8, 8)
+    assert len(raised) == 1
 
 
 def test_zero_has_no_stored_coefficients():
@@ -166,12 +182,12 @@ def test_window_ignores_terms_that_cancel_to_zero():
 
 def test_narrowing_the_window_applies_to_the_next_product():
     x = pc_l(3)
-    set_degree_window(-2, 2)
-    assert x + x == x.scale(2)  # sums and scaling keep their operands' degrees
-    with pytest.raises(DegreeWindowError):
-        x * PC_ONE
-    with pytest.raises(DegreeWindowError):
-        pc_l(3)
+    with limits(window=(-2, 2)):
+        assert x + x == x.scale(2)  # sums and scaling keep their operands' degrees
+        with pytest.raises(DegreeWindowError):
+            x * PC_ONE
+        with pytest.raises(DegreeWindowError):
+            pc_l(3)
 
 
 # Independent oracle: sympy expressions in the symbols l, i, I.  Every
