@@ -27,6 +27,7 @@ from .scalars import (
 from .operators import (
     Generator,
     NcPolynomial,
+    ProductSizeError,
     WordLengthError,
     commutator,
     expand_alias,

@@ -33,6 +33,11 @@ CASIMIR_TAGS = ("R", "x", "y", "+", "-")
 # Largest operator exponent '^n' accepted, also as the product of nested
 # exponents such as (a^8)^8; powers multiply once per unit.
 MAX_EXPONENT = 64
+# Deepest nesting of parentheses and brackets accepted; a unary minus opens
+# no level of its own, since '--x' is not in the grammar.  Each level costs
+# a few stack frames in the parser, the evaluator and the renderer, which
+# walk '+', '-' and '*' chains in a loop.
+MAX_NESTING = 100
 
 
 class ExprSyntaxError(ValueError):
@@ -157,6 +162,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.n = 0
+        self.depth = 0
 
     def peek(self, ahead: int = 0) -> tuple[str, str, int] | None:
         idx = self.n + ahead
@@ -230,16 +236,17 @@ class _Parser:
                     raise ExprSyntaxError("zero denominator", denom[2])
                 return Num(Fraction(int(text), int(denom[1])))
             return Num(Fraction(int(text)))
-        if kind == "(":
+        if kind in ("(", "["):
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ExprSyntaxError(f"nesting deeper than {MAX_NESTING}", pos)
             node = self.expr()
-            self.expect(")")
+            if kind == "[":
+                self.expect(",")
+                node = Bracket(node, self.expr())
+            self.expect(")" if kind == "(" else "]")
+            self.depth -= 1
             return node
-        if kind == "[":
-            left = self.expr()
-            self.expect(",")
-            right = self.expr()
-            self.expect("]")
-            return Bracket(left, right)
         if kind == "NAME":
             return self.symbol(text, pos)
         raise ExprSyntaxError(f"unexpected token {text!r}", pos)
@@ -323,15 +330,27 @@ class _Parser:
         return idx
 
 
+def _chain(node: Node, kinds: tuple[type, ...]) -> tuple[Node, list[Node]]:
+    """The first operand of a left-deep chain of ``kinds`` nodes, and the
+    chain's nodes in source order; walking them needs no recursion."""
+    links = []
+    while isinstance(node, kinds):
+        links.append(node)
+        node = node.left
+    return node, links[::-1]
+
+
 def _exponent_product(node: Node) -> int:
     """Largest product of the '^n' exponents on any path down from ``node``.
 
     A '^0' counts as 1, so it cannot hide the exponents above it.
     """
+    node, links = _chain(node, (Add, Sub, Mul))
+    best = max(map(_exponent_product, [link.right for link in links]), default=1)
     if isinstance(node, Pow):
-        return max(node.exponent, 1) * _exponent_product(node.base)
+        return max(best, max(node.exponent, 1) * _exponent_product(node.base))
     children = [getattr(node, name) for name in ("operand", "left", "right") if hasattr(node, name)]
-    return max(map(_exponent_product, children), default=1)
+    return max([best, *map(_exponent_product, children)])
 
 
 def parse(text: str) -> Node:
@@ -351,6 +370,9 @@ def _prec(node: Node) -> int:
     if isinstance(node, Pow):
         return _PREC_POW
     return _PREC_ATOM
+
+
+_INFIX = {Add: " + ", Sub: " - ", Mul: "*"}
 
 
 def render(node: Node, min_prec: int = _PREC_SUM) -> str:
@@ -377,12 +399,14 @@ def _render(node: Node) -> str:
         return f"C{node.comp}"
     if isinstance(node, Neg):
         return f"-{render(node.operand, _PREC_MUL)}"
-    if isinstance(node, Add):
-        return f"{render(node.left, _PREC_SUM)} + {render(node.right, _PREC_MUL)}"
-    if isinstance(node, Sub):
-        return f"{render(node.left, _PREC_SUM)} - {render(node.right, _PREC_MUL)}"
-    if isinstance(node, Mul):
-        return f"{render(node.left, _PREC_MUL)}*{render(node.right, _PREC_POW)}"
+    if isinstance(node, (Add, Sub, Mul)):
+        # A left operand binds like the chain itself; a right one one level tighter.
+        prec = _prec(node)
+        first, links = _chain(node, (Mul,) if prec == _PREC_MUL else (Add, Sub))
+        parts = [render(first, prec)]
+        for link in links:
+            parts += (_INFIX[type(link)], render(link.right, prec + 1))
+        return "".join(parts)
     if isinstance(node, Pow):
         return f"{render(node.base, _PREC_ATOM)}^{node.exponent}"
     if isinstance(node, Bracket):
@@ -410,12 +434,20 @@ def evaluate(node: Node) -> NcPolynomial:
         return so4.casimir(node.comp)
     if isinstance(node, Neg):
         return -evaluate(node.operand)
-    if isinstance(node, Add):
-        return evaluate(node.left) + evaluate(node.right)
-    if isinstance(node, Sub):
-        return evaluate(node.left) - evaluate(node.right)
+    if isinstance(node, (Add, Sub)):
+        # One accumulation over all summands keeps a long sum linear.
+        first, links = _chain(node, (Add, Sub))
+        summands = [evaluate(first)]
+        for link in links:
+            value = evaluate(link.right)
+            summands.append(value if isinstance(link, Add) else -value)
+        return NcPolynomial(pair for p in summands for pair in p.terms().items())
     if isinstance(node, Mul):
-        return evaluate(node.left) * evaluate(node.right)
+        first, links = _chain(node, (Mul,))
+        product = evaluate(first)
+        for link in links:
+            product = product * evaluate(link.right)
+        return product
     if isinstance(node, Pow):
         return evaluate(node.base) ** node.exponent
     if isinstance(node, Bracket):

@@ -42,6 +42,10 @@ class PhysicalConstants:
             raise ValueError("fine-structure constant must lie in (0, 1)")
 
 
+# Largest level table accepted: 10,000 levels take about 1 s as a process.
+MAX_N_MAX = 10_000
+
+
 @dataclass(frozen=True)
 class SpectrumConfig:
     constants: PhysicalConstants
@@ -55,8 +59,8 @@ class SpectrumConfig:
             raise ValueError("minimal length must be non-negative")
         if self.kappa_gev2 <= 0:
             raise ValueError("correction strength kappa must be positive")
-        if self.n_max < 1:
-            raise ValueError("n_max must be at least 1")
+        if not 1 <= self.n_max <= MAX_N_MAX:
+            raise ValueError(f"n_max must lie in 1..{MAX_N_MAX}, got {self.n_max}")
         if self.numerator not in (NUMERATOR_BOHR, NUMERATOR_LITERAL_E2):
             raise ValueError(f"unknown numerator mode {self.numerator!r}")
 

@@ -101,11 +101,7 @@ def casimir_eigenvalue(rep: So4Irrep, *, tol: float = 1e-12) -> float:
 def denominator_eigenvalue(k: SpinLike) -> Fraction:
     """Eigenvalue of 4*(Casimir + 1/2): exactly 8k(k+1) + 2 = 2(2k+1)^2."""
     k = _as_spin(k)
-    value = 8 * k * (k + 1) + 2
-    closed_form = 2 * (2 * k + 1) ** 2
-    if value != closed_form:
-        raise AssertionError(f"denominator identity failed at k={k}")
-    return value
+    return 8 * k * (k + 1) + 2
 
 
 def shell_degeneracy(k: SpinLike) -> int:

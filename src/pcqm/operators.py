@@ -45,6 +45,17 @@ class WordLengthError(ValueError):
     """A product would exceed the configured word-length cap."""
 
 
+class ProductSizeError(ValueError):
+    """A product would pair more terms than ``MAX_TERM_PAIRS``."""
+
+
+# Largest term-pair count of one product.  verify and the tests peak at 272
+# pairs and the eval-warm benchmark stream at 1,060.  The largest Casimir
+# product, Cx*Cx (48,400 pairs, 6 s as a process), stays allowed, while
+# (x_1+...+px_4)^5 (64,208 pairs in its last product) is refused.
+MAX_TERM_PAIRS = 50_000
+
+
 class Generator(NamedTuple):
     kind: str
     branch: str
@@ -240,6 +251,9 @@ def normal_form(
 
 def multiply(p: NcPolynomial, q: NcPolynomial) -> NcPolynomial:
     """Concatenate words, then normal-order.  Bilinear and associative."""
+    pairs = len(p._terms) * len(q._terms)
+    if pairs > MAX_TERM_PAIRS:
+        raise ProductSizeError(f"product of {pairs} term pairs exceeds {MAX_TERM_PAIRS}")
     raw: dict[Word, PcScalar] = {}
     cap = current_limits().word_cap
     for w1, c1 in p.terms().items():

@@ -2,6 +2,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pcqm.cli import config_from_args, main, parse_value_with_unit, run
 from pcqm.limits import current_limits
@@ -198,6 +200,7 @@ def test_degree_window_and_word_cap_flags():
         ["--degree-window=4:-4", "eval", "l"],
         ["--word-cap", "0", "eval", "x_1"],
         ["--degree-window=-8:8", "--word-cap", "0", "eval", "l"],
+        ["--word-cap", "13", "eval", "x_1"],
     ],
 )
 def test_bad_window_or_cap_exits_2_and_restores_state(argv):
@@ -207,6 +210,43 @@ def test_bad_window_or_cap_exits_2_and_restores_state(argv):
     code, output = run_argv(["-f", "json", *argv])
     assert code == 2 and json.loads(output)["schema"] == "error/v1"
     assert current_limits() == state
+
+
+@pytest.mark.parametrize(
+    "expression",
+    ["(" * 1200 + "1" + ")" * 1200, "(x_1+x_2+x_3+x_4+px_1+px_2+px_3+px_4)^8"],
+)
+def test_oversized_expression_exits_2(expression):
+    code, output = run_argv(["eval", expression])
+    assert code == 2 and output.startswith("error:")
+
+
+# Raw characters, shuffled lexemes, and well-formed trees of the grammar.
+_ATOMS = ["x_1", "py_2", "X+_3", "P-_1", "L_12", "Mxy_3", "C+", "i", "I", "l", "l^-2", "1/2", "3"]
+_LEXEMES = _ATOMS + ["CR", "0", "+", "-", "*", "^2", "(", ")", "[", ",", "]", " "]
+_TREES = st.recursive(
+    st.sampled_from(_ATOMS),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from([" + ", " - ", "*"]), inner).map("".join),
+        st.tuples(inner, inner).map("[{0[0]}, {0[1]}]".format),
+        inner.map("-({})^2".format),
+    ),
+    max_leaves=6,
+)
+_EXPRESSIONS = st.one_of(
+    st.text(alphabet="0123456789/+-*^()[],_ iIlXPxyLMCR"),
+    st.lists(st.sampled_from(_LEXEMES)).map("".join),
+    _TREES,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_EXPRESSIONS)
+@example("(" * 1200 + "1" + ")" * 1200)
+@example("+".join(["x_1"] * 1000))
+def test_eval_exits_0_or_2_on_any_input(expression):
+    code, _ = run(config_from_args(["eval", "--", expression]))
+    assert code in (0, 2)
 
 
 def test_main_prints_and_returns(capsys):

@@ -9,6 +9,7 @@ from pcqm.expr import (
     Add,
     AliasSym,
     MAX_EXPONENT,
+    MAX_NESTING,
     Bracket,
     CasimirOp,
     ExprSyntaxError,
@@ -144,6 +145,23 @@ def test_polynomial_render_reparses_to_same_polynomial():
     for text in ("[L_12, L_23]", "Cx", "CR", "[x_1, py_3]", "LI_14*LI_14"):
         p = evaluate_text(text)
         assert evaluate_text(p.render()) == p
+
+
+def test_long_result_reparses_to_same_polynomial():
+    p = evaluate_text("(x_1+x_2+x_3+x_4+px_1+px_2+px_3+px_4)^4")
+    assert len(p.terms()) >= 1500
+    assert evaluate_text(p.render()) == p
+    long_sum = " - ".join(["x_1*px_1"] * 2000)
+    assert render(parse(long_sum)) == long_sum
+
+
+def test_nesting_is_bounded():
+    for open_, close in (("(", ")"), ("-(", ")"), ("[1, ", "]"), ("2*(1 + ", ")^1")):
+        deepest = open_ * MAX_NESTING + "x_1" + close * MAX_NESTING
+        assert evaluate_text(deepest) == evaluate_text(render(parse(deepest)))
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(open_ + deepest + close)
+        assert f"nesting deeper than {MAX_NESTING}" in str(err.value)
 
 
 def test_syntax_errors_carry_position():

@@ -5,6 +5,7 @@ import pytest
 
 from pcqm.hydrogen import (
     BORN_INFELD_QUOTED_CM,
+    MAX_N_MAX,
     NUMERATOR_LITERAL_E2,
     PhysicalConstants,
     SpectrumConfig,
@@ -147,6 +148,8 @@ def test_input_validation():
         SpectrumConfig(constants=PRECISE, kappa_gev2=0.0)
     with pytest.raises(ValueError):
         SpectrumConfig(constants=PRECISE, n_max=0)
+    with pytest.raises(ValueError):
+        SpectrumConfig(constants=PRECISE, n_max=MAX_N_MAX + 1)
     cfg = SpectrumConfig(constants=PRECISE, n_max=2)
     with pytest.raises(ValueError):
         energy_level(cfg, 3)

@@ -136,7 +136,8 @@ def test_limits_are_per_thread_and_inherited_by_tasks():
     with limits(window=(-8, 8)):
         thread = threading.Thread(target=lambda: raised.append(pytest.raises(DegreeWindowError, pc_l, 5)))
         thread.start()
-        thread.join()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
         assert pc_l(5) == pc_l(1) * pc_l(4)
         assert asyncio.run(window_in_task()) == (-8, 8)
     assert len(raised) == 1
