@@ -38,6 +38,10 @@ MAX_EXPONENT = 64
 # a few stack frames in the parser, the evaluator and the renderer, which
 # walk '+', '-' and '*' chains in a loop.
 MAX_NESTING = 100
+# Most digits accepted in one integer (a literal, an exponent or an index
+# run), well inside the interpreter's int-from-str limit, so a longer one is
+# a syntax error with its column.
+MAX_LITERAL_DIGITS = 1000
 
 
 class ExprSyntaxError(ValueError):
@@ -148,6 +152,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             bad = len(text) - len(stripped)
             raise ExprSyntaxError(f"unexpected character {text[bad]!r}", bad)
         if m.group(1):
+            if len(m.group(1)) > MAX_LITERAL_DIGITS:
+                raise ExprSyntaxError(f"integer longer than {MAX_LITERAL_DIGITS} digits", m.start(1))
             tokens.append(("INT", m.group(1), m.start(1)))
         elif m.group(2):
             tokens.append(("NAME", m.group(2), m.start(2)))

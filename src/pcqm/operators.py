@@ -51,8 +51,9 @@ class ProductSizeError(ValueError):
 
 # Largest term-pair count of one product.  verify and the tests peak at 272
 # pairs and the eval-warm benchmark stream at 1,060.  The largest Casimir
-# product, Cx*Cx (48,400 pairs, 6 s as a process), stays allowed, while
-# (x_1+...+px_4)^5 (64,208 pairs in its last product) is refused.
+# product, Cx*Cx (48,400 pairs, 2.4-3.1 s as a process on a 2-vCPU Xeon VM),
+# stays allowed, while (x_1+...+px_4)^5 (64,208 pairs in its last product) is
+# refused.
 MAX_TERM_PAIRS = 50_000
 
 
@@ -219,6 +220,13 @@ def _signed_term(word: Word, coeff: PcScalar) -> tuple[str, bool]:
 
 _MINUS_I = pc_imag(-1)
 
+# The sixteen generators in normal order; a word is rewritten as the tuple of
+# its generators' ranks.  Rank r has block r // 4 and index r % 4 + 1, so a
+# same-branch P_i X_i pair is exactly ``a - b == 4`` with ``a`` in a P block.
+_BY_RANK = tuple(sorted((gen(k, b, i) for k in ("X", "P") for b in BRANCHES for i in INDICES),
+                        key=lambda g: g.sort_key))
+_RANK = {g: r for r, g in enumerate(_BY_RANK)}
+
 
 def normal_form(
     p: NcPolynomial,
@@ -231,22 +239,30 @@ def normal_form(
     shortened word.  ``pick`` selects which out-of-order position to rewrite
     next (defaults to the leftmost); any choice yields the same result.
     """
-    out: dict[Word, PcScalar] = {}
-    stack: list[tuple[Word, PcScalar]] = list(p.terms().items())
+    rank = _RANK.__getitem__
+    out: dict[tuple[int, ...], PcScalar] = {}
+    stack = [(tuple(map(rank, word)), coeff) for word, coeff in p._terms.items()]
     while stack:
         word, coeff = stack.pop()
-        positions = [
-            t for t in range(len(word) - 1) if word[t].sort_key > word[t + 1].sort_key
-        ]
-        if not positions:
+        if pick is None:
+            for t in range(len(word) - 1):
+                if word[t] > word[t + 1]:
+                    break
+            else:
+                t = -1
+        else:
+            positions = [t for t in range(len(word) - 1) if word[t] > word[t + 1]]
+            t = pick(positions) if positions else -1
+        if t < 0:
             _accumulate(out, ((word, coeff),))
             continue
-        t = positions[0] if pick is None else pick(positions)
         a, b = word[t], word[t + 1]
         stack.append((word[:t] + (b, a) + word[t + 2 :], coeff))
-        if a.kind == "P" and b.kind == "X" and a.branch == b.branch and a.index == b.index:
+        if a - b == 4 and a & 4:
             stack.append((word[:t] + word[t + 2 :], coeff * _MINUS_I))
-    return NcPolynomial(out)
+    result = NcPolynomial.__new__(NcPolynomial)
+    result._terms = {tuple(map(_BY_RANK.__getitem__, word)): c for word, c in out.items()}
+    return result
 
 
 def multiply(p: NcPolynomial, q: NcPolynomial) -> NcPolynomial:

@@ -6,26 +6,28 @@ pseudo-imaginary unit ``I`` with ``I*I == 1``.  The zero-divisor basis
 ``sigma_plus = (1+I)/2``, ``sigma_minus = (1-I)/2`` splits every scalar into
 two independent components in which multiplication is componentwise.
 
-Storage follows that split.  A ``BaseScalar`` is one flat dict
-``(l_degree, has_i) -> nonzero Fraction``, where ``has_i`` marks the ordinary
-imaginary unit ``i``.  A ``PcScalar`` stores its ``sigma_plus`` and
-``sigma_minus`` components, so a product is two component products,
-pseudo-conjugation is a swap, and the ``re + I*im`` parts are derived on
-demand.
+Storage follows that split.  A ``BaseScalar`` holds integer numerators
+keyed by ``(l_degree, has_i)`` over one common denominator, the layout of
+FLINT's ``fmpq_poly``; ``has_i`` marks the ordinary imaginary unit ``i``.  A
+``PcScalar`` stores its ``sigma_plus`` and ``sigma_minus`` components, so a
+product is two component products, pseudo-conjugation is a swap, and the
+``re + I*im`` parts are derived on demand.
 
 Everything here is exact rational arithmetic; no floating point.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Union
 
 from .limits import current_limits
 
 Rational = Union[int, Fraction]
-Terms = dict[tuple[int, bool], Fraction]
+Numerators = dict[tuple[int, bool], int]
 
 
 class DegreeWindowError(ArithmeticError):
@@ -50,82 +52,56 @@ class GaussianRational:
         return GaussianRational(self.re / n, -self.im / n)
 
 
-_ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
 
 
-def _gaussian_terms(degree: int, re: Rational, im: Rational) -> Terms:
-    out = {}
-    if re:
-        out[(degree, False)] = Fraction(re)
-    if im:
-        out[(degree, True)] = Fraction(im)
-    return out
-
-
-def _sum(a: Terms, b: Terms) -> Terms:
-    out = dict(a)
-    for key, q in b.items():
-        prev = out.get(key)
-        if prev is None:
-            out[key] = q
-            continue
-        total = prev + q
-        if total:
-            out[key] = total
-        else:
-            del out[key]
-    return out
-
-
-def _product(a: Terms, b: Terms) -> Terms:
-    """Term-map product: degrees add, ``i*i`` flips the sign, zero sums drop."""
-    out: Terms = {}
-    get = out.get
-    b_items = b.items()
-    for (d1, i1), q1 in a.items():
-        for (d2, i2), q2 in b_items:
-            key = (d1 + d2, i1 ^ i2)
-            p = q1 * q2
-            prev = get(key)
-            if i1 and i2:
-                out[key] = -p if prev is None else prev - p
-            else:
-                out[key] = p if prev is None else prev + p
-    return {key: q for key, q in out.items() if q}
-
-
-def _in_window(terms: Terms) -> Terms:
+def _in_window(num: Numerators) -> Numerators:
     lo, hi = current_limits().window
-    for d, _ in terms:
+    for d, _ in num:
         if d < lo or d > hi:
             raise DegreeWindowError(f"l^{d} outside degree window {lo}..{hi}")
-    return terms
+    return num
 
 
-def _base(terms: Terms) -> "BaseScalar":
-    """Wrap an already clean term map without re-validating it."""
+def _base(num: Numerators, den: int) -> "BaseScalar":
+    """Wrap numerators already in canonical form without re-validating them."""
     out = object.__new__(BaseScalar)
-    out._terms = terms
+    out._num = num
+    out._den = den
     return out
+
+
+def _reduced(num: Numerators, den: int) -> "BaseScalar":
+    """Canonical form of nonzero numerators over ``den > 0``: the gcd divided out."""
+    g = den
+    for n in num.values():
+        g = gcd(g, n)
+    if g == 1:
+        return _base(num, den)
+    return _base({key: n // g for key, n in num.items()}, den // g)
 
 
 class BaseScalar:
     """Laurent polynomial in l with Gaussian-rational coefficients.
 
-    Stored as a flat map ``(l_degree, has_i) -> nonzero Fraction``; equality
-    is term-map equality.  Construction and multiplication reject exponents
-    outside the active degree window (see ``pcqm.limits.Limits``).
+    Stored as numerators ``(l_degree, has_i) -> nonzero int`` over one
+    denominator ``den > 0`` with ``gcd(den, *numerators) == 1`` (zero is
+    ``({}, 1)``), so equal values have equal storage.  Construction and
+    multiplication reject exponents outside the active degree window (see
+    ``pcqm.limits.Limits``).
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, terms: Mapping[int, GaussianRational] | Iterable[tuple[int, GaussianRational]] = ()):
         items = terms.items() if isinstance(terms, dict) or hasattr(terms, "items") else terms
-        clean: Terms = {}
+        acc: dict[tuple[int, bool], Fraction] = {}
         for deg, coeff in items:
-            clean = _sum(clean, _gaussian_terms(deg, coeff.re, coeff.im))
-        self._terms = _in_window(clean)
+            for key, q in (((deg, False), coeff.re), ((deg, True), coeff.im)):
+                acc[key] = acc.get(key, 0) + Fraction(q)
+        # Over the lcm of the reduced denominators the numerators share no factor with it.
+        self._den = den = lcm(*(q.denominator for q in acc.values() if q))
+        self._num = _in_window({key: q.numerator * (den // q.denominator) for key, q in acc.items() if q})
 
     @classmethod
     def zero(cls) -> "BaseScalar":
@@ -147,34 +123,62 @@ class BaseScalar:
         """``(degree, coefficient)`` pairs in ascending degree."""
         return tuple((d, self.coefficient(d)) for d in self.degrees())
 
+    def as_integers(self) -> tuple[Numerators, int]:
+        """``(numerators, denominator)`` in the canonical form described above."""
+        return dict(self._num), self._den
+
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def coefficient(self, degree: int) -> GaussianRational:
-        t = self._terms
-        return GaussianRational(t.get((degree, False), _ZERO), t.get((degree, True), _ZERO))
+        num, den = self._num, self._den
+        return GaussianRational(Fraction(num.get((degree, False), 0), den), Fraction(num.get((degree, True), 0), den))
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(sorted({d for d, _ in self._terms}))
+        return tuple(sorted({d for d, _ in self._num}))
 
     def __add__(self, other: "BaseScalar") -> "BaseScalar":
-        return _base(_sum(self._terms, other._terms))
+        a, b = self._num, other._num
+        if not b:
+            return self
+        g = gcd(self._den, other._den)
+        sa, sb = other._den // g, self._den // g
+        out = dict(a) if sa == 1 else {key: n * sa for key, n in a.items()}
+        for key, n in b.items():
+            n = out.pop(key, 0) + n * sb
+            if n:
+                out[key] = n
+        return _reduced(out, self._den * sa)
 
     def __sub__(self, other: "BaseScalar") -> "BaseScalar":
         return self + (-other)
 
     def __neg__(self) -> "BaseScalar":
-        return _base({key: -q for key, q in self._terms.items()})
+        return _base({key: -n for key, n in self._num.items()}, self._den)
 
     def __mul__(self, other: "BaseScalar") -> "BaseScalar":
-        return _base(_in_window(_product(self._terms, other._terms)))
+        """Integer polynomial product over ``den1*den2``, reduced by one gcd."""
+        a, b, den = self._num, other._num, self._den * other._den
+        if len(a) == 1 and len(b) == 1:
+            (((d1, i1), n1),), (((d2, i2), n2),) = a.items(), b.items()
+            n = -n1 * n2 if i1 and i2 else n1 * n2
+            g = gcd(n, den)
+            return _base(_in_window({(d1 + d2, i1 ^ i2): n // g}), den // g)
+        out: Numerators = {}
+        get = out.get
+        for (d1, i1), n1 in a.items():
+            for (d2, i2), n2 in b.items():
+                key = (d1 + d2, i1 ^ i2)
+                out[key] = get(key, 0) + (-n1 * n2 if i1 and i2 else n1 * n2)
+        return _reduced(_in_window({key: n for key, n in out.items() if n}), den)
 
     def scale(self, q: Rational) -> "BaseScalar":
-        return _base(_product(self._terms, _gaussian_terms(0, q, 0)))
+        num = {key: n * q.numerator for key, n in self._num.items()} if q else {}
+        return _reduced(num, self._den * q.denominator)
 
     def shift(self, degree: int) -> "BaseScalar":
         """Multiply by l**degree."""
-        return _base(_in_window({(d + degree, i): q for (d, i), q in self._terms.items()}))
+        return _base(_in_window({(d + degree, i): n for (d, i), n in self._num.items()}), self._den)
 
     def is_unit(self) -> bool:
         return len(self.degrees()) == 1
@@ -182,15 +186,17 @@ class BaseScalar:
     def reciprocal(self) -> "BaseScalar":
         if not self.is_unit():
             raise ZeroDivisionError("only single-term Laurent scalars are invertible")
+        # den / (a + b*i) = den * (a - b*i) / (a^2 + b^2)
         (d,) = self.degrees()
-        c = self.coefficient(d).reciprocal()
-        return _base(_in_window(_gaussian_terms(-d, c.re, c.im)))
+        a, b = self._num.get((d, False), 0), self._num.get((d, True), 0)
+        num = {(-d, False): a * self._den, (-d, True): -b * self._den}
+        return _reduced(_in_window({key: n for key, n in num.items() if n}), a * a + b * b)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, BaseScalar) and self._terms == other._terms
+        return isinstance(other, BaseScalar) and self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((frozenset(self._num.items()), self._den))
 
     def __repr__(self) -> str:
         return f"BaseScalar({self.terms()!r})"
@@ -240,7 +246,7 @@ class PcScalar:
         return (self._plus - self._minus).scale(_HALF)
 
     def is_zero(self) -> bool:
-        return not self._plus._terms and not self._minus._terms
+        return not self._plus._num and not self._minus._num
 
     def __add__(self, other: "PcScalar") -> "PcScalar":
         return _pc(self._plus + other._plus, self._minus + other._minus)
@@ -278,11 +284,7 @@ class PcScalar:
         return _pc(self._plus.reciprocal(), self._minus.reciprocal())
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, PcScalar)
-            and self._plus._terms == other._plus._terms
-            and self._minus._terms == other._minus._terms
-        )
+        return isinstance(other, PcScalar) and self._plus == other._plus and self._minus == other._minus
 
     def __hash__(self) -> int:
         return hash((self._plus, self._minus))
@@ -331,27 +333,24 @@ SIGMA_PLUS = _pc(BaseScalar.rational(1), BaseScalar.zero())
 SIGMA_MINUS = _pc(BaseScalar.zero(), BaseScalar.rational(1))
 
 
-def _atoms(x: PcScalar) -> list[tuple[Fraction, bool, int, bool]]:
-    """Flatten to (rational, has_i, l_degree, has_I) atoms in canonical order."""
-    plus, minus = x._plus._terms, x._minus._terms
-    real: list[tuple[Fraction, bool, int, bool]] = []
-    pseudo: list[tuple[Fraction, bool, int, bool]] = []
-    for key in sorted(plus.keys() | minus.keys()):
-        p, m = plus.get(key, _ZERO), minus.get(key, _ZERO)
-        # re = (p + m)/2 and im = (p - m)/2 over one common denominator.
-        pd, md = p.numerator * m.denominator, m.numerator * p.denominator
-        den = 2 * p.denominator * m.denominator
-        if pd != -md:
-            real.append((Fraction(pd + md, den), key[1], key[0], False))
-        if pd != md:
-            pseudo.append((Fraction(pd - md, den), key[1], key[0], True))
-    return real + pseudo
+def _atoms(x: PcScalar) -> list[tuple[int, int, bool, int, bool]]:
+    """Flatten to (numerator, denominator, has_i, l_degree, has_I) atoms in canonical order."""
+    out: list[tuple[int, int, bool, int, bool]] = []
+    for part, has_pseudo in ((x.re, False), (x.im, True)):
+        for (deg, has_i), n in sorted(part._num.items()):
+            g = gcd(n, part._den)
+            out.append((n // g, part._den // g, has_i, deg, has_pseudo))
+    return out
 
 
-def _atom_str(q: Fraction, has_i: bool, deg: int, has_pseudo: bool) -> str:
+def _atom_str(n: int, d: int, has_i: bool, deg: int, has_pseudo: bool) -> str:
     pieces: list[str] = []
-    if abs(q) != 1 or (not has_i and deg == 0 and not has_pseudo):
-        pieces.append(str(abs(q)))
+    if abs(n) != 1 or d != 1 or (not has_i and deg == 0 and not has_pseudo):
+        try:
+            pieces.append(str(abs(n)) if d == 1 else f"{abs(n)}/{d}")
+        except ValueError:  # past the interpreter's int-to-str digit limit
+            limit = sys.get_int_max_str_digits()
+            raise ValueError(f"coefficient too long to render (more than {limit} digits)") from None
     if has_i:
         pieces.append("i")
     if deg:

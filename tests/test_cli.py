@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
@@ -25,14 +27,31 @@ def test_parse_value_with_unit():
         parse_value_with_unit("eV", "eV")
 
 
-def test_verify_passes_with_exit_zero():
-    code, output = run_argv(["verify"])
+@pytest.fixture(scope="module")
+def verify_main():
+    """``main(["--format", fmt, "verify"])`` as ``(code, stdout)``, run once per format."""
+    results = {}
+
+    def get(fmt: str) -> tuple[int, str]:
+        if fmt not in results:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["--format", fmt, "verify"])
+            results[fmt] = code, out.getvalue()
+        return results[fmt]
+
+    return get
+
+
+def test_verify_passes_with_exit_zero(verify_main):
+    code, stdout = verify_main("text")
+    output = stdout.removesuffix("\n")
     assert code == 0
     assert output.endswith("VERIFY: PASS (530 checks)")
 
 
-def test_verify_json_schema():
-    code, output = run_argv(["--format", "json", "verify"])
+def test_verify_json_schema(verify_main):
+    code, output = verify_main("json")
     assert code == 0
     payload = json.loads(output)
     assert payload["schema"] == "verify-report/v1"
@@ -49,8 +68,8 @@ def test_verify_json_schema():
     ]
 
 
-def test_verify_csv_has_all_rows():
-    code, output = run_argv(["-f", "csv", "verify"])
+def test_verify_csv_has_all_rows(verify_main):
+    code, output = verify_main("csv")
     assert code == 0
     lines = output.splitlines()
     assert lines[0] == "report,family,label,status,residual"
@@ -249,6 +268,15 @@ def test_eval_exits_0_or_2_on_any_input(expression):
     assert code in (0, 2)
 
 
+def test_coefficient_too_long_to_render_exits_2():
+    # (10^300 - 1)^64 has 19,200 digits, past the interpreter's int-to-str limit.
+    for fmt in ("text", "json"):
+        code, output = run_argv(["--format", fmt, "eval", "9" * 300 + "^64"])
+        assert code == 2
+        assert "coefficient too long to render" in output
+        assert "set_int_max_str_digits" not in output
+
+
 def test_main_prints_and_returns(capsys):
     assert main(["eval", "[X+_1, P+_1]"]) == 0
     assert capsys.readouterr().out.strip() == "i"
@@ -308,7 +336,12 @@ def test_irrep_numeric_failure_exits_1(monkeypatch):
 
 
 @pytest.mark.parametrize("case", sorted(CLI_FORMATS))
-def test_cli_formats_golden(case, capsys):
+def test_cli_formats_golden(case, capsys, verify_main):
     expected = CLI_FORMATS[case]
-    assert main(expected["argv"]) == expected["code"]
-    assert capsys.readouterr().out == expected["stdout"]
+    argv = expected["argv"]
+    if argv[0] == "--format" and argv[2:] == ["verify"]:
+        code, stdout = verify_main(argv[1])
+    else:
+        code, stdout = main(argv), capsys.readouterr().out
+    assert code == expected["code"]
+    assert stdout == expected["stdout"]

@@ -9,6 +9,7 @@ from pcqm.expr import (
     Add,
     AliasSym,
     MAX_EXPONENT,
+    MAX_LITERAL_DIGITS,
     MAX_NESTING,
     Bracket,
     CasimirOp,
@@ -162,6 +163,19 @@ def test_nesting_is_bounded():
         with pytest.raises(ExprSyntaxError) as err:
             parse(open_ + deepest + close)
         assert f"nesting deeper than {MAX_NESTING}" in str(err.value)
+
+
+def test_integer_literals_are_bounded():
+    longest = "9" * MAX_LITERAL_DIGITS
+    assert parse(longest) == Num(Fraction(int(longest)))
+    too_long = "7" * (MAX_LITERAL_DIGITS + 1)
+    for prefix, suffix in (("", ""), ("x_1 + 1/", ""), ("x_1^", ""), ("l^-", ""), ("(", "*x_1)")):
+        # 5000 digits also exceed the interpreter's int-from-str limit
+        for digits in (too_long, "9" * 5000):
+            with pytest.raises(ExprSyntaxError) as err:
+                parse(prefix + digits + suffix)
+            assert err.value.pos == len(prefix)
+            assert f"col {len(prefix) + 1}: integer longer than {MAX_LITERAL_DIGITS} digits" == str(err.value)
 
 
 def test_syntax_errors_carry_position():

@@ -5,10 +5,12 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    ALL_GENERATORS,
     assert_oracle_equal,
     oracle_multiply,
     oracle_normal_order,
     oracle_poly,
+    random_pc_scalar,
     random_poly,
 )
 from pcqm.limits import limits
@@ -86,6 +88,31 @@ def test_confluence_under_random_reduction_orders():
         for trial in range(3):
             picker = random.Random(SEED + trial)
             assert normal_form(raw, pick=picker.choice) == reference
+
+
+# Pools for long random words: all sixteen generators, then narrower pools in
+# which same-branch P-X contractions are frequent and nest deeply.
+LONG_WORD_POOLS = (ALL_GENERATORS, (XP1, PP1, XM1, PM1, XP2, gen("P", "+", 2)), (XP1, PP1))
+
+
+def _long_poly(rng: random.Random, pool: tuple, lo: int, hi: int) -> NcPolynomial:
+    return NcPolynomial({
+        tuple(rng.choice(pool) for _ in range(rng.randint(lo, hi))): random_pc_scalar(rng)
+        for _ in range(rng.randint(1, 2))
+    })
+
+
+def test_long_words_match_oracle():
+    rng = random.Random(SEED + 6)
+    with limits(word_cap=12):
+        for pool in LONG_WORD_POOLS:
+            for trial in range(25):
+                raw = _long_poly(rng, pool, 6, 10)
+                expected = oracle_normal_order(raw.terms())
+                assert_oracle_equal(normal_form(raw), expected)
+                assert_oracle_equal(normal_form(raw, pick=random.Random(SEED + trial).choice), expected)
+                p, q = _long_poly(rng, pool, 3, 5), _long_poly(rng, pool, 3, 5)
+                assert_oracle_equal(multiply(p, q), oracle_multiply(oracle_poly(p), oracle_poly(q)))
 
 
 def test_multiply_identity_and_plain_word():

@@ -1,4 +1,5 @@
 import asyncio
+import math
 import random
 import threading
 from fractions import Fraction
@@ -211,14 +212,14 @@ def _sym(x: PcScalar):
     return _sym_base(x.re) + SYM_PSEUDO * _sym_base(x.im)
 
 
-def _random_with_reference(rng: random.Random, max_degree: int = 2):
+def _random_with_reference(rng: random.Random, max_degree: int = 2, rational=random_rational):
     """A random scalar built through the public constructor, with its sympy value."""
     parts, values = [], []
     for _ in range(2):
         terms, value = [], 0
         for _ in range(rng.randint(0, 3)):
             deg = rng.randint(-max_degree, max_degree)
-            re, im = random_rational(rng), random_rational(rng)
+            re, im = rational(rng), rational(rng)
             terms.append((deg, GaussianRational(re, im)))
             value += (sympy.Rational(re) + sympy.Rational(im) * SYM_I) * SYM_L**deg
         parts.append(BaseScalar(terms))
@@ -253,3 +254,62 @@ def test_unit_reciprocal_against_sympy_oracle():
             continue
         units += 1
         assert _reduce(sx * _sym(x.reciprocal())) == 1
+
+
+def _assert_canonical(x: PcScalar) -> None:
+    """Each zero-divisor component: nonzero numerators over den > 0, gcd 1."""
+    for part in (x.to_zero_divisor().plus, x.to_zero_divisor().minus, x.re, x.im):
+        num, den = part.as_integers()
+        assert den > 0 and all(num.values())
+        assert math.gcd(den, *num.values()) == 1
+        assert part.terms() == tuple(
+            (d, GaussianRational(Fraction(num.get((d, False), 0), den), Fraction(num.get((d, True), 0), den)))
+            for d in sorted({d for d, _ in num})
+        )
+
+
+NON_DYADIC = (3, 7, 9, 2**40)
+
+
+def test_equal_values_have_equal_storage():
+    x = pc_gaussian(Fraction(1, 3), Fraction(-2, 7)) + pc_l(1, Fraction(5, 9))
+    y = pc_l(-1, Fraction(3, 2**40)) + pc_pseudo(Fraction(1, 9))
+    unit = pc_l(1) * (pc_gaussian(Fraction(2, 3), Fraction(-5, 7)) + pc_pseudo(Fraction(3, 2**40)))
+    total = sum((Fraction(k, d) for k, d in enumerate(NON_DYADIC, 1)), Fraction(0))
+    forward = sum((pc_rational(Fraction(k, d)) for k, d in enumerate(NON_DYADIC, 1)), PC_ZERO)
+    backward = sum((pc_rational(Fraction(k, d)) for k, d in reversed(list(enumerate(NON_DYADIC, 1)))), PC_ZERO)
+    pairs = [
+        (pc_rational(Fraction(2, 4)), pc_rational(Fraction(1, 2))),
+        (pc_gaussian(Fraction(6, 8), Fraction(-10, 4)), pc_gaussian(Fraction(3, 4), Fraction(-5, 2))),
+        ((x + y) - y, x),
+        (x + y - x - y, PC_ZERO),
+        (unit * unit.reciprocal(), PC_ONE),
+        (forward, pc_rational(total)),
+        (backward, forward),
+        (pc_rational(Fraction(1, 3)) + pc_rational(Fraction(2, 3)), PC_ONE),
+        (pc_l(2, Fraction(1, 2**40)).scale(2**40), pc_l(2)),
+        (y.scale(0), PC_ZERO),
+    ]
+    for a, b in pairs:
+        _assert_canonical(a)
+        assert a == b and hash(a) == hash(b)
+        assert a.to_zero_divisor().plus.as_integers() == b.to_zero_divisor().plus.as_integers()
+    assert PC_ZERO.re.as_integers() == ({}, 1)
+    assert (x - x).re.as_integers() == ({}, 1)
+    assert PC_ONE.re.as_integers() == ({(0, False): 1}, 1)
+
+
+def _non_dyadic_rational(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-9, 9), rng.choice(NON_DYADIC + (1, 2, 21)))
+
+
+def test_non_dyadic_arithmetic_against_sympy_oracle():
+    rng = random.Random(SEED + 6)
+    for _ in range(30):
+        (x, sx), (y, sy) = (_random_with_reference(rng, rational=_non_dyadic_rational) for _ in range(2))
+        for value, expected in ((x, sx), (x + y, sx + sy), (x - y, sx - sy), (x * y, sx * sy)):
+            _assert_canonical(value)
+            assert _same(expected, value)
+        if x.is_unit():
+            _assert_canonical(x.reciprocal())
+            assert _reduce(sx * _sym(x.reciprocal())) == 1
