@@ -21,6 +21,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
 from typing import Iterable, Mapping, Union
 
@@ -52,9 +53,6 @@ class GaussianRational:
         return GaussianRational(self.re / n, -self.im / n)
 
 
-_HALF = Fraction(1, 2)
-
-
 def _in_window(num: Numerators) -> Numerators:
     lo, hi = current_limits().window
     for d, _ in num:
@@ -73,9 +71,7 @@ def _base(num: Numerators, den: int) -> "BaseScalar":
 
 def _reduced(num: Numerators, den: int) -> "BaseScalar":
     """Canonical form of nonzero numerators over ``den > 0``: the gcd divided out."""
-    g = den
-    for n in num.values():
-        g = gcd(g, n)
+    g = reduce(gcd, num.values(), den)
     if g == 1:
         return _base(num, den)
     return _base({key: n // g for key, n in num.items()}, den // g)
@@ -99,7 +95,7 @@ class BaseScalar:
         for deg, coeff in items:
             for key, q in (((deg, False), coeff.re), ((deg, True), coeff.im)):
                 acc[key] = acc.get(key, 0) + Fraction(q)
-        # Over the lcm of the reduced denominators the numerators share no factor with it.
+        # Over the lcm of reduced denominators, gcd(den, *numerators) is already 1.
         self._den = den = lcm(*(q.denominator for q in acc.values() if q))
         self._num = _in_window({key: q.numerator * (den // q.denominator) for key, q in acc.items() if q})
 
@@ -239,11 +235,11 @@ class PcScalar:
 
     @property
     def re(self) -> BaseScalar:
-        return (self._plus + self._minus).scale(_HALF)
+        return (self._plus + self._minus).scale(Fraction(1, 2))
 
     @property
     def im(self) -> BaseScalar:
-        return (self._plus - self._minus).scale(_HALF)
+        return (self._plus - self._minus).scale(Fraction(1, 2))
 
     def is_zero(self) -> bool:
         return not self._plus._num and not self._minus._num
@@ -335,11 +331,16 @@ SIGMA_MINUS = _pc(BaseScalar.zero(), BaseScalar.rational(1))
 
 def _atoms(x: PcScalar) -> list[tuple[int, int, bool, int, bool]]:
     """Flatten to (numerator, denominator, has_i, l_degree, has_I) atoms in canonical order."""
+    (pn, pd), (mn, md) = (x._plus._num, x._plus._den), (x._minus._num, x._minus._den)
+    den = lcm(pd, md)
     out: list[tuple[int, int, bool, int, bool]] = []
-    for part, has_pseudo in ((x.re, False), (x.im, True)):
-        for (deg, has_i), n in sorted(part._num.items()):
-            g = gcd(n, part._den)
-            out.append((n // g, part._den // g, has_i, deg, has_pseudo))
+    # re = (p + m)/2 and im = (p - m)/2 over twice the lcm of the denominators.
+    for has_pseudo, sign in ((False, 1), (True, -1)):
+        for key in sorted(pn.keys() | mn.keys()):
+            n = pn.get(key, 0) * (den // pd) + sign * mn.get(key, 0) * (den // md)
+            if n:
+                g = gcd(n, 2 * den)
+                out.append((n // g, 2 * den // g, key[1], key[0], has_pseudo))
     return out
 
 
