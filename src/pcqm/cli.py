@@ -206,21 +206,21 @@ _IRREP_COLUMNS = [
 
 
 def _irrep_rows(k_max: Fraction) -> tuple[list[dict], str | None]:
-    """Rows of the sweep up to k_max, and the numeric failure that ended it early."""
+    """Rows of the sweep up to k_max, and the failed exact spin-block check
+    that ended it early."""
     if not 0 <= k_max <= irrep.DEFAULT_K_MAX:
         raise ValueError(f"--k-max must lie in 0..{irrep.DEFAULT_K_MAX}, got {k_max}")
     rows = []
     k = Fraction(0)
     while k <= k_max:
-        rep = irrep.build_irrep(k)
         try:
-            value = irrep.casimir_eigenvalue(rep)
+            value = float(irrep.check_ladder_block(irrep.ladder_block(k)))
         except ArithmeticError as err:
             return rows, f"k={k}: {err}"
         expected = float(2 * k * (k + 1))
         denom = irrep.denominator_eigenvalue(k)
         values = (
-            str(k), rep.dim, value, expected, abs(value - expected), str(denom),
+            str(k), irrep.shell_degeneracy(k), value, expected, abs(value - expected), str(denom),
             str(2 * (2 * k + 1) ** 2),
         )
         rows.append(dict(zip(_IRREP_COLUMNS, values)))
@@ -231,7 +231,7 @@ def _irrep_rows(k_max: Fraction) -> tuple[list[dict], str | None]:
 def _run_irrep(cfg: RunConfig) -> Result:
     rows, error = _irrep_rows(cfg.params["k_max"])
     ok = error is None and all(
-        r["deviation"] < 1e-12 and r["denominator"] == r["denominator_closed_form"]
+        r["deviation"] == 0 and r["denominator"] == r["denominator_closed_form"]
         for r in rows
     )
     lines = [

@@ -27,7 +27,7 @@ from typing import Union
 
 from . import so4
 from .operators import BRANCHES, NcPolynomial, commutator, expand_alias, generator_poly
-from .scalars import PSEUDO_UNIT, pc_imag, pc_l, pc_rational
+from .scalars import PSEUDO_UNIT, check_renderable, pc_imag, pc_l, pc_rational
 
 CASIMIR_TAGS = ("R", "x", "y", "+", "-")
 # Largest operator exponent '^n' accepted, also as the product of nested
@@ -452,13 +452,21 @@ def evaluate(node: Node) -> NcPolynomial:
         first, links = _chain(node, (Mul,))
         product = evaluate(first)
         for link in links:
-            product = product * evaluate(link.right)
+            product = _renderable(product * evaluate(link.right))
         return product
     if isinstance(node, Pow):
-        return evaluate(node.base) ** node.exponent
+        return _renderable(evaluate(node.base) ** node.exponent)
     if isinstance(node, Bracket):
-        return commutator(evaluate(node.left), evaluate(node.right))
+        return _renderable(commutator(evaluate(node.left), evaluate(node.right)))
     raise TypeError(f"unknown node {node!r}")
+
+
+def _renderable(p: NcPolynomial) -> NcPolynomial:
+    """``p``, unless a coefficient is already too long to render; refusing it
+    here stops a chain of products from growing it further, even where a
+    later ``* 0`` would cancel it."""
+    check_renderable(p.terms().values())
+    return p
 
 
 def evaluate_text(text: str) -> NcPolynomial:

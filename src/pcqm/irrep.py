@@ -5,11 +5,19 @@ the product basis |k m> (x) |k m'>, m descending:
 
     L_a = A_a (x) Id + Id (x) B_a        M_a = A_a (x) Id - Id (x) B_a
 
-Half the sum of squares, (L^2 + M^2)/2, is a scalar matrix with value
-2k(k+1); the spectrum-denominator combination 4((L^2+M^2)/2 + 1/2) has the
-exact eigenvalue 8k(k+1) + 2 = 2(2k+1)^2.
+A_a (x) Id and Id (x) B_a commute, so the cross terms of L_a^2 and M_a^2
+are both 2 A_a (x) B_a with opposite signs, and cancel in the sum:
 
-Matrices use binary floating point; scalar checks hold to 1e-12.
+    (L^2 + M^2)/2 = A^2 (x) Id + Id (x) B^2.
+
+The Casimir is therefore scalar with value 2k(k+1) as soon as each block has
+A^2 = B^2 = k(k+1), and the spectrum-denominator combination
+4((L^2+M^2)/2 + 1/2) has the exact eigenvalue 8k(k+1) + 2 = 2(2k+1)^2.
+
+The sweep checks each spin block exactly, with Fractions in the rational
+ladder gauge (``ladder_block``, ``check_ladder_block``), never building the
+(2k+1)^2-dimensional product space.  The dense matrices of ``spin_block``
+and ``build_irrep`` use binary floating point and serve export and the tests.
 """
 
 from __future__ import annotations
@@ -58,6 +66,85 @@ def spin_block(k: SpinLike) -> SpinBlock:
     jm = jp.conj().T
     j3 = np.diag([float(k - r) for r in range(n)]).astype(complex)
     return SpinBlock(k=k, j1=(jp + jm) / 2, j2=(jp - jm) / 2j, j3=j3)
+
+
+# Sparse matrix: (row, column) -> nonzero entry.
+Entries = dict[tuple[int, int], Fraction]
+
+
+@dataclass(frozen=True, eq=False)
+class LadderBlock:
+    """Spin-k block in the rational ladder gauge, basis ordered m = k .. -k.
+
+    J+|m> = |m+1>, J-|m> = (k(k+1) - m(m-1)) |m-1>, J3|m> = m|m>: similar
+    to the unitary gauge of ``spin_block`` (J+ J- is unchanged), but every
+    entry is rational.
+    """
+
+    k: Fraction
+    jp: Entries
+    jm: Entries
+    j3: Entries
+
+    @property
+    def dim(self) -> int:
+        return int(2 * self.k) + 1
+
+
+def ladder_block(k: SpinLike) -> LadderBlock:
+    k = _as_spin(k)
+    n = int(2 * k) + 1
+    weights = [k - r for r in range(n)]
+    jp = {(r - 1, r): Fraction(1) for r in range(1, n)}
+    jm = {(r + 1, r): k * (k + 1) - weights[r] * (weights[r] - 1) for r in range(n - 1)}
+    j3 = {(r, r): m for r, m in enumerate(weights) if m}
+    return LadderBlock(k=k, jp=jp, jm=jm, j3=j3)
+
+
+def _product(a: Entries, b: Entries) -> Entries:
+    by_row: dict[int, list[tuple[int, Fraction]]] = {}
+    for (j, c), v in b.items():
+        by_row.setdefault(j, []).append((c, v))
+    out: Entries = {}
+    for (r, j), u in a.items():
+        for c, v in by_row.get(j, ()):
+            out[r, c] = out.get((r, c), 0) + u * v
+    return out
+
+
+def _combination(*terms: tuple[int | Fraction, Entries]) -> Entries:
+    out: Entries = {}
+    for coeff, entries in terms:
+        for pos, v in entries.items():
+            out[pos] = out.get(pos, 0) + coeff * v
+    return {pos: v for pos, v in out.items() if v}
+
+
+def check_ladder_block(block: LadderBlock) -> Fraction:
+    """Check the spin-k relations exactly, entry by entry; return the (k,k)
+    Casimir 2k(k+1).
+
+    Requires zero residuals for [J3,J+] = J+, [J3,J-] = -J-, [J+,J-] = 2J3
+    and J^2 = J+J- + J3^2 - J3 = k(k+1), each multiplied out from the
+    block's entries; raises ArithmeticError naming the first identity and
+    entry (row, column) that fail.
+    """
+    jp, jm, j3 = block.jp, block.jm, block.j3
+    j_squared = block.k * (block.k + 1)
+    eye = {(r, r): Fraction(1) for r in range(block.dim)}
+    pm = _product(jp, jm)
+    identities = (
+        ("[J3,J+] = J+", ((1, _product(j3, jp)), (-1, _product(jp, j3)), (-1, jp))),
+        ("[J3,J-] = -J-", ((1, _product(j3, jm)), (-1, _product(jm, j3)), (1, jm))),
+        ("[J+,J-] = 2J3", ((1, pm), (-1, _product(jm, jp)), (-2, j3))),
+        (f"J^2 = {j_squared}", ((1, pm), (1, _product(j3, j3)), (-1, j3), (-j_squared, eye))),
+    )
+    for name, terms in identities:
+        residual = _combination(*terms)
+        if residual:
+            (r, c), value = min(residual.items())
+            raise ArithmeticError(f"{name} fails at entry ({r}, {c}): residual {value}")
+    return 2 * j_squared
 
 
 @dataclass(frozen=True, eq=False)

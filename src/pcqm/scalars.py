@@ -344,14 +344,42 @@ def _atoms(x: PcScalar) -> list[tuple[int, int, bool, int, bool]]:
     return out
 
 
+def _too_long(limit: int) -> ValueError:
+    return ValueError(f"coefficient too long to render (more than {limit} digits)")
+
+
+def _stored_below(c: BaseScalar, bound: int) -> bool:
+    if c._den >= bound:
+        return False
+    for n in c._num.values():
+        if not -bound < n < bound:
+            return False
+    return True
+
+
+def check_renderable(coeffs: Iterable[PcScalar]) -> None:
+    """Raise the render error now, before more work is spent, if an atom of
+    one of ``coeffs`` has more digits than the interpreter's int-to-text limit."""
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        return
+    # With every stored integer below 2^b, every atom is below 2^(2b + 1);
+    # 3*limit bits hold fewer than limit digits.
+    safe = 1 << (3 * limit - 1) // 2
+    for x in coeffs:
+        if not (_stored_below(x._plus, safe) and _stored_below(x._minus, safe)):
+            bound = 10 ** limit
+            if any(abs(n) >= bound or d >= bound for n, d, *_ in _atoms(x)):
+                raise _too_long(limit)
+
+
 def _atom_str(n: int, d: int, has_i: bool, deg: int, has_pseudo: bool) -> str:
     pieces: list[str] = []
     if abs(n) != 1 or d != 1 or (not has_i and deg == 0 and not has_pseudo):
         try:
             pieces.append(str(abs(n)) if d == 1 else f"{abs(n)}/{d}")
         except ValueError:  # past the interpreter's int-to-str digit limit
-            limit = sys.get_int_max_str_digits()
-            raise ValueError(f"coefficient too long to render (more than {limit} digits)") from None
+            raise _too_long(sys.get_int_max_str_digits()) from None
     if has_i:
         pieces.append("i")
     if deg:

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import time
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -277,6 +280,17 @@ def test_coefficient_too_long_to_render_exits_2():
         assert "set_int_max_str_digits" not in output
 
 
+def test_coefficient_growth_is_refused_before_the_work():
+    # Each factor has 64,000 digits; multiplying out all 20 (1.28M digits)
+    # before refusing the result at render took about 6 s.
+    factor = "(" + "9" * 1000 + ")^64"
+    start = time.perf_counter()
+    code, output = run_argv(["eval", "*".join([factor] * 20)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert output.startswith("error: coefficient too long to render")
+
+
 def test_main_prints_and_returns(capsys):
     assert main(["eval", "[X+_1, P+_1]"]) == 0
     assert capsys.readouterr().out.strip() == "i"
@@ -318,13 +332,15 @@ def test_verify_text_names_failing_checks(monkeypatch):
 def test_irrep_numeric_failure_exits_1(monkeypatch):
     from pcqm import irrep
 
-    rep = irrep.build_irrep(1)
-    broken = type(rep)(k=rep.k, dim=rep.dim, l_ops=rep.l_ops, m_ops=(rep.l_ops[0] + 1,) + rep.m_ops[1:])
-    monkeypatch.setattr(irrep, "build_irrep", lambda k: broken)
+    good = irrep.ladder_block
+    # One wrong entry: J3 = diag(1) on the one-dimensional k=0 block.
+    monkeypatch.setattr(
+        irrep, "ladder_block", lambda k: replace(good(k), j3={(0, 0): Fraction(1)})
+    )
     code, output = run_argv(["irrep", "--k-max", "1"])
     assert code == 1
     lines = output.splitlines()
-    assert lines[-2].startswith("FAIL k=0: Casimir matrix is not scalar")
+    assert lines[-2].startswith("FAIL k=0: [J+,J-] = 2J3 fails at entry (0, 0)")
     assert lines[-1] == "IRREP SWEEP: FAIL"
     code, output = run_argv(["--format", "json", "irrep", "--k-max", "1"])
     assert code == 1
@@ -332,7 +348,34 @@ def test_irrep_numeric_failure_exits_1(monkeypatch):
     assert payload["schema"] == "irrep-sweep/v1"
     assert payload["all_passed"] is False
     assert payload["rows"] == []
-    assert "not scalar" in payload["error"]
+    assert "[J+,J-] = 2J3" in payload["error"]
+
+
+def test_irrep_sweep_to_ten_is_exact():
+    code, output = run_argv(["--format", "json", "irrep", "--k-max", "10"])
+    assert code == 0
+    rows = json.loads(output)["rows"]
+    assert len(rows) == 21
+    assert all(r["deviation"] == 0.0 and r["casimir"] == r["expected"] for r in rows)
+
+
+def test_irrep_sweep_calls_no_numpy(monkeypatch):
+    from unittest import mock
+
+    import numpy
+
+    from pcqm import irrep
+
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"irrep sweep used numpy.{name}")
+
+    monkeypatch.setattr(irrep, "np", NoNumpy())
+    with mock.patch.object(numpy, "kron", side_effect=AssertionError("kron")), \
+            mock.patch.object(numpy, "matmul", side_effect=AssertionError("matmul")):
+        code, output = run_argv(["irrep", "--k-max", "10"])
+    assert code == 0
+    assert output.endswith("IRREP SWEEP: PASS")
 
 
 @pytest.mark.parametrize("case", sorted(CLI_FORMATS))

@@ -1,15 +1,20 @@
 import itertools
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from pcqm.irrep import (
+    DEFAULT_K_MAX,
     build_irrep,
     casimir_eigenvalue,
+    casimir_matrix,
+    check_ladder_block,
     denominator_eigenvalue,
     export_matrices,
+    ladder_block,
     shell_degeneracy,
     spin_block,
 )
@@ -110,3 +115,57 @@ def test_export_matrices_roundtrip():
     assert payload["dim"] == 4
     first = np.array(payload["L"][0]["re"]) + 1j * np.array(payload["L"][0]["im"])
     assert np.allclose(first, rep.l_ops[0])
+
+
+def _spins(k_max):
+    return [Fraction(n, 2) for n in range(int(2 * k_max) + 1)]
+
+
+def test_ladder_blocks_pass_the_exact_check():
+    for k in _spins(DEFAULT_K_MAX):
+        block = ladder_block(k)
+        assert block.dim == 2 * k + 1
+        value = check_ladder_block(block)
+        assert isinstance(value, Fraction) and value == 2 * k * (k + 1)
+
+
+def test_exact_casimir_matches_dense_oracle():
+    for k in _spins(5):
+        exact = check_ladder_block(ladder_block(k))
+        assert abs(float(exact) - casimir_eigenvalue(build_irrep(k))) < 1e-12
+
+
+def test_casimir_is_tensor_sum_of_block_squares():
+    # (L^2 + M^2)/2 = A^2 (x) Id + Id (x) B^2: the identity the exact sweep rests on.
+    for k in _spins(2):
+        block = spin_block(k)
+        a_squared = sum(j @ j for j in (block.j1, block.j2, block.j3))
+        eye = np.eye(block.dim)
+        expected = np.kron(a_squared, eye) + np.kron(eye, a_squared)
+        assert np.allclose(casimir_matrix(build_irrep(k)), expected, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "k, field, entry, value, identity",
+    [
+        (Fraction(3, 2), "jm", (1, 0), Fraction(15, 4), "[J+,J-] = 2J3"),
+        (Fraction(3, 2), "jp", (2, 3), 2, "[J+,J-] = 2J3"),
+        (2, "j3", (4, 4), -1, "[J3,J+] = J+"),
+        (1, "jp", (0, 2), 1, "[J3,J+] = J+"),
+        (1, "jm", (2, 0), 1, "[J3,J-] = -J-"),
+    ],
+    ids=["jm-without-m(m-1)", "jp-value", "j3-value", "jp-raises-by-2", "jm-lowers-by-2"],
+)
+def test_exact_check_names_the_failing_identity_and_entry(k, field, entry, value, identity):
+    block = ladder_block(k)
+    entries = {**getattr(block, field), entry: Fraction(value)}
+    assert entries != getattr(block, field)
+    with pytest.raises(ArithmeticError, match=r"fails at entry \(\d+, \d+\): residual") as err:
+        check_ladder_block(replace(block, **{field: entries}))
+    assert str(err.value).startswith(identity)
+
+
+def test_exact_check_catches_a_block_of_the_wrong_spin():
+    # Entries of spin 1 labelled spin 2 satisfy every commutator, not J^2 = 6.
+    with pytest.raises(ArithmeticError, match=r"^J\^2 = 6 fails"):
+        check_ladder_block(replace(ladder_block(1), k=Fraction(2)))

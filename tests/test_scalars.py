@@ -1,6 +1,7 @@
 import asyncio
 import math
 import random
+import sys
 import threading
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from pcqm.scalars import (
     pc_l,
     pc_pseudo,
     pc_rational,
+    check_renderable,
     render_pc,
 )
 
@@ -313,3 +315,35 @@ def test_non_dyadic_arithmetic_against_sympy_oracle():
         if x.is_unit():
             _assert_canonical(x.reciprocal())
             assert _reduce(sx * _sym(x.reciprocal())) == 1
+
+
+def test_early_size_check_refuses_exactly_what_render_refuses():
+    # Around the int-to-text limit, through each component and denominator.
+    limit = sys.get_int_max_str_digits()
+    rng = random.Random(11)
+    outcomes = []
+    for digits in (limit - 2, limit - 1, limit, limit + 1, 2 * limit, 3 * limit):
+        for _ in range(6):
+            big = rng.randrange(10 ** (digits - 1), 10 ** digits)
+            small = rng.randrange(1, 10 ** 6)
+            for x in (
+                pc_rational(big),
+                pc_rational(Fraction(small, big)),
+                pc_gaussian(Fraction(big, small), 1) * pc_l(2),
+                pc_rational(big) + pc_pseudo(big - small),
+                pc_rational(big) * SIGMA_PLUS + pc_rational(Fraction(1, big)) * SIGMA_MINUS,
+            ):
+                try:
+                    render_pc(x)
+                    renders = True
+                except ValueError:
+                    renders = False
+                try:
+                    check_renderable([x])
+                    passes = True
+                except ValueError as err:
+                    assert "coefficient too long to render" in str(err)
+                    passes = False
+                assert passes == renders, digits
+                outcomes.append(renders)
+    assert len(outcomes) == 180 and 0 < sum(outcomes) < 180
