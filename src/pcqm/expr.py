@@ -21,6 +21,7 @@ index to be 4.  Rendering any tree and reparsing yields the same tree.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -39,8 +40,9 @@ MAX_EXPONENT = 64
 # walk '+', '-' and '*' chains in a loop.
 MAX_NESTING = 100
 # Most digits accepted in one integer (a literal, an exponent or an index
-# run), well inside the interpreter's int-from-str limit, so a longer one is
-# a syntax error with its column.
+# run), well inside the interpreter's default int-from-str limit, so a longer
+# one is a syntax error with its column.  A lower interpreter limit (set with
+# ``-X int_max_str_digits``) lowers the bound with it.
 MAX_LITERAL_DIGITS = 1000
 
 
@@ -142,6 +144,8 @@ _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z]+)|([+\-*/^()\[\],_]))")
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens: list[tuple[str, str, int]] = []
+    limit = sys.get_int_max_str_digits()  # 0: no interpreter limit
+    max_digits = min(MAX_LITERAL_DIGITS, limit) if limit else MAX_LITERAL_DIGITS
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
@@ -152,8 +156,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             bad = len(text) - len(stripped)
             raise ExprSyntaxError(f"unexpected character {text[bad]!r}", bad)
         if m.group(1):
-            if len(m.group(1)) > MAX_LITERAL_DIGITS:
-                raise ExprSyntaxError(f"integer longer than {MAX_LITERAL_DIGITS} digits", m.start(1))
+            if len(m.group(1)) > max_digits:
+                raise ExprSyntaxError(f"integer longer than {max_digits} digits", m.start(1))
             tokens.append(("INT", m.group(1), m.start(1)))
         elif m.group(2):
             tokens.append(("NAME", m.group(2), m.start(2)))

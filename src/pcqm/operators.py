@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .limits import current_limits
 from .reports import Check, IdentityReport
@@ -38,8 +38,6 @@ from .scalars import (
 INDICES = (1, 2, 3, 4)
 BRANCHES = ("+", "-")
 
-_BLOCK = {("X", "+"): 0, ("P", "+"): 1, ("X", "-"): 2, ("P", "-"): 3}
-
 
 class WordLengthError(ValueError):
     """A product would exceed the configured word-length cap."""
@@ -57,17 +55,37 @@ class ProductSizeError(ValueError):
 MAX_TERM_PAIRS = 50_000
 
 
-class Generator(NamedTuple):
-    kind: str
-    branch: str
-    index: int
+class Generator(int):
+    """A generator stored as its normal-order rank: block ``rank // 4``
+    (X+, P+, X-, P-) and index ``rank % 4 + 1``.  Words, tuples of
+    generators, therefore sort in normal order as plain tuples."""
+
+    __slots__ = ()
 
     @property
-    def sort_key(self) -> tuple[int, int]:
-        return (_BLOCK[(self.kind, self.branch)], self.index)
+    def kind(self) -> str:
+        return "XP"[self // 4 % 2]
+
+    @property
+    def branch(self) -> str:
+        return BRANCHES[self // 8]
+
+    @property
+    def index(self) -> int:
+        return self % 4 + 1
+
+    @property
+    def sort_key(self) -> int:
+        return int(self)
 
     def __str__(self) -> str:
         return f"{self.kind}{self.branch}_{self.index}"
+
+    def __repr__(self) -> str:
+        return f"gen({self.kind!r}, {self.branch!r}, {self.index})"
+
+
+_GENERATORS = {(g.kind, g.branch, g.index): g for g in map(Generator, range(16))}
 
 
 def gen(kind: str, branch: str, index: int) -> Generator:
@@ -77,14 +95,10 @@ def gen(kind: str, branch: str, index: int) -> Generator:
         raise ValueError(f"generator branch must be + or -, got {branch!r}")
     if index not in INDICES:
         raise ValueError(f"generator index must be 1..4, got {index!r}")
-    return Generator(kind, branch, index)
+    return _GENERATORS[kind, branch, index]
 
 
 Word = tuple[Generator, ...]
-
-
-def _word_key(word: Word) -> tuple:
-    return tuple(g.sort_key for g in word)
 
 
 def render_word(word: Word) -> str:
@@ -138,7 +152,7 @@ class NcPolynomial:
         return self._terms.get(tuple(word), PC_ZERO)
 
     def words(self) -> tuple[Word, ...]:
-        return tuple(sorted(self._terms, key=_word_key))
+        return tuple(sorted(self._terms))
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -188,7 +202,7 @@ class NcPolynomial:
         return isinstance(other, NcPolynomial) and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(((w, c) for w, c in self._terms.items()), key=lambda t: _word_key(t[0]))))
+        return hash(frozenset(self._terms.items()))
 
     def render(self) -> str:
         return render_poly(self)
@@ -202,7 +216,7 @@ class NcPolynomial:
 
 def render_poly(p: NcPolynomial) -> str:
     """Canonical text form; longest words first, CLI-parseable."""
-    order = sorted(p.terms().items(), key=lambda t: (-len(t[0]), _word_key(t[0])))
+    order = sorted(p._terms.items(), key=lambda t: (-len(t[0]), t[0]))
     return _join_signed(_signed_term(word, coeff) for word, coeff in order)
 
 
@@ -220,13 +234,6 @@ def _signed_term(word: Word, coeff: PcScalar) -> tuple[str, bool]:
 
 _MINUS_I = pc_imag(-1)
 
-# The sixteen generators in normal order; a word is rewritten as the tuple of
-# its generators' ranks.  Rank r has block r // 4 and index r % 4 + 1, so a
-# same-branch P_i X_i pair is exactly ``a - b == 4`` with ``a`` in a P block.
-_BY_RANK = tuple(sorted((gen(k, b, i) for k in ("X", "P") for b in BRANCHES for i in INDICES),
-                        key=lambda g: g.sort_key))
-_RANK = {g: r for r, g in enumerate(_BY_RANK)}
-
 
 def normal_form(
     p: NcPolynomial,
@@ -239,9 +246,8 @@ def normal_form(
     shortened word.  ``pick`` selects which out-of-order position to rewrite
     next (defaults to the leftmost); any choice yields the same result.
     """
-    rank = _RANK.__getitem__
-    out: dict[tuple[int, ...], PcScalar] = {}
-    stack = [(tuple(map(rank, word)), coeff) for word, coeff in p._terms.items()]
+    out: dict[Word, PcScalar] = {}
+    stack = list(p._terms.items())
     while stack:
         word, coeff = stack.pop()
         if pick is None:
@@ -258,10 +264,11 @@ def normal_form(
             continue
         a, b = word[t], word[t + 1]
         stack.append((word[:t] + (b, a) + word[t + 2 :], coeff))
+        # A P block sits four ranks above the X block of its branch.
         if a - b == 4 and a & 4:
             stack.append((word[:t] + word[t + 2 :], coeff * _MINUS_I))
     result = NcPolynomial.__new__(NcPolynomial)
-    result._terms = {tuple(map(_BY_RANK.__getitem__, word)): c for word, c in out.items()}
+    result._terms = out
     return result
 
 
@@ -270,19 +277,13 @@ def multiply(p: NcPolynomial, q: NcPolynomial) -> NcPolynomial:
     pairs = len(p._terms) * len(q._terms)
     if pairs > MAX_TERM_PAIRS:
         raise ProductSizeError(f"product of {pairs} term pairs exceeds {MAX_TERM_PAIRS}")
-    raw: dict[Word, PcScalar] = {}
     cap = current_limits().word_cap
-    for w1, c1 in p.terms().items():
-        for w2, c2 in q.terms().items():
-            if len(w1) + len(w2) > cap:
-                raise WordLengthError(
-                    f"product word length {len(w1) + len(w2)} exceeds cap {cap}"
-                )
-            word = w1 + w2
-            prev = raw.get(word)
-            c = c1 * c2
-            raw[word] = c if prev is None else prev + c
-    return normal_form(NcPolynomial(raw))
+    longest = pairs and max(map(len, p._terms)) + max(map(len, q._terms))
+    if longest > cap:
+        raise WordLengthError(f"product word length {longest} exceeds cap {cap}")
+    return normal_form(NcPolynomial(
+        (w1 + w2, c1 * c2) for w1, c1 in p._terms.items() for w2, c2 in q._terms.items()
+    ))
 
 
 def commutator(p: NcPolynomial, q: NcPolynomial) -> NcPolynomial:
@@ -328,10 +329,6 @@ def expand_alias(name: str, index: int) -> NcPolynomial:
     return (plus - minus).scale(_HALF_OVER_L)
 
 
-def _delta(i: int, j: int) -> int:
-    return 1 if i == j else 0
-
-
 def verify_canonical_relations() -> IdentityReport:
     """Check the canonical branch quantization for every branch/index pair.
 
@@ -343,7 +340,7 @@ def verify_canonical_relations() -> IdentityReport:
         for i, j in itertools.product(INDICES, INDICES):
             residual = commutator(
                 generator_poly("X", b, i), generator_poly("P", b, j)
-            ) - NcPolynomial.scalar(pc_imag(_delta(i, j)))
+            ) - NcPolynomial.scalar(pc_imag(int(i == j)))
             checks.append(Check.of("same-branch", f"[X{b}_{i}, P{b}_{j}]", residual))
     for b, other in (("+", "-"), ("-", "+")):
         for i, j in itertools.product(INDICES, INDICES):
@@ -370,7 +367,7 @@ def verify_induced_relations() -> IdentityReport:
     py = {i: expand_alias("py", i) for i in INDICES}
 
     def residuals(i: int, j: int) -> list[tuple[str, NcPolynomial]]:
-        delta = NcPolynomial.scalar(pc_imag(_delta(i, j)))
+        delta = NcPolynomial.scalar(pc_imag(int(i == j)))
         return [
             ("coordinate-coordinate", commutator(x[i], x[j]) + commutator(y[i], y[j]).scale(_L_SQUARED)),
             ("coordinate-mixed", commutator(x[i], y[j]) + commutator(y[i], x[j])),

@@ -46,12 +46,6 @@ class GaussianRational:
     def of(re: Rational = 0, im: Rational = 0) -> "GaussianRational":
         return GaussianRational(Fraction(re), Fraction(im))
 
-    def reciprocal(self) -> "GaussianRational":
-        n = self.re * self.re + self.im * self.im
-        if not n:
-            raise ZeroDivisionError("zero Gaussian rational has no reciprocal")
-        return GaussianRational(self.re / n, -self.im / n)
-
 
 def _in_window(num: Numerators) -> Numerators:
     lo, hi = current_limits().window

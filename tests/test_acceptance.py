@@ -26,7 +26,6 @@ from pcqm.hydrogen import (
 )
 from pcqm.irrep import build_irrep, casimir_eigenvalue, denominator_eigenvalue
 from pcqm.operators import (
-    _word_key,
     commutator,
     normal_form,
     render_word,
@@ -83,7 +82,7 @@ def test_criterion_2_expansion_order():
             f"{render_word(w)} :: {render_pc(c)}"
             for w, c in sorted(
                 expansion.order4_residual.terms().items(),
-                key=lambda t: (-len(t[0]), _word_key(t[0])),
+                key=lambda t: (-len(t[0]), t[0]),
             )
         ]
         golden = (DATA / "casimir_order4_residual.txt").read_text().splitlines()

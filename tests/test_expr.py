@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -176,6 +177,16 @@ def test_integer_literals_are_bounded():
                 parse(prefix + digits + suffix)
             assert err.value.pos == len(prefix)
             assert f"col {len(prefix) + 1}: integer longer than {MAX_LITERAL_DIGITS} digits" == str(err.value)
+    # A lower interpreter int-from-str limit lowers the bound with it.
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert parse("9" * 640) == Num(Fraction(int("9" * 640)))
+        with pytest.raises(ExprSyntaxError) as err:
+            parse("x_1 + " + "9" * 641)
+        assert str(err.value) == "col 7: integer longer than 640 digits"
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 def test_syntax_errors_carry_position():

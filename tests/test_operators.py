@@ -52,6 +52,27 @@ def test_generator_order():
     assert XP1.sort_key < XP2.sort_key
 
 
+def test_generator_encoding_follows_documented_algebra():
+    # Normal order X+ < P+ < X- < P-, ascending index within each block.
+    block = {("X", "+"): 0, ("P", "+"): 1, ("X", "-"): 2, ("P", "-"): 3}
+    labelled = [
+        (gen(k, b, i), (k, b, i)) for k in ("X", "P") for b in ("+", "-") for i in (1, 2, 3, 4)
+    ]
+    for g, (k, b, i) in labelled:
+        assert (g.kind, g.branch, g.index) == (k, b, i)
+        assert gen(g.kind, g.branch, g.index) == g
+        assert str(g) == f"{k}{b}_{i}"
+        assert repr(g) == f"gen({k!r}, {b!r}, {i})"
+    minus_i = pc_imag(-1)
+    for (a, (ka, ba, ia)), (b, (kb, bb, ib)) in itertools.product(labelled, repeat=2):
+        a_before_b = (block[ka, ba], ia) < (block[kb, bb], ib)
+        assert (a < b) == a_before_b
+        contracts = ka == "P" and kb == "X" and ba == bb and ia == ib
+        sorted_word = (a, b) if a_before_b or (ka, ba, ia) == (kb, bb, ib) else (b, a)
+        expected = {sorted_word: PC_ONE, **({(): minus_i} if contracts else {})}
+        assert normal_form(NcPolynomial.from_word((a, b))).terms() == expected
+
+
 def test_normal_form_single_swap():
     # P+_1 X+_1 -> X+_1 P+_1 - i
     raw = NcPolynomial.from_word((PP1, XP1))

@@ -6,7 +6,7 @@ import pytest
 
 from helpers import oracle_multiply, oracle_poly
 from pcqm import so4
-from pcqm.operators import NcPolynomial, _word_key, commutator, multiply, render_word
+from pcqm.operators import NcPolynomial, commutator, multiply, render_word
 from pcqm.scalars import PC_ZERO, pc_imag, pc_l, pc_rational, render_pc
 
 PAIRS = tuple(itertools.combinations((1, 2, 3, 4), 2))
@@ -145,7 +145,7 @@ def test_casimir_order4_residual_matches_golden():
     lines = [
         f"{render_word(word)} :: {render_pc(coeff)}"
         for word, coeff in sorted(
-            exp.order4_residual.terms().items(), key=lambda t: (-len(t[0]), _word_key(t[0]))
+            exp.order4_residual.terms().items(), key=lambda t: (-len(t[0]), t[0])
         )
     ]
     golden = (DATA / "casimir_order4_residual.txt").read_text().splitlines()
