@@ -208,8 +208,12 @@ _IRREP_COLUMNS = [
 def _irrep_rows(k_max: Fraction) -> tuple[list[dict], str | None]:
     """Rows of the sweep up to k_max, and the failed exact spin-block check
     that ended it early."""
-    if not 0 <= k_max <= irrep.DEFAULT_K_MAX:
-        raise ValueError(f"--k-max must lie in 0..{irrep.DEFAULT_K_MAX}, got {k_max}")
+    try:
+        valid = irrep._as_spin(k_max) <= irrep.DEFAULT_K_MAX
+    except ValueError:
+        valid = False
+    if not valid:
+        raise ValueError(f"--k-max must be a half-integer in 0..{irrep.DEFAULT_K_MAX}, got {k_max}")
     rows = []
     k = Fraction(0)
     while k <= k_max:
@@ -337,7 +341,14 @@ def run(cfg: RunConfig) -> tuple[int, str]:
 def main(argv: list[str] | None = None) -> int:
     cfg = config_from_args(argv)
     code, output = run(cfg)
-    print(output)
+    try:
+        print(output)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left early.  Python flushes stdout again at exit, so
+        # point it at devnull to keep that flush from failing too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

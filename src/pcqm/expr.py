@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Union
 
 from . import so4
-from .operators import BRANCHES, NcPolynomial, commutator, expand_alias, generator_poly
+from .operators import BRANCHES, NcPolynomial, commutator, expand_alias, generator_poly, poly_sum
 from .scalars import PSEUDO_UNIT, check_renderable, pc_imag, pc_l, pc_rational
 
 CASIMIR_TAGS = ("R", "x", "y", "+", "-")
@@ -451,7 +451,7 @@ def evaluate(node: Node) -> NcPolynomial:
         for link in links:
             value = evaluate(link.right)
             summands.append(value if isinstance(link, Add) else -value)
-        return NcPolynomial(pair for p in summands for pair in p.terms().items())
+        return poly_sum(summands)
     if isinstance(node, Mul):
         first, links = _chain(node, (Mul,))
         product = evaluate(first)

@@ -22,13 +22,14 @@ from .limits import current_limits
 from .reports import Check, IdentityReport
 from .scalars import (
     PC_ONE,
-    PC_ZERO,
+    BaseScalar,
     PcScalar,
     SIGMA_MINUS,
     SIGMA_PLUS,
     _atom_str,
     _atoms,
     _join_signed,
+    _pc,
     pc_imag,
     pc_l,
     pc_rational,
@@ -49,7 +50,7 @@ class ProductSizeError(ValueError):
 
 # Largest term-pair count of one product.  verify and the tests peak at 272
 # pairs and the eval-warm benchmark stream at 1,060.  The largest Casimir
-# product, Cx*Cx (48,400 pairs, 2.4-3.1 s as a process on a 2-vCPU Xeon VM),
+# product, Cx*Cx (48,400 pairs, 1.1-1.5 s as a process on a 2-vCPU Xeon VM),
 # stays allowed, while (x_1+...+px_4)^5 (64,208 pairs in its last product) is
 # refused.
 MAX_TERM_PAIRS = 50_000
@@ -105,9 +106,10 @@ def render_word(word: Word) -> str:
     return "*".join(str(g) for g in word) if word else "1"
 
 
-def _accumulate(
-    out: dict[Word, PcScalar], items: Iterable[tuple[Word, PcScalar]]
-) -> dict[Word, PcScalar]:
+Terms = dict[Word, BaseScalar]
+
+
+def _accumulate(out: Terms, items: Iterable[tuple[Word, BaseScalar]]) -> Terms:
     """Add ``(word, coeff)`` pairs into ``out``, dropping words that cancel."""
     for word, coeff in items:
         prev = out.get(word)
@@ -119,14 +121,54 @@ def _accumulate(
     return out
 
 
-class NcPolynomial:
-    """Finite map word -> PcScalar; zero coefficients are never stored."""
+def _share(plus: Terms, minus: Terms) -> tuple[Terms, Terms]:
+    """The component maps to store: one map for both when they are equal."""
+    return plus, plus if minus is plus or minus == plus else minus
 
-    __slots__ = ("_terms",)
+
+def _poly(plus: Terms, minus: Terms) -> "NcPolynomial":
+    out = object.__new__(NcPolynomial)
+    out._plus, out._minus = _share(plus, minus)
+    return out
+
+
+def _by_component(f: Callable[..., Terms], *operands) -> "NcPolynomial":
+    """Apply ``f`` to the sigma_plus maps of ``operands``, then to their
+    sigma_minus maps; when every operand is real, the first result serves
+    both.  Operands are polynomials or ``PcScalar``s, which both store
+    ``_plus`` and ``_minus``."""
+    plus = f(*[o._plus for o in operands])
+    for o in operands:
+        if o._minus is not o._plus:
+            return _poly(plus, f(*[o._minus for o in operands]))
+    return _poly(plus, plus)
+
+
+def _words(p: "NcPolynomial") -> Iterable[Word]:
+    """Every word with a nonzero coefficient, in no particular order."""
+    return p._plus.keys() if p._minus is p._plus else p._plus.keys() | p._minus.keys()
+
+
+_ZERO = BaseScalar.zero()
+
+
+class NcPolynomial:
+    """Finite map word -> PcScalar; zero coefficients are never stored.
+
+    Stored as the coefficients' sigma_plus and sigma_minus components, two
+    maps word -> nonzero BaseScalar, so products and normal ordering work on
+    each component alone.  A polynomial without pseudo-imaginary part keeps
+    one map for both.  The maps are never mutated after construction.
+    """
+
+    __slots__ = ("_plus", "_minus")
 
     def __init__(self, terms: Mapping[Word, PcScalar] | Iterable[tuple[Word, PcScalar]] = ()):
-        items = terms.items() if isinstance(terms, dict) or hasattr(terms, "items") else terms
-        self._terms = _accumulate({}, items)
+        items = list(terms.items() if isinstance(terms, dict) or hasattr(terms, "items") else terms)
+        self._plus, self._minus = _share(
+            _accumulate({}, ((w, c._plus) for w, c in items)),
+            _accumulate({}, ((w, c._minus) for w, c in items)),
+        )
 
     @classmethod
     def zero(cls) -> "NcPolynomial":
@@ -146,32 +188,32 @@ class NcPolynomial:
         return cls({word: coeff})
 
     def terms(self) -> dict[Word, PcScalar]:
-        return dict(self._terms)
+        plus, minus = self._plus, self._minus
+        if minus is plus:
+            return {w: _pc(c, c) for w, c in plus.items()}
+        return {w: _pc(plus.get(w, _ZERO), minus.get(w, _ZERO)) for w in _words(self)}
 
     def coefficient(self, word: Sequence[Generator]) -> PcScalar:
-        return self._terms.get(tuple(word), PC_ZERO)
+        word = tuple(word)
+        return _pc(self._plus.get(word, _ZERO), self._minus.get(word, _ZERO))
 
     def words(self) -> tuple[Word, ...]:
-        return tuple(sorted(self._terms))
+        return tuple(sorted(_words(self)))
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._plus and not self._minus
 
     def branches(self) -> set[str]:
-        return {g.branch for word in self._terms for g in word}
+        return {g.branch for word in _words(self) for g in word}
 
     def __add__(self, other: "NcPolynomial") -> "NcPolynomial":
-        result = NcPolynomial.__new__(NcPolynomial)
-        result._terms = _accumulate(dict(self._terms), other._terms.items())
-        return result
+        return _by_component(lambda a, b: _accumulate(dict(a), b.items()), self, other)
 
     def __sub__(self, other: "NcPolynomial") -> "NcPolynomial":
         return self + (-other)
 
     def __neg__(self) -> "NcPolynomial":
-        result = NcPolynomial.__new__(NcPolynomial)
-        result._terms = {w: -c for w, c in self._terms.items()}
-        return result
+        return _by_component(lambda a: {w: -c for w, c in a.items()}, self)
 
     def __mul__(self, other):
         if isinstance(other, NcPolynomial):
@@ -193,16 +235,22 @@ class NcPolynomial:
     def scale(self, c) -> "NcPolynomial":
         if not isinstance(c, PcScalar):
             c = pc_rational(c)
-        return NcPolynomial({w: coeff * c for w, coeff in self._terms.items()})
+        return _by_component(
+            lambda a, s: _accumulate({}, ((w, coeff * s) for w, coeff in a.items())), self, c
+        )
 
     def __truediv__(self, q: Fraction | int) -> "NcPolynomial":
         return self.scale(Fraction(1, 1) / Fraction(q))
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, NcPolynomial) and self._terms == other._terms
+        return (
+            isinstance(other, NcPolynomial)
+            and self._plus == other._plus
+            and self._minus == other._minus
+        )
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash(frozenset(self.terms().items()))
 
     def render(self) -> str:
         return render_poly(self)
@@ -214,9 +262,14 @@ class NcPolynomial:
         return f"NcPolynomial({render_poly(self)!r})"
 
 
+def poly_sum(polys: Sequence[NcPolynomial]) -> NcPolynomial:
+    """The sum of ``polys`` in one accumulation, so a long sum stays linear."""
+    return _by_component(lambda *maps: _accumulate({}, (t for m in maps for t in m.items())), *polys)
+
+
 def render_poly(p: NcPolynomial) -> str:
     """Canonical text form; longest words first, CLI-parseable."""
-    order = sorted(p._terms.items(), key=lambda t: (-len(t[0]), t[0]))
+    order = sorted(p.terms().items(), key=lambda t: (-len(t[0]), t[0]))
     return _join_signed(_signed_term(word, coeff) for word, coeff in order)
 
 
@@ -232,7 +285,7 @@ def _signed_term(word: Word, coeff: PcScalar) -> tuple[str, bool]:
     return body, negative
 
 
-_MINUS_I = pc_imag(-1)
+_MINUS_I = BaseScalar.gaussian(0, -1)
 
 
 def normal_form(
@@ -246,8 +299,13 @@ def normal_form(
     shortened word.  ``pick`` selects which out-of-order position to rewrite
     next (defaults to the leftmost); any choice yields the same result.
     """
-    out: dict[Word, PcScalar] = {}
-    stack = list(p._terms.items())
+    return _by_component(lambda terms: _normal_order(terms, pick), p)
+
+
+def _normal_order(terms: Terms, pick: Callable[[Sequence[int]], int] | None) -> Terms:
+    """``normal_form`` of one component map."""
+    done: list[tuple[Word, BaseScalar]] = []
+    stack = list(terms.items())
     while stack:
         word, coeff = stack.pop()
         if pick is None:
@@ -260,30 +318,35 @@ def normal_form(
             positions = [t for t in range(len(word) - 1) if word[t] > word[t + 1]]
             t = pick(positions) if positions else -1
         if t < 0:
-            _accumulate(out, ((word, coeff),))
+            done.append((word, coeff))
             continue
         a, b = word[t], word[t + 1]
         stack.append((word[:t] + (b, a) + word[t + 2 :], coeff))
         # A P block sits four ranks above the X block of its branch.
         if a - b == 4 and a & 4:
             stack.append((word[:t] + word[t + 2 :], coeff * _MINUS_I))
-    result = NcPolynomial.__new__(NcPolynomial)
-    result._terms = out
-    return result
+    return _accumulate({}, done)
+
+
+def _product(a: Terms, b: Terms) -> Terms:
+    return _accumulate({}, ((w1 + w2, c1 * c2) for w1, c1 in a.items() for w2, c2 in b.items()))
 
 
 def multiply(p: NcPolynomial, q: NcPolynomial) -> NcPolynomial:
-    """Concatenate words, then normal-order.  Bilinear and associative."""
-    pairs = len(p._terms) * len(q._terms)
+    """Concatenate words, then normal-order.  Bilinear and associative.
+
+    Each component of the result is the product of the operands' components
+    alone, so all sigma_plus pairs are multiplied before any sigma_minus pair.
+    """
+    pw, qw = _words(p), _words(q)
+    pairs = len(pw) * len(qw)
     if pairs > MAX_TERM_PAIRS:
         raise ProductSizeError(f"product of {pairs} term pairs exceeds {MAX_TERM_PAIRS}")
     cap = current_limits().word_cap
-    longest = pairs and max(map(len, p._terms)) + max(map(len, q._terms))
+    longest = pairs and max(map(len, pw)) + max(map(len, qw))
     if longest > cap:
         raise WordLengthError(f"product word length {longest} exceeds cap {cap}")
-    return normal_form(NcPolynomial(
-        (w1 + w2, c1 * c2) for w1, c1 in p._terms.items() for w2, c2 in q._terms.items()
-    ))
+    return normal_form(_by_component(_product, p, q))
 
 
 def commutator(p: NcPolynomial, q: NcPolynomial) -> NcPolynomial:

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -309,6 +312,29 @@ def test_irrep_rejects_k_max_outside_default_range(argv):
     code, output = run_argv(argv)
     assert code == 2
     assert output.startswith("error:") and "--k-max" in output
+
+
+@pytest.mark.parametrize("k_max", ["0.7", "1/3", "5/4", "9.9"])
+def test_irrep_rejects_k_max_that_is_not_a_spin(k_max):
+    message = f"--k-max must be a half-integer in 0..10, got {Fraction(k_max)}"
+    assert run_argv(["irrep", "--k-max", k_max]) == (2, f"error: {message}")
+    code, output = run_argv(["--format", "json", "irrep", "--k-max", k_max])
+    assert code == 2
+    assert json.loads(output) == {"schema": "error/v1", "error": message}
+
+
+def test_main_exits_quietly_when_stdout_closes_early():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pcqm.cli", "eval", "Cx"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    # The reader leaves before the child, still importing, has written anything.
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert stderr == b""
 
 
 def test_verify_text_names_failing_checks(monkeypatch):

@@ -30,9 +30,14 @@ from pcqm.operators import (
     verify_induced_relations,
 )
 from pcqm.scalars import (
+    BaseScalar,
     DegreeWindowError,
     PC_ONE,
+    PC_ZERO,
     PSEUDO_UNIT,
+    SIGMA_MINUS,
+    SIGMA_PLUS,
+    PcScalar,
     pc_imag,
     pc_l,
     pc_rational,
@@ -284,6 +289,94 @@ def test_power_and_scalar_arithmetic():
     assert p ** 2 == multiply(p, p)
     assert (p * 3) / 3 == p
     assert 2 * p == p + p
+
+
+# Operator storage keeps one map per zero-divisor component, shared when the
+# polynomial is real.  ``random_pc_scalar`` nearly always draws a
+# pseudo-imaginary part, so these kinds make sure the shared map, a missing
+# component and a product of the two are each checked against the oracle.
+def _real_scalar(rng: random.Random) -> PcScalar:
+    while True:
+        c = random_pc_scalar(rng)
+        if not c.re.is_zero():
+            return PcScalar(c.re, BaseScalar.zero())
+
+
+def _coefficient(rng: random.Random, kind: str) -> PcScalar:
+    if kind == "real":
+        return _real_scalar(rng)
+    if kind == "sigma":
+        return _real_scalar(rng) * rng.choice((SIGMA_PLUS, SIGMA_MINUS))
+    return random_pc_scalar(rng)
+
+
+def _poly_of_kind(rng: random.Random, kind: str, max_len: int = 2) -> NcPolynomial:
+    terms = {
+        tuple(rng.choice(ALL_GENERATORS) for _ in range(rng.randint(0, max_len))):
+            _coefficient(rng, kind)
+        for _ in range(rng.randint(1, 3))
+    }
+    return NcPolynomial(terms)
+
+
+def _is_real(p: NcPolynomial) -> bool:
+    return all(c.im.is_zero() for c in p.terms().values())
+
+
+def _oracle_commutator(p: NcPolynomial, q: NcPolynomial) -> dict:
+    out = oracle_multiply(oracle_poly(p), oracle_poly(q))
+    for word, coeff in oracle_multiply(oracle_poly(q), oracle_poly(p)).items():
+        out[word] = out.get(word, PC_ZERO) - coeff
+    return out
+
+
+STORAGE_KINDS = [("real", "real"), ("sigma", "sigma"), ("real", "general"), ("general", "real")]
+
+
+@pytest.mark.parametrize("kinds", STORAGE_KINDS, ids="x".join)
+def test_component_storage_matches_oracle(kinds):
+    rng = random.Random(f"{SEED}-{kinds}")
+    for trial in range(40):
+        p, q = (_poly_of_kind(rng, kind) for kind in kinds)
+        for poly in (p, q):
+            # A real polynomial keeps one map for both components.
+            assert (poly._minus is poly._plus) == _is_real(poly)
+        product = multiply(p, q)
+        assert_oracle_equal(product, oracle_multiply(oracle_poly(p), oracle_poly(q)))
+        assert (product._minus is product._plus) == _is_real(product)
+        assert_oracle_equal(commutator(p, q), _oracle_commutator(p, q))
+        raw = _poly_of_kind(rng, kinds[0], max_len=5)
+        picker = random.Random(SEED + trial)
+        assert_oracle_equal(normal_form(raw, pick=picker.choice), oracle_normal_order(raw.terms()))
+
+
+def test_sigma_parts_sum_back_to_the_polynomial():
+    rng = random.Random(SEED + 7)
+    for kind in ("real", "sigma", "general"):
+        for _ in range(20):
+            p = _poly_of_kind(rng, kind)
+            total = p.scale(SIGMA_PLUS) + p.scale(SIGMA_MINUS)
+            assert total == p
+            assert hash(total) == hash(p)
+            assert total.terms() == p.terms()
+            minus_free = all(c.to_zero_divisor().minus.is_zero() for c in p.terms().values())
+            assert (p.scale(SIGMA_PLUS) == p) == minus_free
+
+
+def test_degree_overflow_in_minus_component_alone_raises():
+    # The sigma_plus product l*l stays inside the window; the sigma_minus
+    # product l^3*l^2 does not.
+    p = NcPolynomial.from_word((XP1,), SIGMA_PLUS * pc_l(1) + SIGMA_MINUS * pc_l(3))
+    q = NcPolynomial.from_word((PP1,), SIGMA_PLUS * pc_l(1) + SIGMA_MINUS * pc_l(2))
+    with pytest.raises(DegreeWindowError):
+        multiply(p, q)
+
+
+def test_product_of_opposite_sigma_components_is_zero():
+    p = NcPolynomial.from_word((XP1,), SIGMA_PLUS * pc_l(3))
+    q = NcPolynomial.from_word((PP1,), SIGMA_MINUS * pc_l(2))
+    assert multiply(p, q).is_zero()
+    assert multiply(p, q) == NcPolynomial.zero()
 
 
 def test_render_word_order_longest_first():
