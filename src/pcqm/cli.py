@@ -48,8 +48,9 @@ def parse_value_with_unit(text: str, default_unit: str) -> tuple[float, str]:
     return float(m.group(1)), m.group(2) or default_unit
 
 
-def _energy_in_ev(text: str, constants: ConstantSet) -> float:
+def _energy_in_ev(text: str, constants: ConstantSet, name: str) -> float:
     value, unit = parse_value_with_unit(text, "eV")
+    units.require_finite(value, name)
     if unit == "eV":
         return value
     return float(units.convert(units.quantity(value, unit), "eV", constants).magnitude)
@@ -280,8 +281,8 @@ def _run_spectrum(cfg: RunConfig) -> Result:
 def _run_bound(cfg: RunConfig) -> Result:
     constants = ConstantSet.from_mode(cfg.constants_mode)
     bound = hydrogen.length_bound(
-        delta_e_ev=_energy_in_ev(cfg.params["delta_e"], constants),
-        e_ref_ev=_energy_in_ev(cfg.params["e_ref"], constants),
+        delta_e_ev=_energy_in_ev(cfg.params["delta_e"], constants, "observed splitting"),
+        e_ref_ev=_energy_in_ev(cfg.params["e_ref"], constants, "reference energy"),
         kappa_gev2=cfg.params["kappa"],
         constants=constants,
     )
@@ -295,7 +296,8 @@ def _run_convert(cfg: RunConfig) -> Result:
     value = cfg.params["value"]
     q = units.quantity(value, cfg.params["from_unit"])
     out = units.convert(q, cfg.params["to_unit"], constants)
-    record = {"value": value, "from": q.unit, "to": out.unit, "result": float(out.magnitude)}
+    result = units.as_float(out.magnitude, "converted value")
+    record = {"value": value, "from": q.unit, "to": out.unit, "result": result}
     return Result(
         0,
         {"schema": "convert/v1", **record, "constants": constants.mode},

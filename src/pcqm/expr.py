@@ -24,11 +24,13 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 from . import so4
+from .limits import Limits, current_limits
 from .operators import BRANCHES, NcPolynomial, commutator, expand_alias, generator_poly, poly_sum
-from .scalars import PSEUDO_UNIT, check_renderable, pc_imag, pc_l, pc_rational
+from .scalars import PSEUDO_UNIT, check_renderable, pc_imag, pc_l, pc_rational, stored_renderable
 
 CASIMIR_TAGS = ("R", "x", "y", "+", "-")
 # Largest operator exponent '^n' accepted, also as the product of nested
@@ -434,14 +436,8 @@ def evaluate(node: Node) -> NcPolynomial:
         return NcPolynomial.scalar(PSEUDO_UNIT)
     if isinstance(node, LengthPower):
         return NcPolynomial.scalar(pc_l(node.power))
-    if isinstance(node, GenSym):
-        return generator_poly(node.kind, node.branch, node.index)
-    if isinstance(node, AliasSym):
-        return expand_alias(node.name, node.index)
-    if isinstance(node, NamedOp):
-        return so4.labelled(node.comp, node.i, node.j)
-    if isinstance(node, CasimirOp):
-        return so4.casimir(node.comp)
+    if isinstance(node, (GenSym, AliasSym, NamedOp, CasimirOp)):
+        return _operator(node, current_limits())
     if isinstance(node, Neg):
         return -evaluate(node.operand)
     if isinstance(node, (Add, Sub)):
@@ -465,11 +461,32 @@ def evaluate(node: Node) -> NcPolynomial:
     raise TypeError(f"unknown node {node!r}")
 
 
+# Room for every operator symbol (16 generators, 16 aliases, 135 labelled
+# operators and 5 Casimirs) under three limit settings.
+@lru_cache(maxsize=512)
+def _operator(node: GenSym | AliasSym | NamedOp | CasimirOp, limits: Limits) -> NcPolynomial:
+    """The polynomial of an operator symbol, built once per ``limits`` and
+    shared by every caller, which is safe because polynomials are immutable.
+    The limits in force bound the build, so they are part of the key; a build
+    that raises is not cached and raises again on the next call."""
+    if isinstance(node, GenSym):
+        return generator_poly(node.kind, node.branch, node.index)
+    if isinstance(node, AliasSym):
+        return expand_alias(node.name, node.index)
+    if isinstance(node, NamedOp):
+        return so4.labelled(node.comp, node.i, node.j)
+    return so4.casimir(node.comp)
+
+
 def _renderable(p: NcPolynomial) -> NcPolynomial:
     """``p``, unless a coefficient is already too long to render; refusing it
     here stops a chain of products from growing it further, even where a
-    later ``* 0`` would cancel it."""
-    check_renderable(p.terms().values())
+    later ``* 0`` would cancel it.  Only a polynomial with a large stored
+    integer has its coefficients rebuilt for the exact check."""
+    if not stored_renderable(p._plus.values()) or (
+        p._minus is not p._plus and not stored_renderable(p._minus.values())
+    ):
+        check_renderable(p.terms().values())
     return p
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .irrep import denominator_eigenvalue
-from .units import ConstantSet, Quantity, convert, quantity, unit_factor
+from .units import ConstantSet, Quantity, as_float, convert, quantity, require_finite, unit_factor
 
 EV_PER_GEV = Fraction(10 ** 9)
 
@@ -55,6 +55,8 @@ class SpectrumConfig:
     numerator: str = NUMERATOR_BOHR
 
     def __post_init__(self):
+        require_finite(self.l_gevinv, "minimal length l")
+        require_finite(self.kappa_gev2, "correction strength kappa")
         if self.l_gevinv < 0:
             raise ValueError("minimal length must be non-negative")
         if self.kappa_gev2 <= 0:
@@ -84,6 +86,8 @@ def energy_level(cfg: SpectrumConfig, n: int, kappa_gev2: float | None = None) -
     e0_ev = -cfg.constants.mu_gev * coupling * EV_PER_GEV / denominator
     kappa = Fraction(cfg.kappa_gev2 if kappa_gev2 is None else kappa_gev2)
     shift_ev = e0_ev * Fraction(cfg.l_gevinv) ** 2 * kappa
+    # The level table prints floats, so a shift beyond their range is refused here.
+    as_float(shift_ev, f"shift of level n={n} for l = {float(cfg.l_gevinv):g}, kappa = {float(kappa):g}")
     return EnergyLevel(n=n, k=k, e0_ev=e0_ev, shift_ev=shift_ev, degeneracy=n * n)
 
 
@@ -122,6 +126,9 @@ def length_bound(
     constants: ConstantSet | None = None,
 ) -> BoundResult:
     """Invert dE = |E_ref| * l^2 * kappa into an upper bound on l."""
+    require_finite(delta_e_ev, "observed splitting")
+    require_finite(e_ref_ev, "reference energy")
+    require_finite(kappa_gev2, "kappa")
     if delta_e_ev <= 0:
         raise ValueError("observed splitting must be positive")
     if e_ref_ev == 0:
@@ -130,7 +137,7 @@ def length_bound(
         raise ValueError("kappa must be positive")
     constants = constants or ConstantSet.paper_approx()
     l_squared = Fraction(delta_e_ev) / (abs(Fraction(e_ref_ev)) * Fraction(kappa_gev2))
-    l_gevinv = quantity(math.sqrt(l_squared), "GeV^-1")
+    l_gevinv = quantity(math.sqrt(as_float(l_squared, "l^2 = delta_E/(|E_ref|*kappa)")), "GeV^-1")
     return BoundResult(
         l_max_gevinv=float(l_gevinv),
         l_max_fm=float(convert(l_gevinv, "fm", constants)),

@@ -102,8 +102,11 @@ def gen(kind: str, branch: str, index: int) -> Generator:
 Word = tuple[Generator, ...]
 
 
+_NAMES = tuple(str(g) for g in map(Generator, range(16)))
+
+
 def render_word(word: Word) -> str:
-    return "*".join(str(g) for g in word) if word else "1"
+    return "*".join([_NAMES[g] for g in word]) if word else "1"
 
 
 Terms = dict[Word, BaseScalar]

@@ -351,17 +351,27 @@ def _stored_below(c: BaseScalar, bound: int) -> bool:
     return True
 
 
+def stored_renderable(components: Iterable[BaseScalar]) -> bool:
+    """True when every integer stored in ``components`` is small enough that
+    all atoms built from them render; False only means that the atoms need
+    the exact check of ``check_renderable``."""
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        return True
+    # With every stored integer below 2^b, every atom is below 2^(2b + 1);
+    # 3*limit bits hold fewer than limit digits.
+    safe = 1 << (3 * limit - 1) // 2
+    return all(_stored_below(c, safe) for c in components)
+
+
 def check_renderable(coeffs: Iterable[PcScalar]) -> None:
     """Raise the render error now, before more work is spent, if an atom of
     one of ``coeffs`` has more digits than the interpreter's int-to-text limit."""
     limit = sys.get_int_max_str_digits()
     if not limit:
         return
-    # With every stored integer below 2^b, every atom is below 2^(2b + 1);
-    # 3*limit bits hold fewer than limit digits.
-    safe = 1 << (3 * limit - 1) // 2
     for x in coeffs:
-        if not (_stored_below(x._plus, safe) and _stored_below(x._minus, safe)):
+        if not stored_renderable((x._plus, x._minus)):
             bound = 10 ** limit
             if any(abs(n) >= bound or d >= bound for n, d, *_ in _atoms(x)):
                 raise _too_long(limit)

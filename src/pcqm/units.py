@@ -12,6 +12,7 @@ exact rationals, so every conversion round-trips identically in both modes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -148,7 +149,22 @@ class Quantity:
         return f"{float(self.magnitude):.6g} {self.unit}"
 
 
+def require_finite(value: Number, name: str) -> None:
+    """Refuse a NaN or infinite float, naming it as ``name``."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
+def as_float(x: Fraction, name: str) -> float:
+    """``x`` as a float, unless it lies beyond the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(f"{name} exceeds the float range") from None
+
+
 def quantity(value: Number, unit: str) -> Quantity:
+    require_finite(value, "value")
     return Quantity(magnitude=Fraction(value), exponent=unit_exponent(unit), unit=unit)
 
 

@@ -294,6 +294,28 @@ def test_coefficient_growth_is_refused_before_the_work():
     assert output.startswith("error: coefficient too long to render")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["spectrum", "--l", "nan"], "minimal length l must be finite, got nan"),
+        (["spectrum", "--kappa", "inf"], "correction strength kappa must be finite, got inf"),
+        (["bound", "--kappa", "nan"], "kappa must be finite, got nan"),
+        (["bound", "--e-ref", "1e400eV"], "reference energy must be finite, got inf"),
+        (["bound", "--e-ref", "1e400Hz"], "reference energy must be finite, got inf"),
+        (["bound", "--delta-e", "1e400eV"], "observed splitting must be finite, got inf"),
+        (["convert", "--value", "inf", "--from", "fm", "--to", "GeV^-1"], "value must be finite, got inf"),
+        (["spectrum", "--l", "1e300"], "shift of level n=1 for l = 1e+300, kappa = 1 exceeds the float range"),
+        (["bound", "--kappa", "1e-320"], "l^2 = delta_E/(|E_ref|*kappa) exceeds the float range"),
+        (["convert", "--value", "1e308", "--from", "kg", "--to", "GeV"], "converted value exceeds the float range"),
+    ],
+)
+def test_non_finite_or_overflowing_numbers_exit_2(argv, message, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == f"error: {message}\n"
+    assert err == ""
+
+
 def test_main_prints_and_returns(capsys):
     assert main(["eval", "[X+_1, P+_1]"]) == 0
     assert capsys.readouterr().out.strip() == "i"

@@ -1,5 +1,6 @@
 import random
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -25,12 +26,15 @@ from pcqm.expr import (
     Pow,
     PseudoUnit,
     Sub,
+    evaluate,
     evaluate_text,
     parse,
     render,
 )
-from pcqm.operators import commutator, expand_alias
-from pcqm.scalars import pc_imag
+from pcqm.cli import config_from_args, run
+from pcqm.limits import limits
+from pcqm.operators import WordLengthError, commutator, expand_alias, generator_poly
+from pcqm.scalars import DegreeWindowError, pc_imag
 
 SEED = 20260810
 
@@ -218,3 +222,102 @@ def test_operator_power_is_bounded():
 def test_evaluate_rejects_unknown_trailing_input():
     with pytest.raises(ExprSyntaxError):
         parse("x_1 x_2")
+
+
+def test_cached_operator_refuses_a_smaller_word_cap():
+    evaluate_text("CR")
+    with limits(word_cap=2), pytest.raises(WordLengthError):
+        evaluate_text("CR")
+
+
+def test_cached_operator_refuses_a_narrower_window():
+    evaluate_text("Ly_12")
+    with limits(window=(0, 4)), pytest.raises(DegreeWindowError):
+        evaluate_text("Ly_12")
+
+
+def _outcome(build):
+    """A build's polynomial, or the type and message of what it raised."""
+    try:
+        return build()
+    except (ValueError, ArithmeticError) as err:
+        return type(err), str(err)
+
+
+def test_cached_operators_equal_fresh_builds_under_each_limits():
+    comps = (None, "+", "-", "x", "y", "xy", "yx", "R", "I")
+    leaves = [
+        *[(GenSym(k, b, i), lambda k=k, b=b, i=i: generator_poly(k, b, i))
+          for k in "XP" for b in "+-" for i in range(1, 5)],
+        *[(AliasSym(a, i), lambda a=a, i=i: expand_alias(a, i))
+          for a in ("x", "y", "px", "py") for i in range(1, 5)],
+        *[(NamedOp(letter, c, i, j), lambda c=c, i=i, j=j: so4.labelled(c, i, j))
+          for c in comps for i in range(1, 5) for j in range(1, 5)
+          for letter in "LM" if i != j and (letter == "L" or j == 4)],
+        *[(CasimirOp(c), lambda c=c: so4.casimir(c)) for c in ("R", "x", "y", "+", "-")],
+    ]
+    # The default limits come first, so a later, narrower setting would be
+    # served a stale operator if the limits were not part of the key.
+    for changes in ({}, {"word_cap": 2}, {"window": (0, 4)}, {"window": (-1, 1)}):
+        with limits(**changes):
+            for node, build in leaves:
+                assert _outcome(lambda: evaluate(node)) == _outcome(build), (node, changes)
+
+
+def test_arithmetic_on_a_cached_operator_leaves_it_unchanged():
+    cx = evaluate_text("Cx")
+    text = cx.render()
+    for derived in ("Cx + x_1", "-Cx", "2*Cx", "Cx*I", "Cx - Cx", "[Cx, X+_1]"):
+        evaluate_text(derived)
+    cx + evaluate_text("x_1")
+    cx.scale(pc_imag())
+    with limits(word_cap=2), pytest.raises(WordLengthError):
+        evaluate_text("Cx")
+    again = evaluate_text("Cx")
+    assert again.render() == text
+    assert again == so4.casimir("x")
+
+
+def test_each_thread_evaluates_under_its_own_limits():
+    # More threads than cores and a short switch interval, so threads with
+    # different limits interleave their cache lookups and builds.
+    texts = ("Ly_12", "CR", "py_3", "Lxy_14")
+    settings = ({"window": (0, 4)}, {"word_cap": 2}, {}, {})
+    expected = []
+    for changes in settings:
+        with limits(**changes):
+            expected.append([_outcome(lambda t=t: evaluate_text(t)) for t in texts])
+    assert expected[0][0] == (DegreeWindowError, "l^-1 outside degree window 0..4")
+    assert expected[1][1][0] is WordLengthError
+    results = [[] for _ in settings]
+
+    def worker(changes, out):
+        with limits(**changes):
+            for _ in range(20):
+                out.append([_outcome(lambda t=t: evaluate_text(t)) for t in texts])
+
+    threads = [threading.Thread(target=worker, args=args) for args in zip(settings, results)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for want, got in zip(expected, results):
+        assert got == [want] * 20
+
+
+def test_coefficient_too_long_in_the_sigma_minus_component_alone_is_refused():
+    # 1 + (1-I)*N has sigma+ component 1 and sigma- component 2N + 1, so the
+    # 64th power is too long to render in its sigma- component alone.
+    text = "(1 + (1 - I)*" + "9" * 300 + ")^64"
+    with pytest.raises(ValueError, match="coefficient too long to render"):
+        evaluate_text(text)
+    for fmt in ("text", "json"):
+        code, output = run(config_from_args(["--format", fmt, "eval", text]))
+        assert code == 2
+        assert "coefficient too long to render" in output
