@@ -81,6 +81,8 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
         "--degree-window", type=_parse_window, default=default(None), metavar="LO:HI"
     )
     parser.add_argument("--word-cap", type=int, default=default(None))
+    # Read "-1e5", "-13eV" and "-4:4" as values, as argparse reads "-2".
+    parser._negative_number_matcher = re.compile(r"-\.?\d")
 
 
 def build_parser() -> argparse.ArgumentParser:

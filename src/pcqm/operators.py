@@ -15,6 +15,7 @@ are aliases over the branch generators; ``y`` and ``py`` carry an explicit
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -50,7 +51,7 @@ class ProductSizeError(ValueError):
 
 # Largest term-pair count of one product.  verify and the tests peak at 272
 # pairs and the eval-warm benchmark stream at 1,060.  The largest Casimir
-# product, Cx*Cx (48,400 pairs, 1.1-1.5 s as a process on a 2-vCPU Xeon VM),
+# product, Cx*Cx (48,400 pairs, 1.4-1.5 s as a process on a 2-vCPU Xeon VM),
 # stays allowed, while (x_1+...+px_4)^5 (64,208 pairs in its last product) is
 # refused.
 MAX_TERM_PAIRS = 50_000
@@ -291,43 +292,37 @@ def _signed_term(word: Word, coeff: PcScalar) -> tuple[str, bool]:
 _MINUS_I = BaseScalar.gaussian(0, -1)
 
 
-def normal_form(
-    p: NcPolynomial,
-    pick: Callable[[Sequence[int]], int] | None = None,
-) -> NcPolynomial:
+def normal_form(p: NcPolynomial) -> NcPolynomial:
     """Rewrite every word into the unique sorted normal form.
 
-    Each swap of an adjacent out-of-order pair commutes freely except for a
-    same-branch ``P_j X_i`` pair, which also emits ``-i*delta_ij`` times the
-    shortened word.  ``pick`` selects which out-of-order position to rewrite
-    next (defaults to the leftmost); any choice yields the same result.
+    A left-to-right fold: each word keeps its sorted prefix, then each later
+    generator ``g`` is inserted at its rank into every partial word.  ``g``
+    commutes past all it passes except, for an ``X``, the ``m`` copies of its
+    momentum, where ``P^m X = X P^m - i*m*P^(m-1)`` adds the contracted word.
     """
-    return _by_component(lambda terms: _normal_order(terms, pick), p)
+    return _by_component(_normal_order, p)
 
 
-def _normal_order(terms: Terms, pick: Callable[[Sequence[int]], int] | None) -> Terms:
-    """``normal_form`` of one component map."""
+def _normal_order(terms: Terms) -> Terms:
     done: list[tuple[Word, BaseScalar]] = []
-    stack = list(terms.items())
-    while stack:
-        word, coeff = stack.pop()
-        if pick is None:
-            for t in range(len(word) - 1):
-                if word[t] > word[t + 1]:
-                    break
-            else:
-                t = -1
-        else:
-            positions = [t for t in range(len(word) - 1) if word[t] > word[t + 1]]
-            t = pick(positions) if positions else -1
-        if t < 0:
-            done.append((word, coeff))
-            continue
-        a, b = word[t], word[t + 1]
-        stack.append((word[:t] + (b, a) + word[t + 2 :], coeff))
-        # A P block sits four ranks above the X block of its branch.
-        if a - b == 4 and a & 4:
-            stack.append((word[:t] + word[t + 2 :], coeff * _MINUS_I))
+    for word, coeff in terms.items():
+        t = 1
+        while t < len(word) and word[t - 1] <= word[t]:
+            t += 1
+        partial = [(word[:t], coeff)]
+        for g in word[t:]:
+            step = []
+            for w, c in partial:
+                at = bisect_right(w, g)
+                step.append((w[:at] + (g,) + w[at:], c))
+                # A P block sits four ranks above the X block of its branch.
+                m = 0 if g & 4 else w.count(g + 4)
+                if m:
+                    lo = w.index(g + 4, at)
+                    step.append((w[:lo] + w[lo + 1 :], (c * _MINUS_I).scale(m)))
+            # Only a contraction can make two partial words equal.
+            partial = _accumulate({}, step).items() if len(step) > len(partial) else step
+        done.extend(partial)
     return _accumulate({}, done)
 
 

@@ -1,8 +1,9 @@
 """Shared test utilities: an independent rewriting oracle and random builders.
 
-The oracle normal-orders words by recursive rightmost-pair reduction and
-multiplies by right-folded concatenation, deliberately a different code path
-from the engine's iterative leftmost worklist.
+The oracle normal-orders words by recursive swap-at-a-time reduction
+(rightmost out-of-order pair first, unless told otherwise) and multiplies by
+right-folded concatenation, deliberately a different code path from the
+engine's left-to-right insertion fold.
 """
 
 from __future__ import annotations
@@ -22,22 +23,29 @@ from pcqm.scalars import (
 MINUS_I = pc_imag(-1)
 
 
-def oracle_normal_order(terms: dict[tuple, PcScalar]) -> dict[tuple, PcScalar]:
+def oracle_normal_order(terms: dict[tuple, PcScalar], pick=None) -> dict[tuple, PcScalar]:
+    """Normal-order ``terms`` one adjacent swap at a time.
+
+    ``pick`` receives the positions of the out-of-order adjacent pairs of a
+    word and returns the one to reduce; the default is the rightmost.  The
+    rewrite system is confluent, so every choice gives the same result.
+    """
     out: dict[tuple, PcScalar] = {}
 
     def reduce(word: tuple, coeff: PcScalar) -> None:
-        for t in range(len(word) - 2, -1, -1):
+        positions = [t for t in range(len(word) - 1) if word[t].sort_key > word[t + 1].sort_key]
+        if positions:
+            t = positions[-1] if pick is None else pick(positions)
             a, b = word[t], word[t + 1]
-            if a.sort_key > b.sort_key:
-                reduce(word[:t] + (b, a) + word[t + 2 :], coeff)
-                if (
-                    a.kind == "P"
-                    and b.kind == "X"
-                    and a.branch == b.branch
-                    and a.index == b.index
-                ):
-                    reduce(word[:t] + word[t + 2 :], coeff * MINUS_I)
-                return
+            reduce(word[:t] + (b, a) + word[t + 2 :], coeff)
+            if (
+                a.kind == "P"
+                and b.kind == "X"
+                and a.branch == b.branch
+                and a.index == b.index
+            ):
+                reduce(word[:t] + word[t + 2 :], coeff * MINUS_I)
+            return
         total = out.get(word, PC_ZERO) + coeff
         if total.is_zero():
             out.pop(word, None)

@@ -316,6 +316,30 @@ def test_non_finite_or_overflowing_numbers_exit_2(argv, message, capsys):
     assert err == ""
 
 
+@pytest.mark.parametrize(
+    "before, option, value, after, code, message",
+    [
+        (["bound"], "--e-ref", "-13eV", [], 0, None),
+        (["bound"], "--delta-e", "-4e-9eV", [], 2, "observed splitting must be positive"),
+        (["bound"], "--kappa", "-1e-5", [], 2, "kappa must be positive"),
+        (["spectrum"], "--l", "-1e-5", [], 2, "minimal length must be non-negative"),
+        (["spectrum"], "--kappa", "-1e-5", [], 2, "correction strength kappa must be positive"),
+        (["spectrum"], "--n-max", "-3", [], 2, "n_max must lie in 1..10000, got -3"),
+        (["convert"], "--value", "-1e5", ["--from", "fm", "--to", "cm"], 0, None),
+        (["irrep"], "--k-max", "-1/2", [], 2, "--k-max must be a half-integer in 0..10, got -1/2"),
+        ([], "--degree-window", "-8:8", ["eval", "l^6"], 0, None),
+        ([], "--word-cap", "-1", ["eval", "l"], 2, "word length cap must lie in 1..12, got -1"),
+    ],
+)
+def test_negative_values_read_as_with_equals(before, option, value, after, code, message, capsys):
+    assert main([*before, option, value, *after]) == code
+    spaced = capsys.readouterr()
+    assert main([*before, f"{option}={value}", *after]) == code
+    assert capsys.readouterr() == spaced
+    if message is not None:
+        assert spaced.out == f"error: {message}\n"
+
+
 def test_main_prints_and_returns(capsys):
     assert main(["eval", "[X+_1, P+_1]"]) == 0
     assert capsys.readouterr().out.strip() == "i"

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -38,6 +39,7 @@ from pcqm.scalars import (
     SIGMA_MINUS,
     SIGMA_PLUS,
     PcScalar,
+    pc_gaussian,
     pc_imag,
     pc_l,
     pc_rational,
@@ -113,7 +115,7 @@ def test_confluence_under_random_reduction_orders():
         reference = normal_form(raw)
         for trial in range(3):
             picker = random.Random(SEED + trial)
-            assert normal_form(raw, pick=picker.choice) == reference
+            assert_oracle_equal(reference, oracle_normal_order(raw.terms(), pick=picker.choice))
 
 
 # Pools for long random words: all sixteen generators, then narrower pools in
@@ -134,11 +136,52 @@ def test_long_words_match_oracle():
         for pool in LONG_WORD_POOLS:
             for trial in range(25):
                 raw = _long_poly(rng, pool, 6, 10)
-                expected = oracle_normal_order(raw.terms())
-                assert_oracle_equal(normal_form(raw), expected)
-                assert_oracle_equal(normal_form(raw, pick=random.Random(SEED + trial).choice), expected)
+                result = normal_form(raw)
+                assert_oracle_equal(result, oracle_normal_order(raw.terms()))
+                picker = random.Random(SEED + trial)
+                assert_oracle_equal(result, oracle_normal_order(raw.terms(), pick=picker.choice))
                 p, q = _long_poly(rng, pool, 3, 5), _long_poly(rng, pool, 3, 5)
                 assert_oracle_equal(multiply(p, q), oracle_multiply(oracle_poly(p), oracle_poly(q)))
+
+
+# (-i)^k for k mod 4, as (re, im).
+MINUS_I_POWERS = ((1, 0), (0, -1), (-1, 0), (0, 1))
+
+
+def _closed_form(x, p, b: int, c: int) -> dict[tuple, tuple[int, int]]:
+    """P^b X^c in normal order, written out from
+    sum_k C(b,k) C(c,k) k! (-i)^k X^(c-k) P^(b-k): word -> Gaussian integer."""
+    out = {}
+    for k in range(min(b, c) + 1):
+        n = math.comb(b, k) * math.comb(c, k) * math.factorial(k)
+        re, im = MINUS_I_POWERS[k % 4]
+        out[(x,) * (c - k) + (p,) * (b - k)] = (n * re, n * im)
+    return out
+
+
+def _as_terms(closed: dict[tuple, tuple[int, int]]) -> dict[tuple, PcScalar]:
+    return {w: pc_gaussian(re, im) for w, (re, im) in closed.items()}
+
+
+def test_normal_form_matches_closed_form():
+    # Raw polynomials bypass the word cap, so long words reach the kernel.
+    for branch, index in itertools.product(("+", "-"), (1, 3, 4)):
+        x, p = gen("X", branch, index), gen("P", branch, index)
+        for b, c in itertools.product(range(9), repeat=2):
+            raw = NcPolynomial({(p,) * b + (x,) * c: PC_ONE})
+            assert normal_form(raw).terms() == _as_terms(_closed_form(x, p, b, c))
+    raw = NcPolynomial({(PP1,) * 20 + (XP1,) * 20: PC_ONE})
+    assert normal_form(raw).terms() == _as_terms(_closed_form(XP1, PP1, 20, 20))
+    # Index-1 and index-2 generators commute, so the index-1 and index-2
+    # closed forms multiply; the normal-order word is the sorted product word.
+    pp2 = gen("P", "+", 2)
+    raw = NcPolynomial({(PP1,) * 3 + (pp2,) * 4 + (XP2,) * 3 + (XP1,) * 5: PC_ONE})
+    expected = {}
+    for (w1, (re1, im1)), (w2, (re2, im2)) in itertools.product(
+        _closed_form(XP1, PP1, 3, 5).items(), _closed_form(XP2, pp2, 4, 3).items()
+    ):
+        expected[tuple(sorted(w1 + w2))] = (re1 * re2 - im1 * im2, re1 * im2 + im1 * re2)
+    assert normal_form(raw).terms() == _as_terms(expected)
 
 
 def test_multiply_identity_and_plain_word():
@@ -347,7 +390,7 @@ def test_component_storage_matches_oracle(kinds):
         assert_oracle_equal(commutator(p, q), _oracle_commutator(p, q))
         raw = _poly_of_kind(rng, kinds[0], max_len=5)
         picker = random.Random(SEED + trial)
-        assert_oracle_equal(normal_form(raw, pick=picker.choice), oracle_normal_order(raw.terms()))
+        assert_oracle_equal(normal_form(raw), oracle_normal_order(raw.terms(), pick=picker.choice))
 
 
 def test_sigma_parts_sum_back_to_the_polynomial():
