@@ -121,6 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subparser("eval", "evaluate an operator expression to normal form")
     p.add_argument("expression")
+    # Read "-X+_1" as the expression; "-f" and "-h" still name options.
+    p._negative_number_matcher = re.compile(r"-[^-]")
     return parser
 
 

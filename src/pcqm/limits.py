@@ -5,9 +5,10 @@ import dataclasses
 from contextvars import ContextVar
 
 # Largest word cap accepted.  One long word is cheap: P+_1^12*X+_1^12 under cap
-# 24 takes 0.33 s as a process, 0.24 s of it start-up (2-vCPU Xeon VM, Python
-# 3.11).  Term counts grow with the cap: (P+_1+..+P+_4)^n*(X+_1+..+X+_4)^n takes
-# 1.6 s at n = 6 (cap 12), 4.2 s at n = 7 (cap 14) and 10 s at n = 8 (cap 16).
+# 24 takes 0.11 s as a process, nearly all of it start-up (2-vCPU Xeon VM,
+# Python 3.11).  Term counts grow with the cap: (P+_1+..+P+_4)^n*(X+_1+..+X+_4)^n
+# takes 0.47 s at n = 6 (cap 12), 1.2 s at n = 7 (cap 14) and 3.1 s at n = 8
+# (cap 16).
 MAX_WORD_CAP = 12
 
 

@@ -30,6 +30,7 @@ from .scalars import (
     _atom_str,
     _atoms,
     _join_signed,
+    _mul,
     _pc,
     pc_imag,
     pc_l,
@@ -51,9 +52,9 @@ class ProductSizeError(ValueError):
 
 # Largest term-pair count of one product.  verify and the tests peak at 272
 # pairs and the eval-warm benchmark stream at 1,060.  The largest Casimir
-# product, Cx*Cx (48,400 pairs, 1.4-1.5 s as a process on a 2-vCPU Xeon VM),
-# stays allowed, while (x_1+...+px_4)^5 (64,208 pairs in its last product) is
-# refused.
+# product, Cx*Cx (48,400 pairs, 0.41 s as a process on a 2-vCPU Xeon VM, 0.11 s
+# of it start-up), stays allowed, while (x_1+...+px_4)^5 (64,208 pairs in its
+# last product) is refused.
 MAX_TERM_PAIRS = 50_000
 
 
@@ -120,6 +121,19 @@ def _accumulate(out: Terms, items: Iterable[tuple[Word, BaseScalar]]) -> Terms:
         total = coeff if prev is None else prev + coeff
         if total.is_zero():
             out.pop(word, None)
+        else:
+            out[word] = total
+    return out
+
+
+def _difference(a: Terms, b: Terms) -> Terms:
+    """``a - b`` without a negated copy of ``b``."""
+    out = dict(a)
+    for word, coeff in b.items():
+        prev = out.get(word)
+        total = -coeff if prev is None else prev - coeff
+        if total.is_zero():
+            del out[word]
         else:
             out[word] = total
     return out
@@ -214,7 +228,7 @@ class NcPolynomial:
         return _by_component(lambda a, b: _accumulate(dict(a), b.items()), self, other)
 
     def __sub__(self, other: "NcPolynomial") -> "NcPolynomial":
-        return self + (-other)
+        return _by_component(_difference, self, other)
 
     def __neg__(self) -> "NcPolynomial":
         return _by_component(lambda a: {w: -c for w, c in a.items()}, self)
@@ -293,45 +307,93 @@ _MINUS_I = BaseScalar.gaussian(0, -1)
 
 
 def normal_form(p: NcPolynomial) -> NcPolynomial:
-    """Rewrite every word into the unique sorted normal form.
-
-    A left-to-right fold: each word keeps its sorted prefix, then each later
-    generator ``g`` is inserted at its rank into every partial word.  ``g``
-    commutes past all it passes except, for an ``X``, the ``m`` copies of its
-    momentum, where ``P^m X = X P^m - i*m*P^(m-1)`` adds the contracted word.
-    """
+    """Rewrite every word into the unique sorted normal form."""
     return _by_component(_normal_order, p)
 
 
 def _normal_order(terms: Terms) -> Terms:
-    done: list[tuple[Word, BaseScalar]] = []
+    window = current_limits().window
+    out: Terms = {}
     for word, coeff in terms.items():
-        t = 1
-        while t < len(word) and word[t - 1] <= word[t]:
-            t += 1
-        partial = [(word[:t], coeff)]
-        for g in word[t:]:
-            step = []
-            for w, c in partial:
-                at = bisect_right(w, g)
-                step.append((w[:at] + (g,) + w[at:], c))
-                # A P block sits four ranks above the X block of its branch.
-                m = 0 if g & 4 else w.count(g + 4)
-                if m:
-                    lo = w.index(g + 4, at)
-                    step.append((w[:lo] + w[lo + 1 :], (c * _MINUS_I).scale(m)))
-            # Only a contraction can make two partial words equal.
-            partial = _accumulate({}, step).items() if len(step) > len(partial) else step
-        done.extend(partial)
-    return _accumulate({}, done)
+        _order_into(out, word, coeff, _masks(word)[0] == -1, window)
+    return out
 
 
-def _product(a: Terms, b: Terms) -> Terms:
-    return _accumulate({}, ((w1 + w2, c1 * c2) for w1, c1 in a.items() for w2, c2 in b.items()))
+def _masks(word: Word) -> tuple[int, int]:
+    """``(xs, ps)`` with bit ``r`` of ``xs`` set for an ``X`` of rank ``r``
+    in ``word`` and bit ``r`` of ``ps`` for its momentum, rank ``r + 4``.
+
+    A concatenation ``w1 + w2`` needs a contraction exactly when ``ps`` of
+    ``w1`` meets ``xs`` of ``w2``, or when either word has an ``X`` after
+    its own ``P``.  Such a word gets ``(-1, -1)``, and the spare bits 16 in
+    ``xs`` and 17 in ``ps`` make it meet every partner.
+    """
+    xs, ps = 1 << 16, 1 << 17
+    for g in word:
+        if g & 4:
+            ps |= 1 << (g - 4)
+        elif ps >> g & 1:
+            return -1, -1
+        else:
+            xs |= 1 << g
+    return xs, ps
+
+
+def _order_into(
+    out: Terms, word: Word, coeff: BaseScalar, contracts: int, window: tuple[int, int]
+) -> None:
+    """Add ``coeff*word`` to ``out`` in normal order; ``coeff`` is nonzero,
+    and ``contracts`` is false only for a word that needs no contraction.
+
+    Without a contraction (no ``X`` after its own ``P``), every generator
+    passed commutes, so the normal form is the sorted word.  Otherwise a
+    left-to-right fold: the word keeps its sorted prefix, then each later
+    generator ``g`` is inserted at its rank into every partial word.  ``g``
+    commutes past all it passes except, for an ``X``, the ``m`` copies of its
+    momentum, where ``P^m X = X P^m - i*m*P^(m-1)`` adds the contracted word.
+    """
+    if not contracts:
+        word = tuple(sorted(word))
+        prev = out.get(word)
+        total = coeff if prev is None else prev + coeff
+        if total.is_zero():
+            del out[word]
+        else:
+            out[word] = total
+        return
+    t = 1
+    while t < len(word) and word[t - 1] <= word[t]:
+        t += 1
+    partial = [(word[:t], coeff)]
+    for g in word[t:]:
+        step = []
+        for w, c in partial:
+            at = bisect_right(w, g)
+            step.append((w[:at] + (g,) + w[at:], c))
+            # A P block sits four ranks above the X block of its branch.
+            m = 0 if g & 4 else w.count(g + 4)
+            if m:
+                lo = w.index(g + 4, at)
+                step.append((w[:lo] + w[lo + 1 :], _mul(c, _MINUS_I, window).scale(m)))
+        # Only a contraction can make two partial words equal.
+        partial = _accumulate({}, step).items() if len(step) > len(partial) else step
+    _accumulate(out, partial)
+
+
+def _product(a: Terms, b: Terms, window: tuple[int, int]) -> Terms:
+    """Every term pair multiplied and added to the result in normal order."""
+    out: Terms = {}
+    right = [(w, c, _masks(w)[0]) for w, c in b.items()]
+    for w1, c1 in a.items():
+        ps = _masks(w1)[1]
+        for w2, c2, xs in right:
+            _order_into(out, w1 + w2, _mul(c1, c2, window), ps & xs, window)
+    return out
 
 
 def multiply(p: NcPolynomial, q: NcPolynomial) -> NcPolynomial:
-    """Concatenate words, then normal-order.  Bilinear and associative.
+    """Normal-order the concatenation of every term pair.  Bilinear and
+    associative.
 
     Each component of the result is the product of the operands' components
     alone, so all sigma_plus pairs are multiplied before any sigma_minus pair.
@@ -340,11 +402,11 @@ def multiply(p: NcPolynomial, q: NcPolynomial) -> NcPolynomial:
     pairs = len(pw) * len(qw)
     if pairs > MAX_TERM_PAIRS:
         raise ProductSizeError(f"product of {pairs} term pairs exceeds {MAX_TERM_PAIRS}")
-    cap = current_limits().word_cap
+    lim = current_limits()
     longest = pairs and max(map(len, pw)) + max(map(len, qw))
-    if longest > cap:
-        raise WordLengthError(f"product word length {longest} exceeds cap {cap}")
-    return normal_form(_by_component(_product, p, q))
+    if longest > lim.word_cap:
+        raise WordLengthError(f"product word length {longest} exceeds cap {lim.word_cap}")
+    return _by_component(lambda a, b: _product(a, b, lim.window), p, q)
 
 
 def commutator(p: NcPolynomial, q: NcPolynomial) -> NcPolynomial:

@@ -47,11 +47,15 @@ class GaussianRational:
         return GaussianRational(Fraction(re), Fraction(im))
 
 
-def _in_window(num: Numerators) -> Numerators:
-    lo, hi = current_limits().window
+def _outside(d: int, window: tuple[int, int]) -> DegreeWindowError:
+    return DegreeWindowError(f"l^{d} outside degree window {window[0]}..{window[1]}")
+
+
+def _in_window(num: Numerators, window: tuple[int, int]) -> Numerators:
+    lo, hi = window
     for d, _ in num:
         if d < lo or d > hi:
-            raise DegreeWindowError(f"l^{d} outside degree window {lo}..{hi}")
+            raise _outside(d, window)
     return num
 
 
@@ -91,7 +95,8 @@ class BaseScalar:
                 acc[key] = acc.get(key, 0) + Fraction(q)
         # Over the lcm of reduced denominators, gcd(den, *numerators) is already 1.
         self._den = den = lcm(*(q.denominator for q in acc.values() if q))
-        self._num = _in_window({key: q.numerator * (den // q.denominator) for key, q in acc.items() if q})
+        num = {key: q.numerator * (den // q.denominator) for key, q in acc.items() if q}
+        self._num = _in_window(num, current_limits().window)
 
     @classmethod
     def zero(cls) -> "BaseScalar":
@@ -127,12 +132,13 @@ class BaseScalar:
     def degrees(self) -> tuple[int, ...]:
         return tuple(sorted({d for d, _ in self._num}))
 
-    def __add__(self, other: "BaseScalar") -> "BaseScalar":
+    def __add__(self, other: "BaseScalar", sign: int = 1) -> "BaseScalar":
+        """``self + sign*other`` on the numerators, over the lcm of the denominators."""
         a, b = self._num, other._num
         if not b:
             return self
         g = gcd(self._den, other._den)
-        sa, sb = other._den // g, self._den // g
+        sa, sb = other._den // g, sign * self._den // g
         out = dict(a) if sa == 1 else {key: n * sa for key, n in a.items()}
         for key, n in b.items():
             n = out.pop(key, 0) + n * sb
@@ -141,26 +147,13 @@ class BaseScalar:
         return _reduced(out, self._den * sa)
 
     def __sub__(self, other: "BaseScalar") -> "BaseScalar":
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def __neg__(self) -> "BaseScalar":
         return _base({key: -n for key, n in self._num.items()}, self._den)
 
     def __mul__(self, other: "BaseScalar") -> "BaseScalar":
-        """Integer polynomial product over ``den1*den2``, reduced by one gcd."""
-        a, b, den = self._num, other._num, self._den * other._den
-        if len(a) == 1 and len(b) == 1:
-            (((d1, i1), n1),), (((d2, i2), n2),) = a.items(), b.items()
-            n = -n1 * n2 if i1 and i2 else n1 * n2
-            g = gcd(n, den)
-            return _base(_in_window({(d1 + d2, i1 ^ i2): n // g}), den // g)
-        out: Numerators = {}
-        get = out.get
-        for (d1, i1), n1 in a.items():
-            for (d2, i2), n2 in b.items():
-                key = (d1 + d2, i1 ^ i2)
-                out[key] = get(key, 0) + (-n1 * n2 if i1 and i2 else n1 * n2)
-        return _reduced(_in_window({key: n for key, n in out.items() if n}), den)
+        return _mul(self, other, current_limits().window)
 
     def scale(self, q: Rational) -> "BaseScalar":
         num = {key: n * q.numerator for key, n in self._num.items()} if q else {}
@@ -168,7 +161,8 @@ class BaseScalar:
 
     def shift(self, degree: int) -> "BaseScalar":
         """Multiply by l**degree."""
-        return _base(_in_window({(d + degree, i): n for (d, i), n in self._num.items()}), self._den)
+        num = {(d + degree, i): n for (d, i), n in self._num.items()}
+        return _base(_in_window(num, current_limits().window), self._den)
 
     def is_unit(self) -> bool:
         return len(self.degrees()) == 1
@@ -180,7 +174,8 @@ class BaseScalar:
         (d,) = self.degrees()
         a, b = self._num.get((d, False), 0), self._num.get((d, True), 0)
         num = {(-d, False): a * self._den, (-d, True): -b * self._den}
-        return _reduced(_in_window({key: n for key, n in num.items() if n}), a * a + b * b)
+        num = _in_window({key: n for key, n in num.items() if n}, current_limits().window)
+        return _reduced(num, a * a + b * b)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, BaseScalar) and self._den == other._den and self._num == other._num
@@ -190,6 +185,30 @@ class BaseScalar:
 
     def __repr__(self) -> str:
         return f"BaseScalar({self.terms()!r})"
+
+
+def _mul(x: BaseScalar, y: BaseScalar, window: tuple[int, int]) -> BaseScalar:
+    """Integer polynomial product over ``den1*den2``, reduced by one gcd.
+
+    ``window`` is the degree window in force, read once by a caller that
+    forms many products; a nonzero term outside it raises.
+    """
+    a, b, den = x._num, y._num, x._den * y._den
+    if len(a) == 1 and len(b) == 1:
+        (((d1, i1), n1),), (((d2, i2), n2),) = a.items(), b.items()
+        d = d1 + d2
+        if d < window[0] or d > window[1]:
+            raise _outside(d, window)
+        n = -n1 * n2 if i1 and i2 else n1 * n2
+        g = gcd(n, den)
+        return _base({(d, i1 ^ i2): n // g}, den // g)
+    out: Numerators = {}
+    get = out.get
+    for (d1, i1), n1 in a.items():
+        for (d2, i2), n2 in b.items():
+            key = (d1 + d2, i1 ^ i2)
+            out[key] = get(key, 0) + (-n1 * n2 if i1 and i2 else n1 * n2)
+    return _reduced(_in_window({key: n for key, n in out.items() if n}, window), den)
 
 
 @dataclass(frozen=True)

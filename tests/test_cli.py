@@ -96,6 +96,19 @@ def test_eval_matches_direct_library_call():
     assert output == evaluate_text("[x_1, px_1]").render()
 
 
+def test_eval_expression_may_start_with_minus_and_a_letter():
+    for expression in ("-X+_1", "-l*x_1", "-(X+_1)"):
+        assert run_argv(["eval", expression]) == run_argv(["eval", "--", expression])
+    assert run_argv(["eval", "-X+_1"]) == (0, "-X+_1")
+    code, output = run_argv(["eval", "-f", "json", "X+_1"])
+    assert (code, json.loads(output)["expression"]) == (0, "X+_1")
+    assert run_argv(["eval", "-X+_1", "--format", "json"])[0] == 0
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stdout(io.StringIO()) as out:
+        config_from_args(["eval", "-h"])
+    assert exc.value.code == 0
+    assert out.getvalue().startswith("usage: pcqm eval")
+
+
 def test_eval_error_exit_code():
     code, output = run_argv(["eval", "[X+_1,"])
     assert code == 2

@@ -211,6 +211,26 @@ def test_multiply_distributes_over_branch_sums():
     assert lhs.coefficient((PP1, XM1)) == PC_ONE
 
 
+# Operands that decide the product kernel's path: a word with an X after its
+# own P (left or right, against a partner without P, without X, or the empty
+# word), a pair that contracts only across the two words, and words that mix
+# both branches under coefficients with a pseudo-imaginary part.
+PM2 = gen("P", "-", 2)
+XM2 = gen("X", "-", 2)
+PC_COEFF = PSEUDO_UNIT + pc_l(1) * pc_imag(2)
+KERNEL_OPERANDS = (
+    (NcPolynomial({(PP1, XP1): PC_ONE}), NcPolynomial({(PP1,): PC_ONE})),
+    (NcPolynomial({(XP2,): PC_ONE}), NcPolynomial({(PM1, XM1, XM1): PC_ONE})),
+    (NcPolynomial({(PP1, XP1): PC_COEFF}), NcPolynomial.scalar(PSEUDO_UNIT)),
+    (NcPolynomial.scalar(PC_COEFF), NcPolynomial({(PM1, XM1): PC_ONE})),
+    (NcPolynomial({(XP1, PP1, PM2): PC_COEFF}), NcPolynomial({(XP1, XM2): PSEUDO_UNIT})),
+    (
+        NcPolynomial({(PP1, XM1, PM1): PC_COEFF, (XP2, XM1): PC_ONE}),
+        NcPolynomial({(XM1, XP1): PSEUDO_UNIT, (PM1, XM1, PP1): PC_COEFF}),
+    ),
+)
+
+
 def test_multiply_matches_oracle_and_is_associative():
     rng = random.Random(SEED + 3)
     for _ in range(60):
@@ -219,6 +239,13 @@ def test_multiply_matches_oracle_and_is_associative():
         r = random_poly(rng, max_terms=2, max_len=2)
         assert_oracle_equal(multiply(p, q), oracle_multiply(oracle_poly(p), oracle_poly(q)))
         assert multiply(multiply(p, q), r) == multiply(p, multiply(q, r))
+        raw_p = random_poly(rng, max_terms=2, max_len=3, normalized=False)
+        raw_q = random_poly(rng, max_terms=2, max_len=3, normalized=False)
+        for a, b in ((raw_p, raw_q), (raw_p, q), (p, raw_q)):
+            assert_oracle_equal(multiply(a, b), oracle_multiply(oracle_poly(a), oracle_poly(b)))
+    for a, b in KERNEL_OPERANDS:
+        for x, y in ((a, b), (b, a)):
+            assert_oracle_equal(multiply(x, y), oracle_multiply(oracle_poly(x), oracle_poly(y)))
 
 
 def test_commutator_canonical_examples():
@@ -324,6 +351,8 @@ def test_degree_overflow_propagates_through_multiply():
     p = NcPolynomial.from_word((XP1,), pc_l(3))
     with pytest.raises(DegreeWindowError):
         multiply(p, NcPolynomial.from_word((PP1,), pc_l(3)))
+    with pytest.raises(DegreeWindowError, match=r"^l\^5 outside degree window -4\.\.4$"):
+        multiply(p, NcPolynomial.from_word((PP1,), pc_l(2)))
 
 
 def test_power_and_scalar_arithmetic():
