@@ -14,26 +14,42 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import hydrogen, irrep, operators, so4, units
 from .expr import evaluate_text
 from .limits import limits
+from .record import Record, init_field
 from .units import ConstantSet
 
 CONSTANTS_ENV = "PCQM_CONSTANTS"
 FORMATS = ("text", "json", "csv")
 
 
-@dataclass
-class RunConfig:
-    command: str
-    fmt: str = "text"
-    constants_mode: str = units.PAPER_APPROX
-    degree_window: tuple[int, int] | None = None
-    word_cap: int | None = None
-    params: dict = field(default_factory=dict)
+class RunConfig(Record):
+    """One parsed command line; unlike the other records, its fields may be
+    reassigned, so it has no hash."""
+
+    __slots__ = ("command", "fmt", "constants_mode", "degree_window", "word_cap", "params")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        command: str,
+        fmt: str = "text",
+        constants_mode: str = units.PAPER_APPROX,
+        degree_window: tuple[int, int] | None = None,
+        word_cap: int | None = None,
+        params: dict | None = None,
+    ):
+        self.command = command
+        self.fmt = fmt
+        self.constants_mode = constants_mode
+        self.degree_window = degree_window
+        self.word_cap = word_cap
+        self.params = {} if params is None else params
 
 
 _VALUE_UNIT_RE = re.compile(
@@ -101,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     subparser("verify", "run the full symbolic identity battery")
 
     p = subparser("irrep", "Casimir and denominator sweep over (k,k) irreps")
-    p.add_argument("--k-max", type=Fraction, default=Fraction(5))
+    p.add_argument("--k-max", default="5", help="largest spin, a half-integer in 0..10")
 
     p = subparser("spectrum", "hydrogen level table with the l^2 correction")
     p.add_argument("--l", type=float, default=0.0, help="minimal length in GeV^-1")
@@ -143,15 +159,17 @@ def config_from_args(argv: list[str] | None = None) -> RunConfig:
     )
 
 
-@dataclass(frozen=True)
-class Result:
+class Result(Record):
     """One command's outcome in every output format."""
 
-    code: int
-    payload: dict  # JSON document, carrying its "schema" tag
-    header: list[str]  # CSV
-    rows: list[list]
-    text: str
+    __slots__ = ("code", "payload", "header", "rows", "text")
+
+    def __init__(self, code: int, payload: dict, header: list[str], rows: list[list], text: str):
+        init_field(self, "code", code)
+        init_field(self, "payload", payload)  # JSON document, carrying its "schema" tag
+        init_field(self, "header", header)  # CSV
+        init_field(self, "rows", rows)
+        init_field(self, "text", text)
 
 
 def _columns(records: list[dict]) -> tuple[list[str], list[list]]:
@@ -210,15 +228,27 @@ _IRREP_COLUMNS = [
 ]
 
 
+# Decimal or fraction text of at most 20 digits a side: an exponent such as
+# 1e10000000 is refused as text, before anything expands it.
+_SPIN_TEXT_RE = re.compile(r"\s*[-+]?(\d{1,20}(/\d{1,20}|\.\d{0,20})?|\.\d{1,20})\s*")
+
+
+def _k_max(text: str) -> Fraction:
+    """``--k-max`` as a half-integer in 0..DEFAULT_K_MAX.  A refusal names the
+    number read, or the text as typed when it is not a number."""
+    try:
+        k = Fraction(text) if _SPIN_TEXT_RE.fullmatch(text) else None
+    except ZeroDivisionError:
+        k = None
+    if k is not None and 0 <= k <= irrep.DEFAULT_K_MAX and (2 * k).denominator == 1:
+        return k
+    shown = text if k is None else k
+    raise ValueError(f"--k-max must be a half-integer in 0..{irrep.DEFAULT_K_MAX}, got {shown}")
+
+
 def _irrep_rows(k_max: Fraction) -> tuple[list[dict], str | None]:
     """Rows of the sweep up to k_max, and the failed exact spin-block check
     that ended it early."""
-    try:
-        valid = irrep._as_spin(k_max) <= irrep.DEFAULT_K_MAX
-    except ValueError:
-        valid = False
-    if not valid:
-        raise ValueError(f"--k-max must be a half-integer in 0..{irrep.DEFAULT_K_MAX}, got {k_max}")
     rows = []
     k = Fraction(0)
     while k <= k_max:
@@ -238,7 +268,7 @@ def _irrep_rows(k_max: Fraction) -> tuple[list[dict], str | None]:
 
 
 def _run_irrep(cfg: RunConfig) -> Result:
-    rows, error = _irrep_rows(cfg.params["k_max"])
+    rows, error = _irrep_rows(_k_max(cfg.params["k_max"]))
     ok = error is None and all(
         r["deviation"] == 0 and r["denominator"] == r["denominator_closed_form"]
         for r in rows

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Union
@@ -30,6 +29,7 @@ from typing import Union
 from . import so4
 from .limits import Limits, current_limits
 from .operators import BRANCHES, NcPolynomial, commutator, expand_alias, generator_poly, poly_sum
+from .record import Record, init_field
 from .scalars import PSEUDO_UNIT, check_renderable, pc_imag, pc_l, pc_rational, stored_renderable
 
 CASIMIR_TAGS = ("R", "x", "y", "+", "-")
@@ -60,85 +60,107 @@ Node = Union[
 ]
 
 
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
+class Num(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value: Fraction):
+        init_field(self, "value", value)
 
 
-@dataclass(frozen=True)
-class ImagUnit:
-    pass
+class ImagUnit(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PseudoUnit:
-    pass
+class PseudoUnit(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LengthPower:
-    power: int = 1
+class LengthPower(Record):
+    __slots__ = ("power",)
+
+    def __init__(self, power: int = 1):
+        init_field(self, "power", power)
 
 
-@dataclass(frozen=True)
-class GenSym:
-    kind: str
-    branch: str
-    index: int
+class GenSym(Record):
+    __slots__ = ("kind", "branch", "index")
+
+    def __init__(self, kind: str, branch: str, index: int):
+        init_field(self, "kind", kind)
+        init_field(self, "branch", branch)
+        init_field(self, "index", index)
 
 
-@dataclass(frozen=True)
-class AliasSym:
-    name: str
-    index: int
+class AliasSym(Record):
+    __slots__ = ("name", "index")
+
+    def __init__(self, name: str, index: int):
+        init_field(self, "name", name)
+        init_field(self, "index", index)
 
 
-@dataclass(frozen=True)
-class NamedOp:
-    letter: str
-    comp: str | None
-    i: int
-    j: int
+class NamedOp(Record):
+    __slots__ = ("letter", "comp", "i", "j")
+
+    def __init__(self, letter: str, comp: str | None, i: int, j: int):
+        init_field(self, "letter", letter)
+        init_field(self, "comp", comp)
+        init_field(self, "i", i)
+        init_field(self, "j", j)
 
 
-@dataclass(frozen=True)
-class CasimirOp:
-    comp: str
+class CasimirOp(Record):
+    __slots__ = ("comp",)
+
+    def __init__(self, comp: str):
+        init_field(self, "comp", comp)
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: Node
+class Neg(Record):
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: Node):
+        init_field(self, "operand", operand)
 
 
-@dataclass(frozen=True)
-class Add:
-    left: Node
-    right: Node
+class Add(Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Node, right: Node):
+        init_field(self, "left", left)
+        init_field(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: Node
-    right: Node
+class Sub(Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Node, right: Node):
+        init_field(self, "left", left)
+        init_field(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: Node
-    right: Node
+class Mul(Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Node, right: Node):
+        init_field(self, "left", left)
+        init_field(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: Node
-    exponent: int
+class Pow(Record):
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base: Node, exponent: int):
+        init_field(self, "base", base)
+        init_field(self, "exponent", exponent)
 
 
-@dataclass(frozen=True)
-class Bracket:
-    left: Node
-    right: Node
+class Bracket(Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Node, right: Node):
+        init_field(self, "left", left)
+        init_field(self, "right", right)
 
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z]+)|([+\-*/^()\[\],_]))")

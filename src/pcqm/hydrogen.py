@@ -14,10 +14,10 @@ alongside the Born-Infeld maximal-acceleration figure for comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .irrep import denominator_eigenvalue
+from .record import Record, init_field
 from .units import ConstantSet, Quantity, as_float, convert, quantity, require_finite, unit_factor
 
 EV_PER_GEV = Fraction(10 ** 9)
@@ -30,50 +30,61 @@ NUMERATOR_BOHR = "bohr"
 NUMERATOR_LITERAL_E2 = "literal-e2"
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    mu_gev: Fraction = Fraction("0.51099895e-3")
-    alpha: Fraction = 1 / Fraction("137.035999")
+class PhysicalConstants(Record):
+    __slots__ = ("mu_gev", "alpha")
 
-    def __post_init__(self):
-        if self.mu_gev <= 0:
+    def __init__(
+        self, mu_gev: Fraction = Fraction("0.51099895e-3"), alpha: Fraction = 1 / Fraction("137.035999")
+    ):
+        if mu_gev <= 0:
             raise ValueError("reduced mass must be positive")
-        if not (0 < self.alpha < 1):
+        if not (0 < alpha < 1):
             raise ValueError("fine-structure constant must lie in (0, 1)")
+        init_field(self, "mu_gev", mu_gev)
+        init_field(self, "alpha", alpha)
 
 
 # Largest level table accepted: 10,000 levels take about 1 s as a process.
 MAX_N_MAX = 10_000
 
 
-@dataclass(frozen=True)
-class SpectrumConfig:
-    constants: PhysicalConstants
-    l_gevinv: float = 0.0
-    kappa_gev2: float = 1.0
-    n_max: int = 10
-    numerator: str = NUMERATOR_BOHR
+class SpectrumConfig(Record):
+    __slots__ = ("constants", "l_gevinv", "kappa_gev2", "n_max", "numerator")
 
-    def __post_init__(self):
-        require_finite(self.l_gevinv, "minimal length l")
-        require_finite(self.kappa_gev2, "correction strength kappa")
-        if self.l_gevinv < 0:
+    def __init__(
+        self,
+        constants: PhysicalConstants,
+        l_gevinv: float = 0.0,
+        kappa_gev2: float = 1.0,
+        n_max: int = 10,
+        numerator: str = NUMERATOR_BOHR,
+    ):
+        require_finite(l_gevinv, "minimal length l")
+        require_finite(kappa_gev2, "correction strength kappa")
+        if l_gevinv < 0:
             raise ValueError("minimal length must be non-negative")
-        if self.kappa_gev2 <= 0:
+        if kappa_gev2 <= 0:
             raise ValueError("correction strength kappa must be positive")
-        if not 1 <= self.n_max <= MAX_N_MAX:
-            raise ValueError(f"n_max must lie in 1..{MAX_N_MAX}, got {self.n_max}")
-        if self.numerator not in (NUMERATOR_BOHR, NUMERATOR_LITERAL_E2):
-            raise ValueError(f"unknown numerator mode {self.numerator!r}")
+        if not 1 <= n_max <= MAX_N_MAX:
+            raise ValueError(f"n_max must lie in 1..{MAX_N_MAX}, got {n_max}")
+        if numerator not in (NUMERATOR_BOHR, NUMERATOR_LITERAL_E2):
+            raise ValueError(f"unknown numerator mode {numerator!r}")
+        init_field(self, "constants", constants)
+        init_field(self, "l_gevinv", l_gevinv)
+        init_field(self, "kappa_gev2", kappa_gev2)
+        init_field(self, "n_max", n_max)
+        init_field(self, "numerator", numerator)
 
 
-@dataclass(frozen=True)
-class EnergyLevel:
-    n: int
-    k: Fraction
-    e0_ev: Fraction
-    shift_ev: Fraction
-    degeneracy: int
+class EnergyLevel(Record):
+    __slots__ = ("n", "k", "e0_ev", "shift_ev", "degeneracy")
+
+    def __init__(self, n: int, k: Fraction, e0_ev: Fraction, shift_ev: Fraction, degeneracy: int):
+        init_field(self, "n", n)
+        init_field(self, "k", k)
+        init_field(self, "e0_ev", e0_ev)
+        init_field(self, "shift_ev", shift_ev)
+        init_field(self, "degeneracy", degeneracy)
 
 
 def energy_level(cfg: SpectrumConfig, n: int, kappa_gev2: float | None = None) -> EnergyLevel:
@@ -95,18 +106,35 @@ def corrected_spectrum(cfg: SpectrumConfig) -> tuple[EnergyLevel, ...]:
     return tuple(energy_level(cfg, n) for n in range(1, cfg.n_max + 1))
 
 
-@dataclass(frozen=True)
-class BoundResult:
-    l_max_gevinv: float
-    l_max_fm: float
-    l_max_cm: float
-    l_squared_gevinv2: Fraction
-    delta_e_ev: float
-    e_ref_ev: float
-    kappa_gev2: float
-    born_infeld_computed_cm: float
-    born_infeld_quoted_cm: float
-    constants_mode: str
+class BoundResult(Record):
+    __slots__ = (
+        "l_max_gevinv", "l_max_fm", "l_max_cm", "l_squared_gevinv2", "delta_e_ev", "e_ref_ev",
+        "kappa_gev2", "born_infeld_computed_cm", "born_infeld_quoted_cm", "constants_mode",
+    )
+
+    def __init__(
+        self,
+        l_max_gevinv: float,
+        l_max_fm: float,
+        l_max_cm: float,
+        l_squared_gevinv2: Fraction,
+        delta_e_ev: float,
+        e_ref_ev: float,
+        kappa_gev2: float,
+        born_infeld_computed_cm: float,
+        born_infeld_quoted_cm: float,
+        constants_mode: str,
+    ):
+        init_field(self, "l_max_gevinv", l_max_gevinv)
+        init_field(self, "l_max_fm", l_max_fm)
+        init_field(self, "l_max_cm", l_max_cm)
+        init_field(self, "l_squared_gevinv2", l_squared_gevinv2)
+        init_field(self, "delta_e_ev", delta_e_ev)
+        init_field(self, "e_ref_ev", e_ref_ev)
+        init_field(self, "kappa_gev2", kappa_gev2)
+        init_field(self, "born_infeld_computed_cm", born_infeld_computed_cm)
+        init_field(self, "born_infeld_quoted_cm", born_infeld_quoted_cm)
+        init_field(self, "constants_mode", constants_mode)
 
 
 def born_infeld_length(a_m_per_s2: float, constants: ConstantSet | None = None) -> Quantity:

@@ -23,11 +23,12 @@ and ``build_irrep`` use binary floating point and serve export and the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 import numpy as np
+
+from .record import Record, init_field
 
 SpinLike = Union[int, float, Fraction]
 
@@ -41,14 +42,19 @@ def _as_spin(k: SpinLike) -> Fraction:
     return kf
 
 
-@dataclass(frozen=True, eq=False)
-class SpinBlock:
+class SpinBlock(Record):
     """Spin-k angular momentum matrices with [J_a, J_b] = i eps_abc J_c."""
 
-    k: Fraction
-    j1: np.ndarray
-    j2: np.ndarray
-    j3: np.ndarray
+    __slots__ = ("k", "j1", "j2", "j3")
+    # Arrays have no single truth value, so blocks compare by identity.
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, k: Fraction, j1: np.ndarray, j2: np.ndarray, j3: np.ndarray):
+        init_field(self, "k", k)
+        init_field(self, "j1", j1)
+        init_field(self, "j2", j2)
+        init_field(self, "j3", j3)
 
     @property
     def dim(self) -> int:
@@ -72,19 +78,23 @@ def spin_block(k: SpinLike) -> SpinBlock:
 Entries = dict[tuple[int, int], Fraction]
 
 
-@dataclass(frozen=True, eq=False)
-class LadderBlock:
+class LadderBlock(Record):
     """Spin-k block in the rational ladder gauge, basis ordered m = k .. -k.
 
     J+|m> = |m+1>, J-|m> = (k(k+1) - m(m-1)) |m-1>, J3|m> = m|m>: similar
     to the unitary gauge of ``spin_block`` (J+ J- is unchanged), but every
-    entry is rational.
+    entry is rational.  Compares by identity, like ``SpinBlock``.
     """
 
-    k: Fraction
-    jp: Entries
-    jm: Entries
-    j3: Entries
+    __slots__ = ("k", "jp", "jm", "j3")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, k: Fraction, jp: Entries, jm: Entries, j3: Entries):
+        init_field(self, "k", k)
+        init_field(self, "jp", jp)
+        init_field(self, "jm", jm)
+        init_field(self, "j3", j3)
 
     @property
     def dim(self) -> int:
@@ -147,14 +157,24 @@ def check_ladder_block(block: LadderBlock) -> Fraction:
     return 2 * j_squared
 
 
-@dataclass(frozen=True, eq=False)
-class So4Irrep:
-    """(k,k) realization; dimension (2k+1)^2."""
+class So4Irrep(Record):
+    """(k,k) realization; dimension (2k+1)^2.  Compares by identity."""
 
-    k: Fraction
-    dim: int
-    l_ops: tuple[np.ndarray, np.ndarray, np.ndarray]
-    m_ops: tuple[np.ndarray, np.ndarray, np.ndarray]
+    __slots__ = ("k", "dim", "l_ops", "m_ops")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        k: Fraction,
+        dim: int,
+        l_ops: tuple[np.ndarray, np.ndarray, np.ndarray],
+        m_ops: tuple[np.ndarray, np.ndarray, np.ndarray],
+    ):
+        init_field(self, "k", k)
+        init_field(self, "dim", dim)
+        init_field(self, "l_ops", l_ops)
+        init_field(self, "m_ops", m_ops)
 
 
 def build_irrep(k: SpinLike, *, k_max: SpinLike = DEFAULT_K_MAX) -> So4Irrep:

@@ -1,8 +1,9 @@
 """The engine limits in force: the degree window in ``l`` and the word cap."""
 
 import contextlib
-import dataclasses
 from contextvars import ContextVar
+
+from .record import Record, init_field
 
 # Largest word cap accepted.  One long word is cheap: P+_1^12*X+_1^12 under cap
 # 24 takes 0.11 s as a process, nearly all of it start-up (2-vCPU Xeon VM,
@@ -12,8 +13,7 @@ from contextvars import ContextVar
 MAX_WORD_CAP = 12
 
 
-@dataclasses.dataclass(frozen=True)
-class Limits:
+class Limits(Record):
     """The allowed range of l-exponents (inclusive bounds) and word length.
 
     The window is enforced on every term that ends up stored: the
@@ -26,15 +26,20 @@ class Limits:
     therefore takes effect at the next product.
     """
 
-    window: tuple[int, int] = (-4, 4)
-    word_cap: int = 8
+    __slots__ = ("window", "word_cap")
 
-    def __post_init__(self):
-        lo, hi = self.window
+    def __init__(self, window: tuple[int, int] = (-4, 4), word_cap: int = 8):
+        lo, hi = window
         if lo > hi:
             raise ValueError(f"empty degree window {lo}..{hi}")
-        if not 1 <= self.word_cap <= MAX_WORD_CAP:
-            raise ValueError(f"word length cap must lie in 1..{MAX_WORD_CAP}, got {self.word_cap}")
+        if not 1 <= word_cap <= MAX_WORD_CAP:
+            raise ValueError(f"word length cap must lie in 1..{MAX_WORD_CAP}, got {word_cap}")
+        init_field(self, "window", window)
+        init_field(self, "word_cap", word_cap)
+
+    # Hashed on every operator-symbol cache lookup, so spelled out.
+    def __hash__(self):
+        return hash((self.window, self.word_cap))
 
 
 # A new thread starts from the defaults; an asyncio task copies its creator's.
@@ -48,7 +53,8 @@ def current_limits() -> Limits:
 @contextlib.contextmanager
 def limits(**changes):
     """Replace fields of the current limits inside a ``with`` block."""
-    token = _current.set(dataclasses.replace(_current.get(), **changes))
+    now = _current.get()
+    token = _current.set(Limits(**{"window": now.window, "word_cap": now.word_cap, **changes}))
     try:
         yield
     finally:

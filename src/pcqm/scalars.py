@@ -19,13 +19,13 @@ Everything here is exact rational arithmetic; no floating point.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 from typing import Iterable, Mapping, Union
 
 from .limits import current_limits
+from .record import Record, init_field
 
 Rational = Union[int, Fraction]
 Numerators = dict[tuple[int, bool], int]
@@ -35,12 +35,14 @@ class DegreeWindowError(ArithmeticError):
     """A Laurent term in l fell outside the configured degree window."""
 
 
-@dataclass(frozen=True)
-class GaussianRational:
+class GaussianRational(Record):
     """Exact complex rational ``re + i*im`` (ordinary imaginary unit)."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Fraction = Fraction(0), im: Fraction = Fraction(0)):
+        init_field(self, "re", re)
+        init_field(self, "im", im)
 
     @staticmethod
     def of(re: Rational = 0, im: Rational = 0) -> "GaussianRational":
@@ -211,12 +213,14 @@ def _mul(x: BaseScalar, y: BaseScalar, window: tuple[int, int]) -> BaseScalar:
     return _reduced(_in_window({key: n for key, n in out.items() if n}, window), den)
 
 
-@dataclass(frozen=True)
-class ZeroDivisorPair:
+class ZeroDivisorPair(Record):
     """Components of a pseudo-complex scalar along sigma_plus and sigma_minus."""
 
-    plus: BaseScalar
-    minus: BaseScalar
+    __slots__ = ("plus", "minus")
+
+    def __init__(self, plus: BaseScalar, minus: BaseScalar):
+        init_field(self, "plus", plus)
+        init_field(self, "minus", minus)
 
     def __mul__(self, other: "ZeroDivisorPair") -> "ZeroDivisorPair":
         return ZeroDivisorPair(self.plus * other.plus, self.minus * other.minus)

@@ -15,7 +15,6 @@ The quadratic Casimir per component c is C^c = (L_c^2 + M_c^2)/2.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Mapping, Sequence
@@ -31,6 +30,7 @@ from .operators import (
     pc_coordinate,
     pc_momentum,
 )
+from .record import Record, init_field
 from .reports import Check, IdentityReport
 from .scalars import (
     PSEUDO_UNIT,
@@ -95,13 +95,15 @@ def component(i: int, j: int, comp: str) -> NcPolynomial:
     return _antisymmetrized(partial(expand_alias, first), partial(expand_alias, second), i, j)
 
 
-@dataclass(frozen=True)
-class PcGenerator:
-    i: int
-    j: int
-    body: NcPolynomial
-    plus: NcPolynomial
-    minus: NcPolynomial
+class PcGenerator(Record):
+    __slots__ = ("i", "j", "body", "plus", "minus")
+
+    def __init__(self, i: int, j: int, body: NcPolynomial, plus: NcPolynomial, minus: NcPolynomial):
+        init_field(self, "i", i)
+        init_field(self, "j", j)
+        init_field(self, "body", body)
+        init_field(self, "plus", plus)
+        init_field(self, "minus", minus)
 
 
 def build_generator(i: int, j: int) -> PcGenerator:
@@ -116,16 +118,21 @@ def build_generator(i: int, j: int) -> PcGenerator:
     )
 
 
-@dataclass(frozen=True)
-class ComponentSet:
-    i: int
-    j: int
-    x: NcPolynomial
-    y: NcPolynomial
-    xy: NcPolynomial
-    yx: NcPolynomial
-    real: NcPolynomial
-    imag: NcPolynomial
+class ComponentSet(Record):
+    __slots__ = ("i", "j", "x", "y", "xy", "yx", "real", "imag")
+
+    def __init__(
+        self, i: int, j: int, x: NcPolynomial, y: NcPolynomial, xy: NcPolynomial,
+        yx: NcPolynomial, real: NcPolynomial, imag: NcPolynomial,
+    ):
+        init_field(self, "i", i)
+        init_field(self, "j", j)
+        init_field(self, "x", x)
+        init_field(self, "y", y)
+        init_field(self, "xy", xy)
+        init_field(self, "yx", yx)
+        init_field(self, "real", real)
+        init_field(self, "imag", imag)
 
 
 def component_set(i: int, j: int) -> ComponentSet:
@@ -150,16 +157,26 @@ def labelled(comp: str | None, i: int, j: int) -> NcPolynomial:
     return component(i, j, comp)
 
 
-@dataclass(frozen=True)
-class VectorOperators:
+class VectorOperators(Record):
     """L_a, M_a vectors with their squares and Casimir for one component level."""
 
-    comp: str | None
-    l_vec: tuple[NcPolynomial, NcPolynomial, NcPolynomial]
-    m_vec: tuple[NcPolynomial, NcPolynomial, NcPolynomial]
-    l_squared: NcPolynomial
-    m_squared: NcPolynomial
-    casimir: NcPolynomial
+    __slots__ = ("comp", "l_vec", "m_vec", "l_squared", "m_squared", "casimir")
+
+    def __init__(
+        self,
+        comp: str | None,
+        l_vec: tuple[NcPolynomial, NcPolynomial, NcPolynomial],
+        m_vec: tuple[NcPolynomial, NcPolynomial, NcPolynomial],
+        l_squared: NcPolynomial,
+        m_squared: NcPolynomial,
+        casimir: NcPolynomial,
+    ):
+        init_field(self, "comp", comp)
+        init_field(self, "l_vec", l_vec)
+        init_field(self, "m_vec", m_vec)
+        init_field(self, "l_squared", l_squared)
+        init_field(self, "m_squared", m_squared)
+        init_field(self, "casimir", casimir)
 
 
 def vector_operators(comp: str | None = None) -> VectorOperators:
@@ -331,8 +348,7 @@ def _symmetrized_dot(
     return out.scale(_HALF)
 
 
-@dataclass(frozen=True)
-class CasimirExpansion:
+class CasimirExpansion(Record):
     """Expansion of the x-component Casimir around the R-component one.
 
     ``difference`` is c_x minus the truncated form C^R - l^2 (dot terms).
@@ -344,12 +360,25 @@ class CasimirExpansion:
     drops, i.e. ``difference == l^4 * order4_residual``.
     """
 
-    c_x: NcPolynomial
-    c_r: NcPolynomial
-    decomposition_residual: NcPolynomial
-    ordering_residual: NcPolynomial
-    order4_residual: NcPolynomial
-    difference: NcPolynomial
+    __slots__ = (
+        "c_x", "c_r", "decomposition_residual", "ordering_residual", "order4_residual", "difference",
+    )
+
+    def __init__(
+        self,
+        c_x: NcPolynomial,
+        c_r: NcPolynomial,
+        decomposition_residual: NcPolynomial,
+        ordering_residual: NcPolynomial,
+        order4_residual: NcPolynomial,
+        difference: NcPolynomial,
+    ):
+        init_field(self, "c_x", c_x)
+        init_field(self, "c_r", c_r)
+        init_field(self, "decomposition_residual", decomposition_residual)
+        init_field(self, "ordering_residual", ordering_residual)
+        init_field(self, "order4_residual", order4_residual)
+        init_field(self, "difference", difference)
 
     @property
     def passed(self) -> bool:

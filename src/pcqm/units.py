@@ -13,10 +13,11 @@ exact rationals, so every conversion round-trips identically in both modes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Union
+
+from .record import Record, init_field
 
 Number = Union[int, float, Fraction, str]
 
@@ -28,13 +29,22 @@ class DimensionError(ValueError):
     """Conversion between quantities of different dimension."""
 
 
-@dataclass(frozen=True)
-class ConstantSet:
-    mode: str
-    fm_to_gevinv: Fraction      # 1 fm  = this many GeV^-1
-    sec_to_m: Fraction          # 1 sec = this many m
-    kg_to_gev: Fraction         # 1 kg  = this many GeV
-    ev_to_hz: Fraction          # 1 eV  = this many Hz
+class ConstantSet(Record):
+    __slots__ = ("mode", "fm_to_gevinv", "sec_to_m", "kg_to_gev", "ev_to_hz")
+
+    def __init__(
+        self,
+        mode: str,
+        fm_to_gevinv: Fraction,     # 1 fm  = this many GeV^-1
+        sec_to_m: Fraction,         # 1 sec = this many m
+        kg_to_gev: Fraction,        # 1 kg  = this many GeV
+        ev_to_hz: Fraction,         # 1 eV  = this many Hz
+    ):
+        init_field(self, "mode", mode)
+        init_field(self, "fm_to_gevinv", fm_to_gevinv)
+        init_field(self, "sec_to_m", sec_to_m)
+        init_field(self, "kg_to_gev", kg_to_gev)
+        init_field(self, "ev_to_hz", ev_to_hz)
 
     @classmethod
     def paper_approx(cls) -> "ConstantSet":
@@ -134,13 +144,15 @@ def unit_factor(unit: str, constants: ConstantSet) -> Fraction:
     raise ValueError(f"unknown unit {unit!r}")
 
 
-@dataclass(frozen=True)
-class Quantity:
+class Quantity(Record):
     """Magnitude plus energy-exponent dimension and a rendering unit tag."""
 
-    magnitude: Fraction
-    exponent: int
-    unit: str
+    __slots__ = ("magnitude", "exponent", "unit")
+
+    def __init__(self, magnitude: Fraction, exponent: int, unit: str):
+        init_field(self, "magnitude", magnitude)
+        init_field(self, "exponent", exponent)
+        init_field(self, "unit", unit)
 
     def __float__(self) -> float:
         return float(self.magnitude)

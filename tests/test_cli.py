@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -365,12 +364,22 @@ def test_main_prints_and_returns(capsys):
         ["-f", "csv", "irrep", "--k-max", "-1"],
         ["irrep", "--k-max", "12"],
         ["irrep", "--k-max", "21/2"],
+        ["irrep", "--k-max", "1/0"],
+        ["irrep", "--k-max", "0/0"],
+        ["irrep", "--k-max", "1e10000000"],
+        ["irrep", "--k-max", "1e5000"],
     ],
 )
 def test_irrep_rejects_k_max_outside_default_range(argv):
     code, output = run_argv(argv)
     assert code == 2
     assert output.startswith("error:") and "--k-max" in output
+
+
+@pytest.mark.parametrize("k_max", ["1/0", "0/0", "1e10000000", "1e5000", "1e2", "abc", "."])
+def test_irrep_names_k_max_text_that_is_not_a_number_as_typed(k_max):
+    message = f"--k-max must be a half-integer in 0..10, got {k_max}"
+    assert run_argv(["irrep", "--k-max", k_max]) == (2, f"error: {message}")
 
 
 @pytest.mark.parametrize("k_max", ["0.7", "1/3", "5/4", "9.9"])
@@ -418,10 +427,13 @@ def test_irrep_numeric_failure_exits_1(monkeypatch):
     from pcqm import irrep
 
     good = irrep.ladder_block
-    # One wrong entry: J3 = diag(1) on the one-dimensional k=0 block.
-    monkeypatch.setattr(
-        irrep, "ladder_block", lambda k: replace(good(k), j3={(0, 0): Fraction(1)})
-    )
+
+    def bad(k):
+        # One wrong entry: J3 = diag(1) on the one-dimensional k=0 block.
+        block = good(k)
+        return irrep.LadderBlock(block.k, block.jp, block.jm, {(0, 0): Fraction(1)})
+
+    monkeypatch.setattr(irrep, "ladder_block", bad)
     code, output = run_argv(["irrep", "--k-max", "1"])
     assert code == 1
     lines = output.splitlines()
