@@ -29,12 +29,19 @@ class Limits(Record):
     __slots__ = ("window", "word_cap")
 
     def __init__(self, window: tuple[int, int] = (-4, 4), word_cap: int = 8):
-        lo, hi = window
+        # Stored as a tuple of two ints: the window is hashed and compared as
+        # part of the operator-symbol cache key, and a bound is an exponent.
+        try:
+            lo, hi = window
+        except (TypeError, ValueError):
+            lo = hi = None
+        if not all(isinstance(b, int) and not isinstance(b, bool) for b in (lo, hi)):
+            raise ValueError(f"degree window must be two integers, got {window!r}")
         if lo > hi:
             raise ValueError(f"empty degree window {lo}..{hi}")
         if not 1 <= word_cap <= MAX_WORD_CAP:
             raise ValueError(f"word length cap must lie in 1..{MAX_WORD_CAP}, got {word_cap}")
-        init_field(self, "window", window)
+        init_field(self, "window", window if type(window) is tuple else (lo, hi))
         init_field(self, "word_cap", word_cap)
 
     # Hashed on every operator-symbol cache lookup, so spelled out.

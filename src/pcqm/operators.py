@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from .limits import current_limits
 from .reports import Check, IdentityReport
@@ -127,15 +127,21 @@ def _accumulate(out: Terms, items: Iterable[tuple[Word, BaseScalar]]) -> Terms:
 
 
 def _difference(a: Terms, b: Terms) -> Terms:
-    """``a - b`` without a negated copy of ``b``."""
+    """``a - b`` without a negated copy of ``b``.
+
+    Equal values have equal storage (see ``BaseScalar``), so a word whose
+    coefficients are stored alike cancels without arithmetic, and any other
+    difference is nonzero.
+    """
     out = dict(a)
     for word, coeff in b.items():
         prev = out.get(word)
-        total = -coeff if prev is None else prev - coeff
-        if total.is_zero():
+        if prev is None:
+            out[word] = -coeff
+        elif prev._den == coeff._den and prev._num == coeff._num:
             del out[word]
         else:
-            out[word] = total
+            out[word] = prev - coeff
     return out
 
 
@@ -391,6 +397,17 @@ def _product(a: Terms, b: Terms, window: tuple[int, int]) -> Terms:
     return out
 
 
+def _check_size(pw: Collection[Word], qw: Collection[Word], word_cap: int) -> None:
+    """Refuse a product of the word sets ``pw`` and ``qw`` (either order)
+    that pairs more than ``MAX_TERM_PAIRS`` terms or exceeds ``word_cap``."""
+    pairs = len(pw) * len(qw)
+    if pairs > MAX_TERM_PAIRS:
+        raise ProductSizeError(f"product of {pairs} term pairs exceeds {MAX_TERM_PAIRS}")
+    longest = pairs and max(map(len, pw)) + max(map(len, qw))
+    if longest > word_cap:
+        raise WordLengthError(f"product word length {longest} exceeds cap {word_cap}")
+
+
 def multiply(p: NcPolynomial, q: NcPolynomial) -> NcPolynomial:
     """Normal-order the concatenation of every term pair.  Bilinear and
     associative.
@@ -398,18 +415,58 @@ def multiply(p: NcPolynomial, q: NcPolynomial) -> NcPolynomial:
     Each component of the result is the product of the operands' components
     alone, so all sigma_plus pairs are multiplied before any sigma_minus pair.
     """
-    pw, qw = _words(p), _words(q)
-    pairs = len(pw) * len(qw)
-    if pairs > MAX_TERM_PAIRS:
-        raise ProductSizeError(f"product of {pairs} term pairs exceeds {MAX_TERM_PAIRS}")
     lim = current_limits()
-    longest = pairs and max(map(len, pw)) + max(map(len, qw))
-    if longest > lim.word_cap:
-        raise WordLengthError(f"product word length {longest} exceeds cap {lim.word_cap}")
+    _check_size(_words(p), _words(q), lim.word_cap)
     return _by_component(lambda a, b: _product(a, b, lim.window), p, q)
 
 
+# The X ranks, blocks X+ and X-; the P of an X sits four ranks above it.
+_X_RANKS = 0x0F0F
+
+
+def _scan(p: NcPolynomial) -> tuple[dict[Word, int], int, int, int]:
+    """``(sets, partners, lo, hi)``: the generator set of each word of ``p``
+    as a bitmask by rank, the mask of every generator that fails to commute
+    with one of them, and the lowest and highest l-degree of a coefficient
+    (0 and 0 when ``p`` is zero)."""
+    sets, union = {}, 0
+    for word in _words(p):
+        m = 0
+        for g in word:
+            m |= 1 << g
+        sets[word] = m
+        union |= m
+    maps = (p._plus,) if p._minus is p._plus else (p._plus, p._minus)
+    degrees = [d for terms in maps for c in terms.values() for d, _ in c._num]
+    partners = (union >> 4 & _X_RANKS) | (union & _X_RANKS) << 4
+    return sets, partners, min(degrees, default=0), max(degrees, default=0)
+
+
+def _drop_commuting(p: NcPolynomial, sets: dict[Word, int], partners: int) -> NcPolynomial:
+    """``p`` without the terms whose generator sets (``sets``, by word) miss
+    ``partners``: those commute with every word behind ``partners``."""
+    if all(m & partners for m in sets.values()):
+        return p
+    return _by_component(lambda a: {w: c for w, c in a.items() if sets[w] & partners}, p)
+
+
 def commutator(p: NcPolynomial, q: NcPolynomial) -> NcPolynomial:
+    """``pq - qp``.
+
+    A term whose word commutes with every word of the other operand cancels
+    from the bracket, so it is dropped before the two products: an ``X``
+    fails to commute only with its own momentum, whatever the order of the
+    word.  The size limits are checked on the full operands, and terms are
+    dropped only when no coefficient product can leave the degree window;
+    otherwise the full products run and raise as ``multiply`` does.
+    """
+    lim = current_limits()
+    p_sets, p_partners, p_lo, p_hi = _scan(p)
+    q_sets, q_partners, q_lo, q_hi = _scan(q)
+    _check_size(p_sets, q_sets, lim.word_cap)
+    lo, hi = lim.window
+    if lo <= p_lo + q_lo and p_hi + q_hi <= hi:
+        p, q = _drop_commuting(p, p_sets, q_partners), _drop_commuting(q, q_sets, p_partners)
     return multiply(p, q) - multiply(q, p)
 
 

@@ -32,7 +32,7 @@ from pcqm.expr import (
     render,
 )
 from pcqm.cli import config_from_args, run
-from pcqm.limits import limits
+from pcqm.limits import current_limits, limits
 from pcqm.operators import WordLengthError, commutator, expand_alias, generator_poly
 from pcqm.scalars import DegreeWindowError, pc_imag
 
@@ -234,6 +234,12 @@ def test_cached_operator_refuses_a_narrower_window():
     evaluate_text("Ly_12")
     with limits(window=(0, 4)), pytest.raises(DegreeWindowError):
         evaluate_text("Ly_12")
+
+
+def test_window_given_as_a_list_is_stored_as_a_tuple():
+    with limits(window=[-8, 8]):
+        assert current_limits().window == (-8, 8)
+        assert evaluate_text("X+_1*l^6").render() == "l^6*X+_1"
 
 
 def _outcome(build):

@@ -17,7 +17,9 @@ from helpers import (
 from pcqm.limits import limits
 from pcqm.operators import (
     INDICES,
+    MAX_TERM_PAIRS,
     NcPolynomial,
+    ProductSizeError,
     WordLengthError,
     commutator,
     expand_alias,
@@ -420,6 +422,77 @@ def test_component_storage_matches_oracle(kinds):
         raw = _poly_of_kind(rng, kinds[0], max_len=5)
         picker = random.Random(SEED + trial)
         assert_oracle_equal(normal_form(raw), oracle_normal_order(raw.terms(), pick=picker.choice))
+
+
+def _w(text: str) -> tuple:
+    """``"P+2*X+2"`` -> the raw word, in the order written."""
+    return tuple(gen(name[0], name[1], int(name[2])) for name in text.split("*"))
+
+
+# Operand word lists for the commutator, labelled by how many terms commute
+# with the whole other operand.  ``P+2*X+2`` and ``P-3*X-3`` are raw words
+# with an X after its own momentum.
+COMMUTING_CASES = {
+    "none-same-branch": (["X+1", "P+2*X+2"], ["P+1*P+2", "X+2"]),
+    "some-same-branch": (["X+1", "X+2*X+3", "P+4"], ["P+1", "X+4", "P-1"]),
+    "some-cross-branch": (["X+1*X-1", "P-2", "X-3"], ["P+1", "P-3*X-3", "X+2"]),
+    "all": (["X+1*P+2", "X-1", "P+4*X+4"], ["X+3*X-2", "P-2", "P+3"]),
+}
+
+
+def _commutes_with(word: tuple, others: list) -> bool:
+    one = NcPolynomial.from_word(word)
+    return all(
+        c.is_zero() for w in others for c in _oracle_commutator(one, NcPolynomial.from_word(w)).values()
+    )
+
+
+@pytest.mark.parametrize("kind", ["real", "sigma", "general"])
+@pytest.mark.parametrize("case", COMMUTING_CASES)
+def test_commutator_dropping_commuting_terms_matches_oracle(case, kind):
+    p_words, q_words = ([_w(t) for t in texts] for texts in COMMUTING_CASES[case])
+    # The label, checked with the oracle one word pair at a time.
+    dropped = [_commutes_with(w, q_words) for w in p_words]
+    dropped += [_commutes_with(w, p_words) for w in q_words]
+    expected = {"none": not any(dropped), "some": 0 < sum(dropped) < len(dropped), "all": all(dropped)}
+    assert expected[case.split("-")[0]]
+    rng = random.Random(f"{SEED}-{case}-{kind}")
+    for _ in range(8):
+        p = NcPolynomial({w: _coefficient(rng, kind) for w in p_words})
+        q = NcPolynomial({w: _coefficient(rng, kind) for w in q_words})
+        for a, b in ((p, q), (q, p)):
+            assert_oracle_equal(commutator(a, b), _oracle_commutator(a, b))
+        assert commutator(p, NcPolynomial.zero()).is_zero()
+
+
+def test_commuting_operands_past_the_degree_window_raise_as_the_products_do():
+    p = NcPolynomial.from_word((XP1,), pc_l(3))
+    q = NcPolynomial.from_word((XM1,), pc_l(2))
+    with pytest.raises(DegreeWindowError, match=r"^l\^5 outside degree window -4\.\.4$"):
+        commutator(p, q)
+    # Degrees that add past the window in opposite components never meet.
+    p, q = p.scale(SIGMA_PLUS), q.scale(SIGMA_MINUS)
+    assert_oracle_equal(commutator(p, q), _oracle_commutator(p, q))
+    assert commutator(p, q).is_zero()
+
+
+def test_commuting_operands_past_the_word_cap_raise_as_the_products_do():
+    with limits(word_cap=4):
+        p = NcPolynomial.from_word(_w("X+1*X+2*X+3"))
+        q = NcPolynomial.from_word(_w("X-1*X-2"))
+        with pytest.raises(WordLengthError, match=r"^product word length 5 exceeds cap 4$"):
+            commutator(p, q)
+
+
+def test_commuting_operands_past_the_pair_limit_raise_as_the_products_do():
+    # Coordinates commute with each other: sorted words over the 8 of them.
+    xs = [gen("X", b, i) for b in ("+", "-") for i in INDICES]
+    words = [w for n in range(5) for w in itertools.combinations_with_replacement(xs, n)]
+    p = NcPolynomial({w: PC_ONE for w in words[:110]})
+    q = NcPolynomial({w: pc_l(1) for w in words[:455]})
+    assert len(p.words()) * len(q.words()) == 50050 > MAX_TERM_PAIRS
+    with pytest.raises(ProductSizeError, match=r"^product of 50050 term pairs exceeds 50000$"):
+        commutator(p, q)
 
 
 def test_sigma_parts_sum_back_to_the_polynomial():

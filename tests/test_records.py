@@ -213,6 +213,9 @@ def test_defaults_and_fresh_params():
     "build, message",
     [
         (lambda: limits.Limits((4, -4)), "empty degree window 4..-4"),
+        (lambda: limits.Limits((-8.5, 8)), r"degree window must be two integers, got \(-8\.5, 8\)"),
+        (lambda: limits.Limits((False, 4)), r"degree window must be two integers, got \(False, 4\)"),
+        (lambda: limits.Limits((-4, 0, 4)), r"degree window must be two integers, got \(-4, 0, 4\)"),
         (lambda: limits.Limits(word_cap=0), "word length cap must lie in 1..12, got 0"),
         (lambda: limits.Limits(word_cap=13), "word length cap must lie in 1..12, got 13"),
         (lambda: hydrogen.PhysicalConstants(mu_gev=Fraction(0)), "reduced mass must be positive"),

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -112,6 +113,15 @@ def test_constant_set_from_file_missing_key(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("fm_to_gevinv = 5\n")
     with pytest.raises(ValueError):
+        ConstantSet.from_file(path)
+
+
+@pytest.mark.parametrize("text", ["1/0", "0", "-5", "1e10000000", "abc"])
+def test_constant_set_from_file_refuses_a_factor_that_is_not_positive(tmp_path, text):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"fm_to_gevinv = {text}\nsec_to_m = 3e8\nkg_to_gev = 6e26\nev_to_hz = 2.4e14\n")
+    message = f"constant fm_to_gevinv must be a positive decimal or fraction, got '{text}'"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         ConstantSet.from_file(path)
 
 
