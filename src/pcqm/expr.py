@@ -450,14 +450,8 @@ def _render(node: Node) -> str:
 
 def evaluate(node: Node) -> NcPolynomial:
     """Reduce a tree to its normal-form polynomial."""
-    if isinstance(node, Num):
-        return NcPolynomial.scalar(pc_rational(node.value))
-    if isinstance(node, ImagUnit):
-        return NcPolynomial.scalar(pc_imag())
-    if isinstance(node, PseudoUnit):
-        return NcPolynomial.scalar(PSEUDO_UNIT)
-    if isinstance(node, LengthPower):
-        return NcPolynomial.scalar(pc_l(node.power))
+    if isinstance(node, _LITERALS):
+        return _literal(node, current_limits().window)
     if isinstance(node, (GenSym, AliasSym, NamedOp, CasimirOp)):
         return _operator(node, current_limits())
     if isinstance(node, Neg):
@@ -481,6 +475,24 @@ def evaluate(node: Node) -> NcPolynomial:
     if isinstance(node, Bracket):
         return _renderable(commutator(evaluate(node.left), evaluate(node.right)))
     raise TypeError(f"unknown node {node!r}")
+
+
+_LITERALS = (Num, ImagUnit, PseudoUnit, LengthPower)
+
+
+# Room for the literals of a long session: each is small, and only the degree
+# window bounds its build.
+@lru_cache(maxsize=256)
+def _literal(node: Num | ImagUnit | PseudoUnit | LengthPower, window: tuple[int, int]) -> NcPolynomial:
+    """The polynomial of a scalar literal, built once per degree window, as
+    ``_operator`` builds a symbol once per ``Limits``."""
+    if isinstance(node, Num):
+        return NcPolynomial.scalar(pc_rational(node.value))
+    if isinstance(node, ImagUnit):
+        return NcPolynomial.scalar(pc_imag())
+    if isinstance(node, PseudoUnit):
+        return NcPolynomial.scalar(PSEUDO_UNIT)
+    return NcPolynomial.scalar(pc_l(node.power))
 
 
 # Room for every operator symbol (16 generators, 16 aliases, 135 labelled

@@ -5,11 +5,11 @@ from contextvars import ContextVar
 
 from .record import Record, init_field
 
-# Largest word cap accepted.  One long word is cheap: P+_1^12*X+_1^12 under cap
-# 24 takes 0.11 s as a process, nearly all of it start-up (2-vCPU Xeon VM,
-# Python 3.11).  Term counts grow with the cap: (P+_1+..+P+_4)^n*(X+_1+..+X+_4)^n
-# takes 0.47 s at n = 6 (cap 12), 1.2 s at n = 7 (cap 14) and 3.1 s at n = 8
-# (cap 16).
+# Largest word cap accepted.  One long word is cheap: P+_1^6*X+_1^6 under cap
+# 12 takes 0.28 s as a process, of which start-up is 0.25 s.  Term counts grow
+# with the cap: (P+_1+..+P+_4)^n*(X+_1+..+X+_4)^n takes 0.99 s at n = 6 (cap
+# 12) and, with this constant raised, 2.1 s at n = 7 (cap 14) and 4.2 s at
+# n = 8 (cap 16) (processes, median of 3, 2-vCPU VM, Python 3.11).
 MAX_WORD_CAP = 12
 
 
@@ -39,7 +39,8 @@ class Limits(Record):
             raise ValueError(f"degree window must be two integers, got {window!r}")
         if lo > hi:
             raise ValueError(f"empty degree window {lo}..{hi}")
-        if not 1 <= word_cap <= MAX_WORD_CAP:
+        cap_is_int = isinstance(word_cap, int) and not isinstance(word_cap, bool)
+        if not (cap_is_int and 1 <= word_cap <= MAX_WORD_CAP):
             raise ValueError(f"word length cap must lie in 1..{MAX_WORD_CAP}, got {word_cap}")
         init_field(self, "window", window if type(window) is tuple else (lo, hi))
         init_field(self, "word_cap", word_cap)

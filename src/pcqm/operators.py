@@ -15,8 +15,9 @@ are aliases over the branch generators; ``y`` and ``py`` carry an explicit
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from functools import lru_cache
+from math import comb, factorial
 from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from .limits import current_limits
@@ -52,9 +53,9 @@ class ProductSizeError(ValueError):
 
 # Largest term-pair count of one product.  verify and the tests peak at 272
 # pairs and the eval-warm benchmark stream at 1,060.  The largest Casimir
-# product, Cx*Cx (48,400 pairs, 0.41 s as a process on a 2-vCPU Xeon VM, 0.11 s
-# of it start-up), stays allowed, while (x_1+...+px_4)^5 (64,208 pairs in its
-# last product) is refused.
+# product, Cx*Cx (48,400 pairs, 1.08 s as a process on a 2-vCPU VM where
+# start-up takes 0.25 s, median of 3), stays allowed, while (x_1+...+px_4)^5
+# (64,208 pairs in its last product) is refused.
 MAX_TERM_PAIRS = 50_000
 
 
@@ -309,9 +310,6 @@ def _signed_term(word: Word, coeff: PcScalar) -> tuple[str, bool]:
     return body, negative
 
 
-_MINUS_I = BaseScalar.gaussian(0, -1)
-
-
 def normal_form(p: NcPolynomial) -> NcPolynomial:
     """Rewrite every word into the unique sorted normal form."""
     return _by_component(_normal_order, p)
@@ -321,79 +319,159 @@ def _normal_order(terms: Terms) -> Terms:
     window = current_limits().window
     out: Terms = {}
     for word, coeff in terms.items():
-        _order_into(out, word, coeff, _masks(word)[0] == -1, window)
+        _add_scaled(out, _fold(word), coeff, len(word), window)
     return out
 
 
-def _masks(word: Word) -> tuple[int, int]:
-    """``(xs, ps)`` with bit ``r`` of ``xs`` set for an ``X`` of rank ``r``
-    in ``word`` and bit ``r`` of ``ps`` for its momentum, rank ``r + 4``.
-
-    A concatenation ``w1 + w2`` needs a contraction exactly when ``ps`` of
-    ``w1`` meets ``xs`` of ``w2``, or when either word has an ``X`` after
-    its own ``P``.  Such a word gets ``(-1, -1)``, and the spare bits 16 in
-    ``xs`` and 17 in ``ps`` make it meet every partner.
+def _masks(word: Word) -> tuple[int, int] | None:
+    """``(xs, ps)`` of a sorted word, with bit ``r`` of ``xs`` set for an
+    ``X`` of rank ``r`` and bit ``r`` of ``ps`` for its momentum, rank
+    ``r + 4``; ``None`` for an unsorted word.  Two sorted words ``w1``,
+    ``w2`` contract in ``w1 + w2`` exactly where ``ps`` of ``w1`` meets
+    ``xs`` of ``w2``.
     """
-    xs, ps = 1 << 16, 1 << 17
+    xs = ps = last = 0
     for g in word:
+        if g < last:
+            return None
+        last = g
         if g & 4:
             ps |= 1 << (g - 4)
-        elif ps >> g & 1:
-            return -1, -1
         else:
             xs |= 1 << g
     return xs, ps
 
 
-def _order_into(
-    out: Terms, word: Word, coeff: BaseScalar, contracts: int, window: tuple[int, int]
-) -> None:
-    """Add ``coeff*word`` to ``out`` in normal order; ``coeff`` is nonzero,
-    and ``contracts`` is false only for a word that needs no contraction.
+@lru_cache(maxsize=1024)
+def _factors(m: int, n: int) -> tuple[int, ...]:
+    """``C(m,k) C(n,k) k!`` for ``k = 0..min(m, n)``."""
+    return tuple(comb(m, k) * comb(n, k) * factorial(k) for k in range(min(m, n) + 1))
 
-    Without a contraction (no ``X`` after its own ``P``), every generator
-    passed commutes, so the normal form is the sorted word.  Otherwise a
-    left-to-right fold: the word keeps its sorted prefix, then each later
-    generator ``g`` is inserted at its rank into every partial word.  ``g``
-    commutes past all it passes except, for an ``X``, the ``m`` copies of its
-    momentum, where ``P^m X = X P^m - i*m*P^(m-1)`` adds the contracted word.
+
+def _contract(word: Word, w1: Word, w2: Word, ranks: int) -> list[tuple[Word, int]]:
+    """The normal form of ``w1*w2`` as ``(word, factor)`` pairs, for words
+    in which no ``X`` follows its own ``P``.  ``word`` is ``w1 + w2``
+    sorted, and bit ``r`` of ``ranks`` is set where ``w1`` has the ``P`` of
+    rank ``r + 4`` and ``w2`` the ``X`` of rank ``r``.
+
+    Only an ``X`` and its own ``P`` fail to commute, so one contracting rank
+    at a time, ``P^m X^n = sum_k C(m,k) C(n,k) k! (-i)^k X^(n-k) P^(m-k)``
+    (Blasiak, Penson and Solomon, arXiv:quant-ph/0402027): the ``k``-th
+    term drops ``k`` copies of the ``X`` and the ``P`` from the sorted word.
+    The power of ``-i`` is left to the caller, which reads the number of
+    contractions from the length lost.
     """
-    if not contracts:
-        word = tuple(sorted(word))
-        prev = out.get(word)
-        total = coeff if prev is None else prev + coeff
-        if total.is_zero():
-            del out[word]
-        else:
-            out[word] = total
-        return
-    t = 1
-    while t < len(word) and word[t - 1] <= word[t]:
-        t += 1
-    partial = [(word[:t], coeff)]
-    for g in word[t:]:
+    terms = [(word, 1)]
+    while ranks:
+        r = (ranks & -ranks).bit_length() - 1
+        ranks &= ranks - 1
+        factors = _factors(w1.count(r + 4), w2.count(r))
         step = []
-        for w, c in partial:
-            at = bisect_right(w, g)
-            step.append((w[:at] + (g,) + w[at:], c))
+        for w, f in terms:
+            x, p = w.index(r), w.index(r + 4)
+            step += [(w[:x] + w[x + k : p] + w[p + k :], f * c) for k, c in enumerate(factors)]
+        terms = step
+    return terms
+
+
+def _fold(word: Word) -> Collection[tuple[Word, int]]:
+    """The normal form of any word as ``(word, factor)`` pairs.
+
+    A word in which no ``X`` follows its own ``P`` sorts.  Any other word
+    keeps its sorted prefix, and each later generator is multiplied onto
+    every partial word through ``_contract``, where an ``X`` meeting ``m``
+    copies of its ``P`` is the case ``n = 1``:
+    ``P^m X = X P^m - i*m*P^(m-1)``.  Equal partial words carry the same
+    number of contractions, so their factors add.
+    """
+    ps = 0
+    for g in word:
+        if g & 4:
+            ps |= 1 << g
+        elif ps >> (g + 4) & 1:
+            break
+    else:
+        return [(tuple(sorted(word)), 1)]
+    t = 1
+    while word[t - 1] <= word[t]:
+        t += 1
+    terms = {word[:t]: 1}
+    for g in word[t:]:
+        one, step = (g,), {}
+        for w, f in terms.items():
+            merged = tuple(sorted(w + one))
             # A P block sits four ranks above the X block of its branch.
-            m = 0 if g & 4 else w.count(g + 4)
-            if m:
-                lo = w.index(g + 4, at)
-                step.append((w[:lo] + w[lo + 1 :], _mul(c, _MINUS_I, window).scale(m)))
-        # Only a contraction can make two partial words equal.
-        partial = _accumulate({}, step).items() if len(step) > len(partial) else step
-    _accumulate(out, partial)
+            if g & 4 or g + 4 not in w:
+                step[merged] = step.get(merged, 0) + f
+                continue
+            for v, e in _contract(merged, w, one, 1 << g):
+                step[v] = step.get(v, 0) + f * e
+        terms = step
+    return terms.items()
+
+
+# (-i)^k for k = 0..3.
+_MINUS_I_POWERS = tuple(BaseScalar.gaussian(re, im) for re, im in ((1, 0), (0, -1), (-1, 0), (0, 1)))
+
+
+def _add_scaled(
+    out: Terms, terms: Iterable[tuple[Word, int]], c: BaseScalar, length: int, window: tuple[int, int]
+) -> None:
+    """Add ``c * f * (-i)^k * word`` to ``out`` for each ``(word, f)`` of
+    ``terms`` of a word of ``length`` generators: ``k``, the number of
+    contractions, is half the length lost.  A contracted term's coefficient
+    is checked against the degree window, as a product's would be."""
+    items = []
+    for w, f in terms:
+        k = (length - len(w)) // 2
+        items.append((w, _mul(c, _MINUS_I_POWERS[k % 4], window).scale(f) if k else c))
+    _accumulate(out, items)
+
+
+def _terms(terms: Terms) -> list[tuple[Word, BaseScalar, tuple[int, int]]] | None:
+    """``(word, coeff, masks)`` of each term; ``None`` when a word is unsorted."""
+    out = []
+    for w, c in terms.items():
+        masks = _masks(w)
+        if masks is None:
+            return None
+        out.append((w, c, masks))
+    return out
 
 
 def _product(a: Terms, b: Terms, window: tuple[int, int]) -> Terms:
-    """Every term pair multiplied and added to the result in normal order."""
+    """Every term pair multiplied and added to the result in normal order.
+
+    Sorted words take the closed form: their concatenation, sorted, plus
+    ``_contract``'s terms when the pair contracts.  When a word is unsorted,
+    every pair is folded.
+    """
+    left, right = _terms(a), _terms(b)
     out: Terms = {}
-    right = [(w, c, _masks(w)[0]) for w, c in b.items()]
-    for w1, c1 in a.items():
-        ps = _masks(w1)[1]
-        for w2, c2, xs in right:
-            _order_into(out, w1 + w2, _mul(c1, c2, window), ps & xs, window)
+    if left is None or right is None:
+        for w1, c1 in a.items():
+            for w2, c2 in b.items():
+                word = w1 + w2
+                _add_scaled(out, _fold(word), _mul(c1, c2, window), len(word), window)
+        return out
+    get = out.get
+    for w1, c1, (_, ps) in left:
+        last = w1[-1] if w1 else -1
+        for w2, c2, (xs, _) in right:
+            c = _mul(c1, c2, window)
+            word = w1 + w2 if not w2 or last <= w2[0] else tuple(sorted(w1 + w2))
+            if ps & xs:
+                _add_scaled(out, _contract(word, w1, w2, ps & xs), c, len(word), window)
+                continue
+            prev = get(word)
+            if prev is None:
+                out[word] = c
+            else:
+                total = prev + c
+                if total.is_zero():
+                    del out[word]
+                else:
+                    out[word] = total
     return out
 
 

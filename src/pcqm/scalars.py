@@ -349,6 +349,14 @@ SIGMA_MINUS = _pc(BaseScalar.zero(), BaseScalar.rational(1))
 def _atoms(x: PcScalar) -> list[tuple[int, int, bool, int, bool]]:
     """Flatten to (numerator, denominator, has_i, l_degree, has_I) atoms in canonical order."""
     (pn, pd), (mn, md) = (x._plus._num, x._plus._den), (x._minus._num, x._minus._den)
+    if x._plus is x._minus:
+        # A real scalar: re is its one component, and im is zero.
+        out = []
+        for key in sorted(pn):
+            n = pn[key]
+            g = gcd(n, pd)
+            out.append((n // g, pd // g, key[1], key[0], False))
+        return out
     den = lcm(pd, md)
     out: list[tuple[int, int, bool, int, bool]] = []
     # re = (p + m)/2 and im = (p - m)/2 over twice the lcm of the denominators.

@@ -23,6 +23,7 @@ from .operators import (
     INDICES,
     BRANCHES,
     NcPolynomial,
+    Word,
     commutator,
     expand_alias,
     generator_poly,
@@ -272,21 +273,34 @@ def verify_recomposition() -> IdentityReport:
     return IdentityReport(name="component-recomposition", checks=tuple(checks))
 
 
+# A basis element as ``express_in_span`` reads it: its label, the element,
+# its leading word and the reciprocal of its coefficient there.
+Pivot = tuple[str, NcPolynomial, Word, PcScalar]
+
+
+def span_pivots(basis: Mapping[str, NcPolynomial]) -> list[Pivot]:
+    """The ``Pivot`` of each nonzero element of a basis with pairwise distinct
+    leading words, computed once for all the expansions over that basis."""
+    pivots = []
+    for label, b in basis.items():
+        if not b.is_zero():
+            pivot = b.words()[0]
+            pivots.append((label, b, pivot, b.coefficient(pivot).reciprocal()))
+    return pivots
+
+
 def express_in_span(
-    p: NcPolynomial, basis: Mapping[str, NcPolynomial]
+    p: NcPolynomial, pivots: Sequence[Pivot]
 ) -> tuple[dict[str, PcScalar], NcPolynomial]:
-    """Exact expansion of p over a basis with pairwise distinct leading words.
+    """Exact expansion of p over a basis, given as its ``span_pivots``.
 
     Returns the coefficient map and the residual p - sum(c_b * b); a nonzero
     residual means p lies outside the span.
     """
     residual = p
     coeffs: dict[str, PcScalar] = {}
-    for label, b in basis.items():
-        if b.is_zero():
-            continue
-        pivot = b.words()[0]
-        c = residual.coefficient(pivot) * b.coefficient(pivot).reciprocal()
+    for label, b, pivot, inverse in pivots:
+        c = residual.coefficient(pivot) * inverse
         if c.is_zero():
             continue
         coeffs[label] = c
@@ -294,8 +308,8 @@ def express_in_span(
     return coeffs, residual
 
 
-def _component_basis(comp: str) -> dict[str, NcPolynomial]:
-    return {f"L{comp}_{i}{j}": component(i, j, comp) for i, j in _PAIRS}
+def _component_pivots(comp: str) -> list[Pivot]:
+    return span_pivots({f"L{comp}_{i}{j}": component(i, j, comp) for i, j in _PAIRS})
 
 
 def verify_component_closure() -> IdentityReport:
@@ -311,20 +325,19 @@ def verify_component_closure() -> IdentityReport:
     i_ops = {pair: component(*pair, "I") for pair in _PAIRS}
     x_ops = {pair: component(*pair, "x") for pair in _PAIRS}
     y_ops = {pair: component(*pair, "y") for pair in _PAIRS}
-    r_basis = _component_basis("R")
-    i_basis = _component_basis("I")
+    r_pivots = _component_pivots("R")
     checks: list[Check] = []
     families = (
-        ("R,R", r_ops, r_ops, r_basis),
-        ("R,I", r_ops, i_ops, i_basis),
-        ("I,I", i_ops, i_ops, r_basis),
-        ("x,x", x_ops, x_ops, _component_basis("x")),
-        ("y,y", y_ops, y_ops, _component_basis("y")),
+        ("R,R", r_ops, r_ops, r_pivots),
+        ("R,I", r_ops, i_ops, _component_pivots("I")),
+        ("I,I", i_ops, i_ops, r_pivots),
+        ("x,x", x_ops, x_ops, _component_pivots("x")),
+        ("y,y", y_ops, y_ops, _component_pivots("y")),
     )
-    for family, left_ops, right_ops, basis in families:
+    for family, left_ops, right_ops, pivots in families:
         for (i, j), (k, q) in itertools.product(_PAIRS, _PAIRS):
             bracket = commutator(left_ops[(i, j)], right_ops[(k, q)])
-            coeffs, residual = express_in_span(bracket, basis)
+            coeffs, residual = express_in_span(bracket, pivots)
             checks.append(
                 Check.of(
                     f"[{family}]",

@@ -236,6 +236,20 @@ def test_cached_operator_refuses_a_narrower_window():
         evaluate_text("Ly_12")
 
 
+def test_cached_literal_refuses_a_window_without_its_degree():
+    assert evaluate_text("2") == evaluate_text("1 + 1")
+    with limits(window=(1, 4)):
+        with pytest.raises(DegreeWindowError, match=r"^l\^0 outside degree window 1\.\.4$"):
+            evaluate_text("2")
+    assert evaluate_text("2").render() == "2"
+    # The other literal leaves are keyed on the window too.
+    with limits(window=(-1, 1)):
+        assert evaluate_text("i*I*l").render() == "i*l*I"
+        with pytest.raises(DegreeWindowError, match=r"^l\^2 outside degree window -1\.\.1$"):
+            evaluate_text("l^2")
+    assert evaluate_text("l^2").render() == "l^2"
+
+
 def test_window_given_as_a_list_is_stored_as_a_tuple():
     with limits(window=[-8, 8]):
         assert current_limits().window == (-8, 8)

@@ -465,6 +465,33 @@ def test_commutator_dropping_commuting_terms_matches_oracle(case, kind):
         assert commutator(p, NcPolynomial.zero()).is_zero()
 
 
+# Operand word lists whose pairs contract.  The sorted words of the first
+# three take the closed form, with up to three copies of a P against up to
+# three of its X, at two ranks of one pair at once; the last two hold a word
+# with an X after its own P, on the left or on the right, and are folded.
+CONTRACTION_CASES = {
+    "two-ranks-plus": (["P+1*P+1*P+1*P+2*P+2", "X+1*P+1*P+1*P+2"], ["X+1*X+1*X+2*X+2*X+2", "X+1*X+1*X+2*P+1"]),
+    "two-ranks-minus": (["P-1*P-1*P-2*P-2*P-2", "X-2"], ["X-1*X-1*X-1*X-2*X-2", "P-1*P-2"]),
+    "both-branches": (["P+3*P+3*P-4*P-4*P-4", "X+3"], ["X+3*X+3*X+3*X-4*X-4", "P+3*X-4"]),
+    "self-left": (["P+1*X+1*P+1*X+1", "P-2"], ["X+1*X+1*X-2", "P+1"]),
+    "self-right": (["P+2*P+2*X-1", "X+2"], ["P+2*X+2*X+2", "P-1*X-1*P-1"]),
+}
+
+
+@pytest.mark.parametrize("kind", ["real", "sigma", "general"])
+@pytest.mark.parametrize("case", CONTRACTION_CASES)
+def test_contracting_products_and_brackets_match_oracle(case, kind):
+    p_words, q_words = ([_w(t) for t in texts] for texts in CONTRACTION_CASES[case])
+    rng = random.Random(f"{SEED}-{case}-{kind}")
+    with limits(word_cap=10):
+        for _ in range(3):
+            p = NcPolynomial({w: _coefficient(rng, kind) for w in p_words})
+            q = NcPolynomial({w: _coefficient(rng, kind) for w in q_words})
+            for a, b in ((p, q), (q, p)):
+                assert_oracle_equal(multiply(a, b), oracle_multiply(oracle_poly(a), oracle_poly(b)))
+                assert_oracle_equal(commutator(a, b), _oracle_commutator(a, b))
+
+
 def test_commuting_operands_past_the_degree_window_raise_as_the_products_do():
     p = NcPolynomial.from_word((XP1,), pc_l(3))
     q = NcPolynomial.from_word((XM1,), pc_l(2))

@@ -218,6 +218,8 @@ def test_defaults_and_fresh_params():
         (lambda: limits.Limits((-4, 0, 4)), r"degree window must be two integers, got \(-4, 0, 4\)"),
         (lambda: limits.Limits(word_cap=0), "word length cap must lie in 1..12, got 0"),
         (lambda: limits.Limits(word_cap=13), "word length cap must lie in 1..12, got 13"),
+        (lambda: limits.Limits(word_cap=8.5), r"word length cap must lie in 1\.\.12, got 8\.5"),
+        (lambda: limits.Limits(word_cap=True), "word length cap must lie in 1..12, got True"),
         (lambda: hydrogen.PhysicalConstants(mu_gev=Fraction(0)), "reduced mass must be positive"),
         (lambda: hydrogen.PhysicalConstants(alpha=Fraction(1)),
          r"fine-structure constant must lie in \(0, 1\)"),

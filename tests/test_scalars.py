@@ -21,6 +21,7 @@ from pcqm.scalars import (
     PcScalar,
     SIGMA_MINUS,
     SIGMA_PLUS,
+    ZeroDivisorPair,
     pc_gaussian,
     pc_imag,
     pc_l,
@@ -173,6 +174,21 @@ def test_render_examples():
     assert render_pc(pc_imag(-1)) == "-i"
     assert render_pc(SIGMA_PLUS) == "1/2 + 1/2*I"
     assert render_pc(pc_l(-1, Fraction(1, 2))) == "1/2*l^-1"
+
+
+def test_real_scalar_renders_as_with_distinct_equal_components():
+    # A real scalar shares one component object; the same value stored with
+    # two equal but distinct objects takes the two-component path.
+    rng = random.Random(SEED + 11)
+    for _ in range(200):
+        base = random_pc_scalar(rng, max_degree=2).re
+        real = PcScalar(base, BaseScalar.zero())
+        assert real._plus is real._minus
+        twin = PcScalar.from_zero_divisor(
+            ZeroDivisorPair(BaseScalar(base.terms()), BaseScalar(base.terms()))
+        )
+        assert twin._plus is not twin._minus and twin == real
+        assert render_pc(real) == render_pc(twin)
 
 
 def test_window_ignores_terms_that_cancel_to_zero():

@@ -120,7 +120,7 @@ def test_closure_matches_half_strength_pattern_everywhere():
 def test_express_in_span_reports_outside_residual():
     basis = {f"R_{i}{j}": so4.component(i, j, "R") for i, j in PAIRS}
     stray = so4.component(1, 2, "I").scale(pc_l(1))
-    coeffs, residual = so4.express_in_span(so4.component(1, 2, "R") + stray, basis)
+    coeffs, residual = so4.express_in_span(so4.component(1, 2, "R") + stray, so4.span_pivots(basis))
     assert not residual.is_zero()
 
 
