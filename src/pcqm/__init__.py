@@ -42,15 +42,11 @@ from .operators import (
 )
 from .so4 import (
     CasimirExpansion,
-    ComponentSet,
-    PcGenerator,
     VectorOperators,
     branch_generator,
-    build_generator,
     casimir,
     casimir_expansion,
     component,
-    component_set,
     pc_generator_poly,
     vector_operators,
     verify_component_closure,

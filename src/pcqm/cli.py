@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import hydrogen, irrep, operators, so4, units
 from .expr import evaluate_text
 from .limits import limits
-from .record import Record, init_field
+from .record import Record
 from .units import ConstantSet
 
 CONSTANTS_ENV = "PCQM_CONSTANTS"
@@ -162,14 +162,8 @@ def config_from_args(argv: list[str] | None = None) -> RunConfig:
 class Result(Record):
     """One command's outcome in every output format."""
 
+    # payload: the JSON document, carrying its "schema" tag; header and rows: the CSV.
     __slots__ = ("code", "payload", "header", "rows", "text")
-
-    def __init__(self, code: int, payload: dict, header: list[str], rows: list[list], text: str):
-        init_field(self, "code", code)
-        init_field(self, "payload", payload)  # JSON document, carrying its "schema" tag
-        init_field(self, "header", header)  # CSV
-        init_field(self, "rows", rows)
-        init_field(self, "text", text)
 
 
 def _columns(records: list[dict]) -> tuple[list[str], list[list]]:

@@ -29,7 +29,7 @@ from typing import Union
 from . import so4
 from .limits import Limits, current_limits
 from .operators import BRANCHES, NcPolynomial, commutator, expand_alias, generator_poly, poly_sum
-from .record import Record, init_field
+from .record import Record
 from .scalars import PSEUDO_UNIT, check_renderable, pc_imag, pc_l, pc_rational, stored_renderable
 
 CASIMIR_TAGS = ("R", "x", "y", "+", "-")
@@ -63,9 +63,6 @@ Node = Union[
 class Num(Record):
     __slots__ = ("value",)
 
-    def __init__(self, value: Fraction):
-        init_field(self, "value", value)
-
 
 class ImagUnit(Record):
     __slots__ = ()
@@ -77,90 +74,47 @@ class PseudoUnit(Record):
 
 class LengthPower(Record):
     __slots__ = ("power",)
-
-    def __init__(self, power: int = 1):
-        init_field(self, "power", power)
+    _defaults = {"power": 1}
 
 
 class GenSym(Record):
     __slots__ = ("kind", "branch", "index")
 
-    def __init__(self, kind: str, branch: str, index: int):
-        init_field(self, "kind", kind)
-        init_field(self, "branch", branch)
-        init_field(self, "index", index)
-
 
 class AliasSym(Record):
     __slots__ = ("name", "index")
-
-    def __init__(self, name: str, index: int):
-        init_field(self, "name", name)
-        init_field(self, "index", index)
 
 
 class NamedOp(Record):
     __slots__ = ("letter", "comp", "i", "j")
 
-    def __init__(self, letter: str, comp: str | None, i: int, j: int):
-        init_field(self, "letter", letter)
-        init_field(self, "comp", comp)
-        init_field(self, "i", i)
-        init_field(self, "j", j)
-
 
 class CasimirOp(Record):
     __slots__ = ("comp",)
-
-    def __init__(self, comp: str):
-        init_field(self, "comp", comp)
 
 
 class Neg(Record):
     __slots__ = ("operand",)
 
-    def __init__(self, operand: Node):
-        init_field(self, "operand", operand)
-
 
 class Add(Record):
     __slots__ = ("left", "right")
-
-    def __init__(self, left: Node, right: Node):
-        init_field(self, "left", left)
-        init_field(self, "right", right)
 
 
 class Sub(Record):
     __slots__ = ("left", "right")
 
-    def __init__(self, left: Node, right: Node):
-        init_field(self, "left", left)
-        init_field(self, "right", right)
-
 
 class Mul(Record):
     __slots__ = ("left", "right")
-
-    def __init__(self, left: Node, right: Node):
-        init_field(self, "left", left)
-        init_field(self, "right", right)
 
 
 class Pow(Record):
     __slots__ = ("base", "exponent")
 
-    def __init__(self, base: Node, exponent: int):
-        init_field(self, "base", base)
-        init_field(self, "exponent", exponent)
-
 
 class Bracket(Record):
     __slots__ = ("left", "right")
-
-    def __init__(self, left: Node, right: Node):
-        init_field(self, "left", left)
-        init_field(self, "right", right)
 
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z]+)|([+\-*/^()\[\],_]))")

@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 
 from .irrep import denominator_eigenvalue
-from .record import Record, init_field
+from .record import Record
 from .units import ConstantSet, Quantity, as_float, convert, quantity, require_finite, unit_factor
 
 EV_PER_GEV = Fraction(10 ** 9)
@@ -40,8 +40,7 @@ class PhysicalConstants(Record):
             raise ValueError("reduced mass must be positive")
         if not (0 < alpha < 1):
             raise ValueError("fine-structure constant must lie in (0, 1)")
-        init_field(self, "mu_gev", mu_gev)
-        init_field(self, "alpha", alpha)
+        super().__init__(mu_gev, alpha)
 
 
 # Largest level table accepted: 10,000 levels take about 1 s as a process.
@@ -69,25 +68,14 @@ class SpectrumConfig(Record):
             raise ValueError(f"n_max must lie in 1..{MAX_N_MAX}, got {n_max}")
         if numerator not in (NUMERATOR_BOHR, NUMERATOR_LITERAL_E2):
             raise ValueError(f"unknown numerator mode {numerator!r}")
-        init_field(self, "constants", constants)
-        init_field(self, "l_gevinv", l_gevinv)
-        init_field(self, "kappa_gev2", kappa_gev2)
-        init_field(self, "n_max", n_max)
-        init_field(self, "numerator", numerator)
+        super().__init__(constants, l_gevinv, kappa_gev2, n_max, numerator)
 
 
 class EnergyLevel(Record):
     __slots__ = ("n", "k", "e0_ev", "shift_ev", "degeneracy")
 
-    def __init__(self, n: int, k: Fraction, e0_ev: Fraction, shift_ev: Fraction, degeneracy: int):
-        init_field(self, "n", n)
-        init_field(self, "k", k)
-        init_field(self, "e0_ev", e0_ev)
-        init_field(self, "shift_ev", shift_ev)
-        init_field(self, "degeneracy", degeneracy)
 
-
-def energy_level(cfg: SpectrumConfig, n: int, kappa_gev2: float | None = None) -> EnergyLevel:
+def energy_level(cfg: SpectrumConfig, n: int) -> EnergyLevel:
     """One level; exact rational energies (eV).  shift/E0 == l^2*kappa."""
     if not 1 <= n <= cfg.n_max:
         raise ValueError(f"n must lie in 1..{cfg.n_max}, got {n}")
@@ -95,11 +83,12 @@ def energy_level(cfg: SpectrumConfig, n: int, kappa_gev2: float | None = None) -
     denominator = denominator_eigenvalue(k)  # 2(2k+1)^2 == 2n^2
     coupling = cfg.constants.alpha if cfg.numerator == NUMERATOR_LITERAL_E2 else cfg.constants.alpha ** 2
     e0_ev = -cfg.constants.mu_gev * coupling * EV_PER_GEV / denominator
-    kappa = Fraction(cfg.kappa_gev2 if kappa_gev2 is None else kappa_gev2)
+    kappa = Fraction(cfg.kappa_gev2)
     shift_ev = e0_ev * Fraction(cfg.l_gevinv) ** 2 * kappa
     # The level table prints floats, so a shift beyond their range is refused here.
     as_float(shift_ev, f"shift of level n={n} for l = {float(cfg.l_gevinv):g}, kappa = {float(kappa):g}")
-    return EnergyLevel(n=n, k=k, e0_ev=e0_ev, shift_ev=shift_ev, degeneracy=n * n)
+    # Positional: a table of up to MAX_N_MAX levels skips the keyword matching.
+    return EnergyLevel(n, k, e0_ev, shift_ev, n * n)
 
 
 def corrected_spectrum(cfg: SpectrumConfig) -> tuple[EnergyLevel, ...]:
@@ -111,30 +100,6 @@ class BoundResult(Record):
         "l_max_gevinv", "l_max_fm", "l_max_cm", "l_squared_gevinv2", "delta_e_ev", "e_ref_ev",
         "kappa_gev2", "born_infeld_computed_cm", "born_infeld_quoted_cm", "constants_mode",
     )
-
-    def __init__(
-        self,
-        l_max_gevinv: float,
-        l_max_fm: float,
-        l_max_cm: float,
-        l_squared_gevinv2: Fraction,
-        delta_e_ev: float,
-        e_ref_ev: float,
-        kappa_gev2: float,
-        born_infeld_computed_cm: float,
-        born_infeld_quoted_cm: float,
-        constants_mode: str,
-    ):
-        init_field(self, "l_max_gevinv", l_max_gevinv)
-        init_field(self, "l_max_fm", l_max_fm)
-        init_field(self, "l_max_cm", l_max_cm)
-        init_field(self, "l_squared_gevinv2", l_squared_gevinv2)
-        init_field(self, "delta_e_ev", delta_e_ev)
-        init_field(self, "e_ref_ev", e_ref_ev)
-        init_field(self, "kappa_gev2", kappa_gev2)
-        init_field(self, "born_infeld_computed_cm", born_infeld_computed_cm)
-        init_field(self, "born_infeld_quoted_cm", born_infeld_quoted_cm)
-        init_field(self, "constants_mode", constants_mode)
 
 
 def born_infeld_length(a_m_per_s2: float, constants: ConstantSet | None = None) -> Quantity:

@@ -28,7 +28,7 @@ from typing import Union
 
 import numpy as np
 
-from .record import Record, init_field
+from .record import Record
 
 SpinLike = Union[int, float, Fraction]
 
@@ -49,12 +49,6 @@ class SpinBlock(Record):
     # Arrays have no single truth value, so blocks compare by identity.
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-    def __init__(self, k: Fraction, j1: np.ndarray, j2: np.ndarray, j3: np.ndarray):
-        init_field(self, "k", k)
-        init_field(self, "j1", j1)
-        init_field(self, "j2", j2)
-        init_field(self, "j3", j3)
 
     @property
     def dim(self) -> int:
@@ -89,12 +83,6 @@ class LadderBlock(Record):
     __slots__ = ("k", "jp", "jm", "j3")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-    def __init__(self, k: Fraction, jp: Entries, jm: Entries, j3: Entries):
-        init_field(self, "k", k)
-        init_field(self, "jp", jp)
-        init_field(self, "jm", jm)
-        init_field(self, "j3", j3)
 
     @property
     def dim(self) -> int:
@@ -163,18 +151,6 @@ class So4Irrep(Record):
     __slots__ = ("k", "dim", "l_ops", "m_ops")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-    def __init__(
-        self,
-        k: Fraction,
-        dim: int,
-        l_ops: tuple[np.ndarray, np.ndarray, np.ndarray],
-        m_ops: tuple[np.ndarray, np.ndarray, np.ndarray],
-    ):
-        init_field(self, "k", k)
-        init_field(self, "dim", dim)
-        init_field(self, "l_ops", l_ops)
-        init_field(self, "m_ops", m_ops)
 
 
 def build_irrep(k: SpinLike, *, k_max: SpinLike = DEFAULT_K_MAX) -> So4Irrep:

@@ -3,7 +3,7 @@
 import contextlib
 from contextvars import ContextVar
 
-from .record import Record, init_field
+from .record import Record
 
 # Largest word cap accepted.  One long word is cheap: P+_1^6*X+_1^6 under cap
 # 12 takes 0.28 s as a process, of which start-up is 0.25 s.  Term counts grow
@@ -42,8 +42,7 @@ class Limits(Record):
         cap_is_int = isinstance(word_cap, int) and not isinstance(word_cap, bool)
         if not (cap_is_int and 1 <= word_cap <= MAX_WORD_CAP):
             raise ValueError(f"word length cap must lie in 1..{MAX_WORD_CAP}, got {word_cap}")
-        init_field(self, "window", window if type(window) is tuple else (lo, hi))
-        init_field(self, "word_cap", word_cap)
+        super().__init__(window if type(window) is tuple else (lo, hi), word_cap)
 
     # Hashed on every operator-symbol cache lookup, so spelled out.
     def __hash__(self):

@@ -428,13 +428,15 @@ def _add_scaled(
     _accumulate(out, items)
 
 
-def _terms(terms: Terms) -> list[tuple[Word, BaseScalar, tuple[int, int]]] | None:
-    """``(word, coeff, masks)`` of each term; ``None`` when a word is unsorted."""
+def _terms(terms: Terms) -> list[tuple[Word, BaseScalar, tuple[int, int]]]:
+    """``(word, coeff, masks)`` of each term of ``terms`` in normal order; a
+    map with an unsorted word is normal-ordered first, under the current
+    limits."""
     out = []
     for w, c in terms.items():
         masks = _masks(w)
         if masks is None:
-            return None
+            return _terms(_normal_order(terms))
         out.append((w, c, masks))
     return out
 
@@ -442,18 +444,12 @@ def _terms(terms: Terms) -> list[tuple[Word, BaseScalar, tuple[int, int]]] | Non
 def _product(a: Terms, b: Terms, window: tuple[int, int]) -> Terms:
     """Every term pair multiplied and added to the result in normal order.
 
-    Sorted words take the closed form: their concatenation, sorted, plus
-    ``_contract``'s terms when the pair contracts.  When a word is unsorted,
-    every pair is folded.
+    Each pair of sorted words takes the closed form: their concatenation,
+    sorted, plus ``_contract``'s terms when the pair contracts.  An operand
+    with an unsorted word is normal-ordered first (see ``_terms``).
     """
     left, right = _terms(a), _terms(b)
     out: Terms = {}
-    if left is None or right is None:
-        for w1, c1 in a.items():
-            for w2, c2 in b.items():
-                word = w1 + w2
-                _add_scaled(out, _fold(word), _mul(c1, c2, window), len(word), window)
-        return out
     get = out.get
     for w1, c1, (_, ps) in left:
         last = w1[-1] if w1 else -1

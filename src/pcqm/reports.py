@@ -4,21 +4,12 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .record import Record, init_field
+from .record import Record
 
 
 class Check(Record):
     __slots__ = ("family", "label", "residual", "passed", "extra")
-
-    def __init__(
-        self, family: str, label: str, residual: str, passed: bool,
-        extra: Mapping[str, object] | None = None,
-    ):
-        init_field(self, "family", family)
-        init_field(self, "label", label)
-        init_field(self, "residual", residual)
-        init_field(self, "passed", passed)
-        init_field(self, "extra", extra)
+    _defaults = {"extra": None}
 
     @classmethod
     def of(cls, family: str, label: str, residual, extra: Mapping[str, object] | None = None) -> "Check":
@@ -39,11 +30,7 @@ class Check(Record):
 
 class IdentityReport(Record):
     __slots__ = ("name", "checks", "schema")
-
-    def __init__(self, name: str, checks: tuple[Check, ...], schema: str = "identity-report/v1"):
-        init_field(self, "name", name)
-        init_field(self, "checks", checks)
-        init_field(self, "schema", schema)
+    _defaults = {"schema": "identity-report/v1"}
 
     @property
     def all_passed(self) -> bool:

@@ -25,7 +25,7 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, Union
 
 from .limits import current_limits
-from .record import Record, init_field
+from .record import Record
 
 Rational = Union[int, Fraction]
 Numerators = dict[tuple[int, bool], int]
@@ -39,10 +39,7 @@ class GaussianRational(Record):
     """Exact complex rational ``re + i*im`` (ordinary imaginary unit)."""
 
     __slots__ = ("re", "im")
-
-    def __init__(self, re: Fraction = Fraction(0), im: Fraction = Fraction(0)):
-        init_field(self, "re", re)
-        init_field(self, "im", im)
+    _defaults = {"re": Fraction(0), "im": Fraction(0)}
 
     @staticmethod
     def of(re: Rational = 0, im: Rational = 0) -> "GaussianRational":
@@ -217,10 +214,6 @@ class ZeroDivisorPair(Record):
     """Components of a pseudo-complex scalar along sigma_plus and sigma_minus."""
 
     __slots__ = ("plus", "minus")
-
-    def __init__(self, plus: BaseScalar, minus: BaseScalar):
-        init_field(self, "plus", plus)
-        init_field(self, "minus", minus)
 
     def __mul__(self, other: "ZeroDivisorPair") -> "ZeroDivisorPair":
         return ZeroDivisorPair(self.plus * other.plus, self.minus * other.minus)

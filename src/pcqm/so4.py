@@ -31,7 +31,7 @@ from .operators import (
     pc_coordinate,
     pc_momentum,
 )
-from .record import Record, init_field
+from .record import Record
 from .reports import Check, IdentityReport
 from .scalars import (
     PSEUDO_UNIT,
@@ -96,59 +96,6 @@ def component(i: int, j: int, comp: str) -> NcPolynomial:
     return _antisymmetrized(partial(expand_alias, first), partial(expand_alias, second), i, j)
 
 
-class PcGenerator(Record):
-    __slots__ = ("i", "j", "body", "plus", "minus")
-
-    def __init__(self, i: int, j: int, body: NcPolynomial, plus: NcPolynomial, minus: NcPolynomial):
-        init_field(self, "i", i)
-        init_field(self, "j", j)
-        init_field(self, "body", body)
-        init_field(self, "plus", plus)
-        init_field(self, "minus", minus)
-
-
-def build_generator(i: int, j: int) -> PcGenerator:
-    if not (1 <= i < j <= 4):
-        raise ValueError(f"require 1 <= i < j <= 4, got ({i}, {j})")
-    return PcGenerator(
-        i=i,
-        j=j,
-        body=pc_generator_poly(i, j),
-        plus=branch_generator(i, j, "+"),
-        minus=branch_generator(i, j, "-"),
-    )
-
-
-class ComponentSet(Record):
-    __slots__ = ("i", "j", "x", "y", "xy", "yx", "real", "imag")
-
-    def __init__(
-        self, i: int, j: int, x: NcPolynomial, y: NcPolynomial, xy: NcPolynomial,
-        yx: NcPolynomial, real: NcPolynomial, imag: NcPolynomial,
-    ):
-        init_field(self, "i", i)
-        init_field(self, "j", j)
-        init_field(self, "x", x)
-        init_field(self, "y", y)
-        init_field(self, "xy", xy)
-        init_field(self, "yx", yx)
-        init_field(self, "real", real)
-        init_field(self, "imag", imag)
-
-
-def component_set(i: int, j: int) -> ComponentSet:
-    return ComponentSet(
-        i=i,
-        j=j,
-        x=component(i, j, "x"),
-        y=component(i, j, "y"),
-        xy=component(i, j, "xy"),
-        yx=component(i, j, "yx"),
-        real=component(i, j, "R"),
-        imag=component(i, j, "I"),
-    )
-
-
 def labelled(comp: str | None, i: int, j: int) -> NcPolynomial:
     """L_ij at one level: pc (None), a branch ('+'/'-') or a component tag."""
     if comp is None:
@@ -162,22 +109,6 @@ class VectorOperators(Record):
     """L_a, M_a vectors with their squares and Casimir for one component level."""
 
     __slots__ = ("comp", "l_vec", "m_vec", "l_squared", "m_squared", "casimir")
-
-    def __init__(
-        self,
-        comp: str | None,
-        l_vec: tuple[NcPolynomial, NcPolynomial, NcPolynomial],
-        m_vec: tuple[NcPolynomial, NcPolynomial, NcPolynomial],
-        l_squared: NcPolynomial,
-        m_squared: NcPolynomial,
-        casimir: NcPolynomial,
-    ):
-        init_field(self, "comp", comp)
-        init_field(self, "l_vec", l_vec)
-        init_field(self, "m_vec", m_vec)
-        init_field(self, "l_squared", l_squared)
-        init_field(self, "m_squared", m_squared)
-        init_field(self, "casimir", casimir)
 
 
 def vector_operators(comp: str | None = None) -> VectorOperators:
@@ -252,18 +183,18 @@ def verify_recomposition() -> IdentityReport:
     """
     checks: list[Check] = []
     for i, j in _PAIRS:
-        cs = component_set(i, j)
-        base = cs.x + cs.y.scale(_L2)
-        cross = cs.xy + cs.yx
+        x, y, xy, yx, real, imag = (component(i, j, c) for c in ("x", "y", "xy", "yx", "R", "I"))
+        base = x + y.scale(_L2)
+        cross = xy + yx
         for b, sign in (("+", 1), ("-", -1)):
             residual = branch_generator(i, j, b) - (base + cross.scale(pc_l(1, sign)))
             checks.append(Check.of("branch-components", f"L{b}_{i}{j}", residual))
-        residual = cs.real - base
+        residual = real - base
         checks.append(Check.of("real-part", f"LR_{i}{j}", residual))
-        residual = cs.imag - cross.scale(pc_l(1))
+        residual = imag - cross.scale(pc_l(1))
         checks.append(Check.of("pseudo-part", f"LI_{i}{j}", residual))
         pc_body = pc_generator_poly(i, j)
-        residual = pc_body - (cs.real + cs.imag.scale(PSEUDO_UNIT))
+        residual = pc_body - (real + imag.scale(PSEUDO_UNIT))
         checks.append(Check.of("pc-recombination", f"L_{i}{j}", residual))
         residual = pc_body - (
             branch_generator(i, j, "+").scale(SIGMA_PLUS)
@@ -376,22 +307,6 @@ class CasimirExpansion(Record):
     __slots__ = (
         "c_x", "c_r", "decomposition_residual", "ordering_residual", "order4_residual", "difference",
     )
-
-    def __init__(
-        self,
-        c_x: NcPolynomial,
-        c_r: NcPolynomial,
-        decomposition_residual: NcPolynomial,
-        ordering_residual: NcPolynomial,
-        order4_residual: NcPolynomial,
-        difference: NcPolynomial,
-    ):
-        init_field(self, "c_x", c_x)
-        init_field(self, "c_r", c_r)
-        init_field(self, "decomposition_residual", decomposition_residual)
-        init_field(self, "ordering_residual", ordering_residual)
-        init_field(self, "order4_residual", order4_residual)
-        init_field(self, "difference", difference)
 
     @property
     def passed(self) -> bool:

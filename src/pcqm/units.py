@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Union
 
-from .record import Record, init_field
+from .record import Record
 
 Number = Union[int, float, Fraction, str]
 
@@ -31,21 +31,13 @@ class DimensionError(ValueError):
 
 
 class ConstantSet(Record):
-    __slots__ = ("mode", "fm_to_gevinv", "sec_to_m", "kg_to_gev", "ev_to_hz")
-
-    def __init__(
-        self,
-        mode: str,
-        fm_to_gevinv: Fraction,     # 1 fm  = this many GeV^-1
-        sec_to_m: Fraction,         # 1 sec = this many m
-        kg_to_gev: Fraction,        # 1 kg  = this many GeV
-        ev_to_hz: Fraction,         # 1 eV  = this many Hz
-    ):
-        init_field(self, "mode", mode)
-        init_field(self, "fm_to_gevinv", fm_to_gevinv)
-        init_field(self, "sec_to_m", sec_to_m)
-        init_field(self, "kg_to_gev", kg_to_gev)
-        init_field(self, "ev_to_hz", ev_to_hz)
+    __slots__ = (
+        "mode",
+        "fm_to_gevinv",     # 1 fm  = this many GeV^-1
+        "sec_to_m",         # 1 sec = this many m
+        "kg_to_gev",        # 1 kg  = this many GeV
+        "ev_to_hz",         # 1 eV  = this many Hz
+    )
 
     @classmethod
     def paper_approx(cls) -> "ConstantSet":
@@ -165,11 +157,6 @@ class Quantity(Record):
     """Magnitude plus energy-exponent dimension and a rendering unit tag."""
 
     __slots__ = ("magnitude", "exponent", "unit")
-
-    def __init__(self, magnitude: Fraction, exponent: int, unit: str):
-        init_field(self, "magnitude", magnitude)
-        init_field(self, "exponent", exponent)
-        init_field(self, "unit", unit)
 
     def __float__(self) -> float:
         return float(self.magnitude)

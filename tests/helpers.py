@@ -3,7 +3,7 @@
 The oracle normal-orders words by recursive swap-at-a-time reduction
 (rightmost out-of-order pair first, unless told otherwise) and multiplies by
 right-folded concatenation, deliberately a different code path from the
-engine's left-to-right insertion fold.
+engine's closed-form products of sorted words.
 """
 
 from __future__ import annotations

@@ -66,10 +66,12 @@ def test_shift_ratio_is_l_squared_kappa_exactly():
         assert level.shift_ev / level.e0_ev == Fraction(1.7e-5) ** 2 * Fraction(2.0)
 
 
-def test_per_level_kappa_override():
+def test_level_takes_kappa_from_its_checked_config_only():
+    # kappa reaches a level only through SpectrumConfig, which refuses a
+    # negative or non-finite value.
     cfg = SpectrumConfig(constants=PRECISE, l_gevinv=1e-5, n_max=2)
-    level = energy_level(cfg, 2, kappa_gev2=3.0)
-    assert level.shift_ev / level.e0_ev == Fraction(1e-5) ** 2 * Fraction(3.0)
+    with pytest.raises(TypeError):
+        energy_level(cfg, 2, kappa_gev2=-2.0)
 
 
 def test_literal_charge_squared_numerator_gives_kev_scale():

@@ -250,6 +250,35 @@ def test_multiply_matches_oracle_and_is_associative():
             assert_oracle_equal(multiply(x, y), oracle_multiply(oracle_poly(x), oracle_poly(y)))
 
 
+def test_unsorted_operand_multiplies_as_its_normal_form():
+    # A product normal-orders an operand with an unsorted word before its
+    # term pairs meet, under the limits in force, so the result is stored
+    # exactly as the sorted product's, and a narrow window refuses both alike.
+    rng = random.Random(SEED + 11)
+    refused = 0
+    for window in ((-4, 4), (-1, 1)):
+        for _ in range(40):
+            raw = random_poly(rng, max_terms=3, max_len=3, normalized=False)
+            other = random_poly(rng, max_terms=2, max_len=2)
+            ordered = normal_form(raw)
+            with limits(window=window):
+                for a, b, sorted_a, sorted_b in (
+                    (raw, other, ordered, other),
+                    (other, raw, other, ordered),
+                    (raw, raw, ordered, ordered),
+                ):
+                    try:
+                        expected = multiply(sorted_a, sorted_b)
+                    except DegreeWindowError:
+                        refused += 1
+                        with pytest.raises(DegreeWindowError):
+                            multiply(a, b)
+                        continue
+                    got = multiply(a, b)
+                    assert (got._plus, got._minus) == (expected._plus, expected._minus)
+    assert refused
+
+
 def test_commutator_canonical_examples():
     assert commutator(generator_poly("X", "+", 1), generator_poly("P", "+", 1)) == (
         NcPolynomial.scalar(pc_imag())

@@ -29,18 +29,9 @@ def test_antisymmetry():
     assert so4.pc_generator_poly(2, 2).is_zero()
 
 
-def test_build_generator_validation():
-    g = so4.build_generator(1, 2)
-    assert g.plus.branches() == {"+"} and g.minus.branches() == {"-"}
-    with pytest.raises(ValueError):
-        so4.build_generator(2, 1)
-    with pytest.raises(ValueError):
-        so4.build_generator(1, 5)
-
-
 def test_real_part_decomposition_example():
-    cs = so4.component_set(1, 2)
-    assert (cs.real - (cs.x + cs.y.scale(pc_l(2)))).is_zero()
+    real, x, y = (so4.component(1, 2, c) for c in ("R", "x", "y"))
+    assert (real - (x + y.scale(pc_l(2)))).is_zero()
 
 
 def test_so4_relations_report():
