@@ -117,31 +117,30 @@ class Bracket(Record):
     __slots__ = ("left", "right")
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z]+)|([+\-*/^()\[\],_]))")
+# Every character falls in one group, so one scan reads the whole text:
+# whitespace, an integer, a name, an operator, or any other character.
+_TOKEN_RE = re.compile(r"(\s+)|(\d+)|([A-Za-z]+)|([+\-*/^()\[\],_])|(.)", re.S)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens: list[tuple[str, str, int]] = []
     limit = sys.get_int_max_str_digits()  # 0: no interpreter limit
     max_digits = min(MAX_LITERAL_DIGITS, limit) if limit else MAX_LITERAL_DIGITS
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            bad = len(text) - len(stripped)
-            raise ExprSyntaxError(f"unexpected character {text[bad]!r}", bad)
-        if m.group(1):
-            if len(m.group(1)) > max_digits:
-                raise ExprSyntaxError(f"integer longer than {max_digits} digits", m.start(1))
-            tokens.append(("INT", m.group(1), m.start(1)))
-        elif m.group(2):
-            tokens.append(("NAME", m.group(2), m.start(2)))
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastindex
+        if group == 1:
+            continue
+        tok, pos = m.group(group), m.start()
+        if group == 2:
+            if len(tok) > max_digits:
+                raise ExprSyntaxError(f"integer longer than {max_digits} digits", pos)
+            tokens.append(("INT", tok, pos))
+        elif group == 3:
+            tokens.append(("NAME", tok, pos))
+        elif group == 4:
+            tokens.append((tok, tok, pos))
         else:
-            tokens.append((m.group(3), m.group(3), m.start(3)))
-        pos = m.end()
+            raise ExprSyntaxError(f"unexpected character {tok!r}", pos)
     return tokens
 
 
@@ -420,7 +419,11 @@ def evaluate(node: Node) -> NcPolynomial:
         return poly_sum(summands)
     if isinstance(node, Mul):
         first, links = _chain(node, (Mul,))
-        product = evaluate(first)
+        if isinstance(first, _LEAVES) and isinstance(links[0].right, _LEAVES):
+            product = _leaf_product(links[0], current_limits(), sys.get_int_max_str_digits())
+            links = links[1:]
+        else:
+            product = evaluate(first)
         for link in links:
             product = _renderable(product * evaluate(link.right))
         return product
@@ -432,6 +435,7 @@ def evaluate(node: Node) -> NcPolynomial:
 
 
 _LITERALS = (Num, ImagUnit, PseudoUnit, LengthPower)
+_LEAVES = (*_LITERALS, GenSym, AliasSym, NamedOp, CasimirOp)
 
 
 # Room for the literals of a long session: each is small, and only the degree
@@ -464,6 +468,18 @@ def _operator(node: GenSym | AliasSym | NamedOp | CasimirOp, limits: Limits) -> 
     if isinstance(node, NamedOp):
         return so4.labelled(node.comp, node.i, node.j)
     return so4.casimir(node.comp)
+
+
+# Room for the leaf products of a long session: the eval-warm benchmark stream
+# of seed 5 meets 599 distinct ones in 20,000 requests (99.2% of lookups hit).
+# They hold about 1.5 MB; the stream's peak RSS rose from 29.8 to 31.6 MB.
+@lru_cache(maxsize=1024)
+def _leaf_product(node: Mul, limits: Limits, digits: int) -> NcPolynomial:
+    """The product of two leaves (``l*y_1``, ``i*X+_1``, ``1/2*CR``), built once
+    per ``limits`` as ``_operator`` builds a symbol.  The coefficient-size
+    check reads the interpreter's int-to-text limit, ``digits``, so that limit
+    is part of the key too; a build that raises is not cached."""
+    return _renderable(evaluate(node.left) * evaluate(node.right))
 
 
 def _renderable(p: NcPolynomial) -> NcPolynomial:

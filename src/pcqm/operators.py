@@ -30,13 +30,13 @@ from .scalars import (
     SIGMA_PLUS,
     _atom_str,
     _atoms,
+    _join_atoms,
     _join_signed,
     _mul,
     _pc,
     pc_imag,
     pc_l,
     pc_rational,
-    render_pc,
 )
 
 INDICES = (1, 2, 3, 4)
@@ -293,21 +293,21 @@ def poly_sum(polys: Sequence[NcPolynomial]) -> NcPolynomial:
 
 
 def render_poly(p: NcPolynomial) -> str:
-    """Canonical text form; longest words first, CLI-parseable."""
-    order = sorted(p.terms().items(), key=lambda t: (-len(t[0]), t[0]))
-    return _join_signed(_signed_term(word, coeff) for word, coeff in order)
-
-
-def _signed_term(word: Word, coeff: PcScalar) -> tuple[str, bool]:
-    """One rendered term and whether it carries a leading minus sign."""
-    atoms = _atoms(coeff)
-    if len(atoms) == 1:
-        body, negative = _atom_str(*atoms[0]), atoms[0][0] < 0
-    else:
-        body, negative = f"({render_pc(coeff)})", False
-    if word:
-        body = render_word(word) if body == "1" else f"{body}*{render_word(word)}"
-    return body, negative
+    """Canonical text form; longest words first, CLI-parseable.  Each
+    coefficient is read from the two component maps, with no ``PcScalar``
+    built for it."""
+    plus, minus = p._plus, p._minus
+    terms = []
+    for word in sorted(_words(p), key=lambda w: (-len(w), w)):
+        atoms = _atoms(plus.get(word, _ZERO), minus.get(word, _ZERO))
+        if len(atoms) == 1:
+            body, negative = _atom_str(*atoms[0]), atoms[0][0] < 0
+        else:
+            body, negative = f"({_join_atoms(atoms)})", False
+        if word:
+            body = render_word(word) if body == "1" else f"{body}*{render_word(word)}"
+        terms.append((body, negative))
+    return _join_signed(terms)
 
 
 def normal_form(p: NcPolynomial) -> NcPolynomial:

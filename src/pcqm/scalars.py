@@ -339,10 +339,11 @@ SIGMA_PLUS = _pc(BaseScalar.rational(1), BaseScalar.zero())
 SIGMA_MINUS = _pc(BaseScalar.zero(), BaseScalar.rational(1))
 
 
-def _atoms(x: PcScalar) -> list[tuple[int, int, bool, int, bool]]:
-    """Flatten to (numerator, denominator, has_i, l_degree, has_I) atoms in canonical order."""
-    (pn, pd), (mn, md) = (x._plus._num, x._plus._den), (x._minus._num, x._minus._den)
-    if x._plus is x._minus:
+def _atoms(plus: BaseScalar, minus: BaseScalar) -> list[tuple[int, int, bool, int, bool]]:
+    """Flatten the scalar with components ``plus`` and ``minus`` to
+    (numerator, denominator, has_i, l_degree, has_I) atoms in canonical order."""
+    (pn, pd), (mn, md) = (plus._num, plus._den), (minus._num, minus._den)
+    if plus is minus:
         # A real scalar: re is its one component, and im is zero.
         out = []
         for key in sorted(pn):
@@ -366,15 +367,6 @@ def _too_long(limit: int) -> ValueError:
     return ValueError(f"coefficient too long to render (more than {limit} digits)")
 
 
-def _stored_below(c: BaseScalar, bound: int) -> bool:
-    if c._den >= bound:
-        return False
-    for n in c._num.values():
-        if not -bound < n < bound:
-            return False
-    return True
-
-
 def stored_renderable(components: Iterable[BaseScalar]) -> bool:
     """True when every integer stored in ``components`` is small enough that
     all atoms built from them render; False only means that the atoms need
@@ -385,7 +377,13 @@ def stored_renderable(components: Iterable[BaseScalar]) -> bool:
     # With every stored integer below 2^b, every atom is below 2^(2b + 1);
     # 3*limit bits hold fewer than limit digits.
     safe = 1 << (3 * limit - 1) // 2
-    return all(_stored_below(c, safe) for c in components)
+    for c in components:
+        if c._den >= safe:
+            return False
+        for n in c._num.values():
+            if not -safe < n < safe:
+                return False
+    return True
 
 
 def check_renderable(coeffs: Iterable[PcScalar]) -> None:
@@ -397,7 +395,7 @@ def check_renderable(coeffs: Iterable[PcScalar]) -> None:
     for x in coeffs:
         if not stored_renderable((x._plus, x._minus)):
             bound = 10 ** limit
-            if any(abs(n) >= bound or d >= bound for n, d, *_ in _atoms(x)):
+            if any(abs(n) >= bound or d >= bound for n, d, *_ in _atoms(x._plus, x._minus)):
                 raise _too_long(limit)
 
 
@@ -425,6 +423,10 @@ def _join_signed(terms: Iterable[tuple[str, bool]]) -> str:
     return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
+def _join_atoms(atoms: list[tuple[int, int, bool, int, bool]]) -> str:
+    return _join_signed((_atom_str(*atom), atom[0] < 0) for atom in atoms)
+
+
 def render_pc(x: PcScalar) -> str:
     """Plain-text rendering, e.g. ``3/2 + 1/2*i - l^2*I``; parseable by the CLI."""
-    return _join_signed((_atom_str(*atom), atom[0] < 0) for atom in _atoms(x))
+    return _join_atoms(_atoms(x._plus, x._minus))

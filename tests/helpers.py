@@ -1,4 +1,5 @@
-"""Shared test utilities: an independent rewriting oracle and random builders.
+"""Shared test utilities: an independent rewriting oracle, random builders
+and a reference tokenizer.
 
 The oracle normal-orders words by recursive swap-at-a-time reduction
 (rightmost out-of-order pair first, unless told otherwise) and multiplies by
@@ -9,8 +10,11 @@ engine's closed-form products of sorted words.
 from __future__ import annotations
 
 import random
+import re
+import sys
 from fractions import Fraction
 
+from pcqm.expr import MAX_LITERAL_DIGITS, ExprSyntaxError
 from pcqm.operators import NcPolynomial, gen
 from pcqm.scalars import (
     BaseScalar,
@@ -124,3 +128,33 @@ def random_poly(
 
         poly = normal_form(poly)
     return poly
+
+
+_REFERENCE_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z]+)|([+\-*/^()\[\],_]))")
+
+
+def reference_tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The expression tokenizer as one anchored match per token, the
+    reference for ``pcqm.expr._tokenize``'s single scan."""
+    tokens: list[tuple[str, str, int]] = []
+    limit = sys.get_int_max_str_digits()  # 0: no interpreter limit
+    max_digits = min(MAX_LITERAL_DIGITS, limit) if limit else MAX_LITERAL_DIGITS
+    pos = 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        if m is None:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            bad = len(text) - len(stripped)
+            raise ExprSyntaxError(f"unexpected character {text[bad]!r}", bad)
+        if m.group(1):
+            if len(m.group(1)) > max_digits:
+                raise ExprSyntaxError(f"integer longer than {max_digits} digits", m.start(1))
+            tokens.append(("INT", m.group(1), m.start(1)))
+        elif m.group(2):
+            tokens.append(("NAME", m.group(2), m.start(2)))
+        else:
+            tokens.append((m.group(3), m.group(3), m.start(3)))
+        pos = m.end()
+    return tokens

@@ -1,11 +1,14 @@
 import random
+import re
 import sys
 import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import random_poly
+from helpers import random_poly, reference_tokenize
 from pcqm import so4
 from pcqm.expr import (
     Add,
@@ -26,6 +29,7 @@ from pcqm.expr import (
     Pow,
     PseudoUnit,
     Sub,
+    _tokenize,
     evaluate,
     evaluate_text,
     parse,
@@ -33,7 +37,7 @@ from pcqm.expr import (
 )
 from pcqm.cli import config_from_args, run
 from pcqm.limits import current_limits, limits
-from pcqm.operators import WordLengthError, commutator, expand_alias, generator_poly
+from pcqm.operators import WordLengthError, commutator, expand_alias, generator_poly, multiply
 from pcqm.scalars import DegreeWindowError, pc_imag
 
 SEED = 20260810
@@ -301,7 +305,7 @@ def test_arithmetic_on_a_cached_operator_leaves_it_unchanged():
 def test_each_thread_evaluates_under_its_own_limits():
     # More threads than cores and a short switch interval, so threads with
     # different limits interleave their cache lookups and builds.
-    texts = ("Ly_12", "CR", "py_3", "Lxy_14")
+    texts = ("Ly_12", "CR", "py_3", "Lxy_14", "l*y_1", "X+_1*X+_2*X+_3")
     settings = ({"window": (0, 4)}, {"word_cap": 2}, {}, {})
     expected = []
     for changes in settings:
@@ -309,6 +313,7 @@ def test_each_thread_evaluates_under_its_own_limits():
             expected.append([_outcome(lambda t=t: evaluate_text(t)) for t in texts])
     assert expected[0][0] == (DegreeWindowError, "l^-1 outside degree window 0..4")
     assert expected[1][1][0] is WordLengthError
+    assert expected[1][5][0] is WordLengthError
     results = [[] for _ in settings]
 
     def worker(changes, out):
@@ -341,3 +346,68 @@ def test_coefficient_too_long_in_the_sigma_minus_component_alone_is_refused():
         code, output = run(config_from_args(["--format", fmt, "eval", text]))
         assert code == 2
         assert "coefficient too long to render" in output
+
+
+def test_leaf_products_follow_the_limits_in_force():
+    texts = ("l*l", "(l)*(l)", "X+_1*X+_2", "l*y_1", "i*X+_1", "1/2*CR", "l^2*Ly_12")
+    # The default limits come first and last, so a narrower setting in between
+    # would be served a stale product if the limits were not part of the key.
+    for changes in ({}, {"window": (-1, 1)}, {"word_cap": 1}, {}):
+        with limits(**changes):
+            for text in texts:
+                node = parse(text)
+                fresh = _outcome(lambda: multiply(evaluate(node.left), evaluate(node.right)))
+                assert _outcome(lambda: evaluate(node)) == fresh, (text, changes)
+    assert evaluate_text("l*l").render() == "l^2"
+    with limits(window=(-1, 1)):
+        # A failing build is not cached: it raises again on the next call.
+        for _ in range(2):
+            with pytest.raises(DegreeWindowError, match=r"^l\^2 outside degree window -1\.\.1$"):
+                evaluate_text("l*l")
+    with limits(word_cap=1):
+        with pytest.raises(WordLengthError, match="^product word length 2 exceeds cap 1$"):
+            evaluate_text("X+_1*X+_2")
+        assert evaluate_text("l*y_1").render() == "1/2*X+_1 - 1/2*X-_1"
+    assert evaluate_text("X+_1*X+_2").render() == "X+_1*X+_2"
+    assert evaluate_text("l*y_1") is evaluate_text("l*y_1")
+
+
+def test_leaf_product_is_checked_against_the_digit_limit_in_force():
+    text = "9" * 400 + "*" + "9" * 400
+    assert evaluate_text(text).render() == str(int("9" * 400) ** 2)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(ValueError, match=re.escape("coefficient too long to render (more than 640 digits)")):
+            evaluate_text(text)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert evaluate_text(text).render() == str(int("9" * 400) ** 2)
+
+
+def _tokens(tokenize, text):
+    """The tokens of ``text``, or the message of the syntax error raised."""
+    try:
+        return tokenize(text)
+    except ExprSyntaxError as err:
+        return str(err)
+
+
+# The grammar's characters, whitespace other than a space, junk, and digits
+# outside ASCII, which both tokenizers read as digits.
+_TOKEN_TEXT = st.text(alphabet="0123456789/+-*^()[],_ iIlXPxyLMCR\t\n$é١٢\u00a0", max_size=40)
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(_TOKEN_TEXT)
+@example("  X+_1 *\t[l^-2 , 3/4]\n")
+@example("X+_١")
+@example("1" * (MAX_LITERAL_DIGITS + 1))
+@example(" " * 3 + "$")
+@example("")
+def test_tokenizer_matches_the_reference(text):
+    assert _tokens(_tokenize, text) == _tokens(reference_tokenize, text)
+
+
+def test_non_ascii_digits_read_as_digits():
+    assert evaluate_text("X+_١").render() == "X+_1"

@@ -29,6 +29,8 @@ from pcqm.operators import (
     normal_form,
     pc_coordinate,
     pc_momentum,
+    render_poly,
+    render_word,
     verify_canonical_relations,
     verify_induced_relations,
 )
@@ -41,10 +43,14 @@ from pcqm.scalars import (
     SIGMA_MINUS,
     SIGMA_PLUS,
     PcScalar,
+    _atom_str,
+    _atoms,
+    _join_signed,
     pc_gaussian,
     pc_imag,
     pc_l,
     pc_rational,
+    render_pc,
 )
 
 SEED = 20260810
@@ -594,3 +600,42 @@ def test_residual_check_fails_on_nonzero_residual():
     assert failing.to_dict()["note"] == 1
     passing = Check.of("family", "label", p - p)
     assert (passing.residual, passing.passed) == ("0", True)
+
+
+def _render_per_coefficient(p: NcPolynomial) -> str:
+    """The polynomial's text built from a ``PcScalar`` per word of
+    ``p.terms()``: the reference for ``render_poly``, which reads the two
+    component maps instead."""
+
+    def signed_term(word, coeff):
+        atoms = _atoms(coeff._plus, coeff._minus)
+        if len(atoms) == 1:
+            body, negative = _atom_str(*atoms[0]), atoms[0][0] < 0
+        else:
+            body, negative = f"({render_pc(coeff)})", False
+        if word:
+            body = render_word(word) if body == "1" else f"{body}*{render_word(word)}"
+        return body, negative
+
+    order = sorted(p.terms().items(), key=lambda t: (-len(t[0]), t[0]))
+    return _join_signed(signed_term(word, coeff) for word, coeff in order)
+
+
+def test_render_matches_the_per_coefficient_rendering():
+    rng = random.Random(SEED)
+    zero = BaseScalar.zero()
+    polys = [NcPolynomial.zero(), NcPolynomial.scalar(PC_ONE)]
+    for _ in range(150):
+        p, q = random_poly(rng, max_terms=4), random_poly(rng, max_terms=4)
+        real = NcPolynomial({w: PcScalar(c.re, zero) for w, c in p.terms().items()})
+        assert real._minus is real._plus
+        # Sigma components that differ, with equal coefficients in both maps
+        # on some words.
+        split = real + p.scale(SIGMA_PLUS) + q.scale(SIGMA_MINUS)
+        polys += [p, real, split]
+    assert any(len(_atoms(c._plus, c._minus)) > 1 for p in polys for c in p.terms().values())
+    for p in polys:
+        assert render_poly(p) == _render_per_coefficient(p)
+    assert render_poly(NcPolynomial.zero()) == "0"
+    several = NcPolynomial({(XP1,): pc_gaussian(1, 1), (): PSEUDO_UNIT + pc_l(-1)})
+    assert render_poly(several) == "(1 + i)*X+_1 + (l^-1 + I)"
