@@ -53,9 +53,9 @@ class ProductSizeError(ValueError):
 
 # Largest term-pair count of one product.  verify and the tests peak at 272
 # pairs and the eval-warm benchmark stream at 1,060.  The largest Casimir
-# product, Cx*Cx (48,400 pairs, 1.08 s as a process on a 2-vCPU VM where
-# start-up takes 0.25 s, median of 3), stays allowed, while (x_1+...+px_4)^5
-# (64,208 pairs in its last product) is refused.
+# product, Cx*Cx (48,400 pairs, 0.76 s as a process on a 2-vCPU VM where
+# start-up, `pcqm eval 1`, takes 0.21 s; medians of 7), stays allowed, while
+# (x_1+...+px_4)^5 (64,208 pairs in its last product) is refused.
 MAX_TERM_PAIRS = 50_000
 
 
@@ -154,6 +154,7 @@ def _share(plus: Terms, minus: Terms) -> tuple[Terms, Terms]:
 def _poly(plus: Terms, minus: Terms) -> "NcPolynomial":
     out = object.__new__(NcPolynomial)
     out._plus, out._minus = _share(plus, minus)
+    out._scanned = None
     return out
 
 
@@ -183,10 +184,12 @@ class NcPolynomial:
     Stored as the coefficients' sigma_plus and sigma_minus components, two
     maps word -> nonzero BaseScalar, so products and normal ordering work on
     each component alone.  A polynomial without pseudo-imaginary part keeps
-    one map for both.  The maps are never mutated after construction.
+    one map for both.  The maps are never mutated after construction, so
+    the operand scan of products and brackets (``_scan``) is computed on
+    first use and kept in ``_scanned``.
     """
 
-    __slots__ = ("_plus", "_minus")
+    __slots__ = ("_plus", "_minus", "_scanned")
 
     def __init__(self, terms: Mapping[Word, PcScalar] | Iterable[tuple[Word, PcScalar]] = ()):
         items = list(terms.items() if isinstance(terms, dict) or hasattr(terms, "items") else terms)
@@ -194,6 +197,7 @@ class NcPolynomial:
             _accumulate({}, ((w, c._plus) for w, c in items)),
             _accumulate({}, ((w, c._minus) for w, c in items)),
         )
+        self._scanned = None
 
     @classmethod
     def zero(cls) -> "NcPolynomial":
@@ -311,35 +315,20 @@ def render_poly(p: NcPolynomial) -> str:
 
 
 def normal_form(p: NcPolynomial) -> NcPolynomial:
-    """Rewrite every word into the unique sorted normal form."""
-    return _by_component(_normal_order, p)
-
-
-def _normal_order(terms: Terms) -> Terms:
+    """Rewrite every word into the unique sorted normal form.  Each word is
+    folded once, and both component maps read its fold."""
+    folds = {w: _fold(w) for w in _words(p)}
     window = current_limits().window
+    return _by_component(lambda terms: _normal_order(terms, folds, window), p)
+
+
+def _normal_order(terms: Terms, folds: Mapping, window: tuple[int, int]) -> Terms:
+    """``terms`` in normal order, with each word's ``_fold`` read from ``folds``."""
     out: Terms = {}
+    scaled: dict = {}
     for word, coeff in terms.items():
-        _add_scaled(out, _fold(word), coeff, len(word), window)
+        _add_scaled(out, folds[word], coeff, len(word), window, scaled, word)
     return out
-
-
-def _masks(word: Word) -> tuple[int, int] | None:
-    """``(xs, ps)`` of a sorted word, with bit ``r`` of ``xs`` set for an
-    ``X`` of rank ``r`` and bit ``r`` of ``ps`` for its momentum, rank
-    ``r + 4``; ``None`` for an unsorted word.  Two sorted words ``w1``,
-    ``w2`` contract in ``w1 + w2`` exactly where ``ps`` of ``w1`` meets
-    ``xs`` of ``w2``.
-    """
-    xs = ps = last = 0
-    for g in word:
-        if g < last:
-            return None
-        last = g
-        if g & 4:
-            ps |= 1 << (g - 4)
-        else:
-            xs |= 1 << g
-    return xs, ps
 
 
 @lru_cache(maxsize=1024)
@@ -415,49 +404,107 @@ _MINUS_I_POWERS = tuple(BaseScalar.gaussian(re, im) for re, im in ((1, 0), (0, -
 
 
 def _add_scaled(
-    out: Terms, terms: Iterable[tuple[Word, int]], c: BaseScalar, length: int, window: tuple[int, int]
+    out: Terms, terms: Iterable[tuple[Word, int]], c: BaseScalar, length: int,
+    window: tuple[int, int], scaled: dict, key: object,
 ) -> None:
     """Add ``c * f * (-i)^k * word`` to ``out`` for each ``(word, f)`` of
     ``terms`` of a word of ``length`` generators: ``k``, the number of
     contractions, is half the length lost.  A contracted term's coefficient
-    is checked against the degree window, as a product's would be."""
+    is checked against the degree window, as a product's would be, and is
+    formed once per ``(key, k, f)`` in ``scaled``, where ``key`` names ``c``."""
     items = []
     for w, f in terms:
         k = (length - len(w)) // 2
-        items.append((w, _mul(c, _MINUS_I_POWERS[k % 4], window).scale(f) if k else c))
+        s = c
+        if k:
+            s = scaled.get((key, k, f))
+            if s is None:
+                s = scaled[key, k, f] = _mul(c, _MINUS_I_POWERS[k % 4], window).scale(f)
+        items.append((w, s))
     _accumulate(out, items)
 
 
-def _terms(terms: Terms) -> list[tuple[Word, BaseScalar, tuple[int, int]]]:
-    """``(word, coeff, masks)`` of each term of ``terms`` in normal order; a
-    map with an unsorted word is normal-ordered first, under the current
-    limits."""
-    out = []
+def _scan_map(terms: Terms, sets: dict[Word, int]) -> tuple[list | None, list[BaseScalar]]:
+    """``(entries, coeffs)`` of one component map: ``(word, group, xs, ps)``
+    per term, or ``None`` when a word is unsorted, and the distinct
+    coefficients, which ``group`` indexes.  Bit ``r`` of ``xs`` is set for an
+    ``X`` of rank ``r`` and bit ``r`` of ``ps`` for its momentum, rank
+    ``r + 4``, so two sorted words ``w1``, ``w2`` contract in ``w1 + w2``
+    exactly where ``ps`` of ``w1`` meets ``xs`` of ``w2``.  Each word's
+    generator set, ``xs | ps << 4``, goes into ``sets``."""
+    entries, groups, ordered = [], {}, True
     for w, c in terms.items():
-        masks = _masks(w)
-        if masks is None:
-            return _terms(_normal_order(terms))
-        out.append((w, c, masks))
-    return out
+        xs = ps = last = 0
+        for g in w:
+            if g < last:
+                ordered = False
+            last = g
+            if g & 4:
+                ps |= 1 << (g - 4)
+            else:
+                xs |= 1 << g
+        sets[w] = xs | ps << 4
+        entries.append((w, groups.setdefault(c, len(groups)), xs, ps))
+    return entries if ordered else None, list(groups)
 
 
-def _product(a: Terms, b: Terms, window: tuple[int, int]) -> Terms:
-    """Every term pair multiplied and added to the result in normal order.
+# The X ranks, blocks X+ and X-; the P of an X sits four ranks above it.
+_X_RANKS = 0x0F0F
+
+
+def _scan(p: NcPolynomial) -> tuple[tuple, tuple, dict[Word, int], int, int, int]:
+    """``(plus, minus, sets, partners, lo, hi)``, computed on first use and
+    kept with ``p``: the scan of each component map (one for a shared map),
+    the generator set of each word of ``p`` as a bitmask by rank, the mask
+    of every generator that fails to commute with one of them, and the
+    lowest and highest l-degree of a coefficient (0 and 0 when ``p`` is
+    zero).  None of it depends on the limits in force."""
+    scan = p._scanned
+    if scan is None:
+        sets: dict[Word, int] = {}
+        plus = _scan_map(p._plus, sets)
+        minus = plus if p._minus is p._plus else _scan_map(p._minus, sets)
+        union = 0
+        for m in sets.values():
+            union |= m
+        partners = (union >> 4 & _X_RANKS) | (union & _X_RANKS) << 4
+        degrees = [d for c in plus[1] + minus[1] for d, _ in c._num]
+        scan = p._scanned = (plus, minus, sets, partners, min(degrees, default=0), max(degrees, default=0))
+    return scan
+
+
+def _normal_scan(terms: Terms, window: tuple[int, int]) -> tuple[list, list[BaseScalar]]:
+    """The scan of ``terms`` normal-ordered under ``window``: it depends on
+    the window, so a map with an unsorted word takes it anew in each product."""
+    return _scan_map(_normal_order(terms, {w: _fold(w) for w in terms}, window), {})
+
+
+def _product(a: Terms, sa: tuple, b: Terms, sb: tuple, window: tuple[int, int]) -> Terms:
+    """Every term pair of the maps ``a`` and ``b``, scanned as ``sa`` and
+    ``sb``, multiplied and added to the result in normal order.
 
     Each pair of sorted words takes the closed form: their concatenation,
-    sorted, plus ``_contract``'s terms when the pair contracts.  An operand
-    with an unsorted word is normal-ordered first (see ``_terms``).
+    sorted, plus ``_contract``'s terms when the pair contracts.  The
+    coefficients of each pair of groups ``(i, j)`` are multiplied once, at
+    the first term pair that carries them, into the row table ``rows[i][j]``,
+    so the first pair to leave the window raises as it would alone.
     """
-    left, right = _terms(a), _terms(b)
+    left, lc = sa if sa[0] is not None else _normal_scan(a, window)
+    right, rc = sb if sb[0] is not None else _normal_scan(b, window)
+    rows: list[list] = [[None] * len(rc) for _ in lc]
+    scaled: dict = {}
     out: Terms = {}
     get = out.get
-    for w1, c1, (_, ps) in left:
+    for w1, i, _, ps in left:
+        row, c1 = rows[i], lc[i]
         last = w1[-1] if w1 else -1
-        for w2, c2, (xs, _) in right:
-            c = _mul(c1, c2, window)
+        for w2, j, xs, _ in right:
+            c = row[j]
+            if c is None:
+                c = row[j] = _mul(c1, rc[j], window)
             word = w1 + w2 if not w2 or last <= w2[0] else tuple(sorted(w1 + w2))
             if ps & xs:
-                _add_scaled(out, _contract(word, w1, w2, ps & xs), c, len(word), window)
+                _add_scaled(out, _contract(word, w1, w2, ps & xs), c, len(word), window, scaled, (i, j))
                 continue
             prev = get(word)
             if prev is None:
@@ -490,30 +537,13 @@ def multiply(p: NcPolynomial, q: NcPolynomial) -> NcPolynomial:
     alone, so all sigma_plus pairs are multiplied before any sigma_minus pair.
     """
     lim = current_limits()
-    _check_size(_words(p), _words(q), lim.word_cap)
-    return _by_component(lambda a, b: _product(a, b, lim.window), p, q)
-
-
-# The X ranks, blocks X+ and X-; the P of an X sits four ranks above it.
-_X_RANKS = 0x0F0F
-
-
-def _scan(p: NcPolynomial) -> tuple[dict[Word, int], int, int, int]:
-    """``(sets, partners, lo, hi)``: the generator set of each word of ``p``
-    as a bitmask by rank, the mask of every generator that fails to commute
-    with one of them, and the lowest and highest l-degree of a coefficient
-    (0 and 0 when ``p`` is zero)."""
-    sets, union = {}, 0
-    for word in _words(p):
-        m = 0
-        for g in word:
-            m |= 1 << g
-        sets[word] = m
-        union |= m
-    maps = (p._plus,) if p._minus is p._plus else (p._plus, p._minus)
-    degrees = [d for terms in maps for c in terms.values() for d, _ in c._num]
-    partners = (union >> 4 & _X_RANKS) | (union & _X_RANKS) << 4
-    return sets, partners, min(degrees, default=0), max(degrees, default=0)
+    p_plus, p_minus, p_sets = _scan(p)[:3]
+    q_plus, q_minus, q_sets = _scan(q)[:3]
+    _check_size(p_sets, q_sets, lim.word_cap)
+    plus = _product(p._plus, p_plus, q._plus, q_plus, lim.window)
+    if p._minus is p._plus and q._minus is q._plus:
+        return _poly(plus, plus)
+    return _poly(plus, _product(p._minus, p_minus, q._minus, q_minus, lim.window))
 
 
 def _drop_commuting(p: NcPolynomial, sets: dict[Word, int], partners: int) -> NcPolynomial:
@@ -535,8 +565,8 @@ def commutator(p: NcPolynomial, q: NcPolynomial) -> NcPolynomial:
     otherwise the full products run and raise as ``multiply`` does.
     """
     lim = current_limits()
-    p_sets, p_partners, p_lo, p_hi = _scan(p)
-    q_sets, q_partners, q_lo, q_hi = _scan(q)
+    _, _, p_sets, p_partners, p_lo, p_hi = _scan(p)
+    _, _, q_sets, q_partners, q_lo, q_hi = _scan(q)
     _check_size(p_sets, q_sets, lim.word_cap)
     lo, hi = lim.window
     if lo <= p_lo + q_lo and p_hi + q_hi <= hi:

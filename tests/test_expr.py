@@ -37,8 +37,16 @@ from pcqm.expr import (
 )
 from pcqm.cli import config_from_args, run
 from pcqm.limits import current_limits, limits
-from pcqm.operators import WordLengthError, commutator, expand_alias, generator_poly, multiply
-from pcqm.scalars import DegreeWindowError, pc_imag
+from pcqm.operators import (
+    NcPolynomial,
+    WordLengthError,
+    commutator,
+    expand_alias,
+    gen,
+    generator_poly,
+    multiply,
+)
+from pcqm.scalars import DegreeWindowError, pc_imag, pc_l
 
 SEED = 20260810
 
@@ -300,6 +308,45 @@ def test_arithmetic_on_a_cached_operator_leaves_it_unchanged():
     again = evaluate_text("Cx")
     assert again.render() == text
     assert again == so4.casimir("x")
+
+
+def test_operand_scans_kept_with_cached_operators_carry_no_limits():
+    leaves = {
+        AliasSym("y", 1): lambda: expand_alias("y", 1),
+        AliasSym("py", 1): lambda: expand_alias("py", 1),
+        NamedOp("L", "y", 1, 2): lambda: so4.labelled("y", 1, 2),
+        AliasSym("x", 2): lambda: expand_alias("x", 2),
+    }
+    # The evaluator's cached operators, scanned by brackets under the
+    # default limits, then bracketed under narrower ones: each outcome is
+    # that of operators built afresh, which carry no scan.
+    cached = [evaluate(node) for node in leaves]
+    default = [[commutator(a, b) for b in cached] for a in cached]
+    assert all(p._scanned is not None for p in cached)
+    pairs = [(a, b) for a in cached for b in cached]
+    refused = set()
+    for changes in ({"window": (-1, 1)}, {"word_cap": 2}):
+        for op in (commutator, multiply):
+            fresh = [(fa(), fb()) for fa in leaves.values() for fb in leaves.values()]
+            with limits(**changes):
+                for (a, b), (fa, fb) in zip(pairs, fresh):
+                    outcome = _outcome(lambda: op(a, b))
+                    assert outcome == _outcome(lambda: op(fa, fb)), (a, b, changes)
+                    refused.add(outcome[0] if isinstance(outcome, tuple) else None)
+    assert refused == {DegreeWindowError, WordLengthError, None}
+    assert [[commutator(a, b) for b in cached] for a in cached] == default
+
+    # An operand with an unsorted word is normal-ordered anew under each
+    # window: its contraction term l^2*(-i) fits -4..4 but not -1..1.
+    raw = NcPolynomial({(gen("P", "+", 1), gen("X", "+", 1)): pc_l(2)})
+    other = generator_poly("X", "+", 2).scale(pc_l(-1))
+    first = multiply(raw, other)
+    fresh = NcPolynomial(raw.terms())
+    with limits(window=(-1, 1)):
+        outcome = _outcome(lambda: multiply(raw, other))
+        assert outcome == (DegreeWindowError, "l^2 outside degree window -1..1")
+        assert _outcome(lambda: multiply(fresh, other)) == outcome
+    assert multiply(raw, other) == first
 
 
 def test_each_thread_evaluates_under_its_own_limits():

@@ -527,6 +527,69 @@ def test_contracting_products_and_brackets_match_oracle(case, kind):
                 assert_oracle_equal(commutator(a, b), _oracle_commutator(a, b))
 
 
+# Operand words that contract and commute in every mix; the first left word
+# against the first right word contracts at two ranks, reaching one
+# contraction at the integer factors 2 and 1.  Each operand cycles through a
+# pool of two or three coefficients, so every pair of distinct coefficients
+# meets at several term pairs.
+REPEATED_WORDS = (
+    ["P+1*P+1*P+2", "X+1*P+1", "P+1", "X-2*P-2", "P+2*P-1", "X-3"],
+    ["X+1*X+2", "X+1", "P+1*X-1", "X+2*X+2", "X-1*P-1", "X+1*X-2"],
+)
+
+
+def _cycled(words: list, pool: list) -> NcPolynomial:
+    return NcPolynomial({w: pool[t % len(pool)] for t, w in enumerate(words)})
+
+
+@pytest.mark.parametrize("kind", ["real", "sigma", "general"])
+def test_operands_with_repeated_coefficients_match_oracle(kind):
+    p_words, q_words = ([_w(t) for t in texts] for texts in REPEATED_WORDS)
+    rng = random.Random(f"{SEED}-repeated-{kind}")
+    for size in (2, 3, 2, 3):
+        p = _cycled(p_words, [_coefficient(rng, kind) for _ in range(size)])
+        q = _cycled(q_words, [_coefficient(rng, kind) for _ in range(size)])
+        for a, b in ((p, q), (q, p)):
+            assert_oracle_equal(multiply(a, b), oracle_multiply(oracle_poly(a), oracle_poly(b)))
+            assert_oracle_equal(commutator(a, b), _oracle_commutator(a, b))
+
+
+def _first_failing_pair(p: NcPolynomial, q: NcPolynomial) -> str | None:
+    """The message of the first term pair of ``p*q`` whose coefficient
+    product leaves the window in force, in the documented order: every
+    sigma_plus pair before any sigma_minus pair, each left term in storage
+    order against every right term."""
+    for left, right in ((p._plus, q._plus), (p._minus, q._minus)):
+        for x in left.values():
+            for y in right.values():
+                try:
+                    x * y
+                except DegreeWindowError as err:
+                    return str(err)
+    return None
+
+
+@pytest.mark.parametrize("kind", ["real", "sigma", "general"])
+def test_narrow_window_raises_at_the_first_failing_pair(kind):
+    p_words, q_words = ([_w(t) for t in texts] for texts in REPEATED_WORDS)
+    rng = random.Random(f"{SEED}-first-failure-{kind}")
+    failures = set()
+    for _ in range(12):
+        p = _cycled(p_words, [_coefficient(rng, kind) for _ in range(rng.choice((2, 3)))])
+        q = _cycled(q_words, [_coefficient(rng, kind) for _ in range(rng.choice((2, 3)))])
+        with limits(window=(-1, 1)):
+            for a, b in ((p, q), (q, p)):
+                expected = _first_failing_pair(a, b)
+                if expected is None:
+                    assert_oracle_equal(multiply(a, b), oracle_multiply(oracle_poly(a), oracle_poly(b)))
+                    continue
+                failures.add(expected)
+                with pytest.raises(DegreeWindowError) as raised:
+                    multiply(a, b)
+                assert str(raised.value) == expected
+    assert {"l^-2 outside degree window -1..1", "l^2 outside degree window -1..1"} <= failures
+
+
 def test_commuting_operands_past_the_degree_window_raise_as_the_products_do():
     p = NcPolynomial.from_word((XP1,), pc_l(3))
     q = NcPolynomial.from_word((XM1,), pc_l(2))
