@@ -185,8 +185,8 @@ class NcPolynomial:
     maps word -> nonzero BaseScalar, so products and normal ordering work on
     each component alone.  A polynomial without pseudo-imaginary part keeps
     one map for both.  The maps are never mutated after construction, so
-    the operand scan of products and brackets (``_scan``) is computed on
-    first use and kept in ``_scanned``.
+    the operand scan of products (``_scan``) is computed on first use and
+    kept in ``_scanned``.
     """
 
     __slots__ = ("_plus", "_minus", "_scanned")
@@ -424,14 +424,13 @@ def _add_scaled(
     _accumulate(out, items)
 
 
-def _scan_map(terms: Terms, sets: dict[Word, int]) -> tuple[list | None, list[BaseScalar]]:
+def _scan_map(terms: Terms) -> tuple[list | None, list[BaseScalar]]:
     """``(entries, coeffs)`` of one component map: ``(word, group, xs, ps)``
     per term, or ``None`` when a word is unsorted, and the distinct
     coefficients, which ``group`` indexes.  Bit ``r`` of ``xs`` is set for an
     ``X`` of rank ``r`` and bit ``r`` of ``ps`` for its momentum, rank
     ``r + 4``, so two sorted words ``w1``, ``w2`` contract in ``w1 + w2``
-    exactly where ``ps`` of ``w1`` meets ``xs`` of ``w2``.  Each word's
-    generator set, ``xs | ps << 4``, goes into ``sets``."""
+    exactly where ``ps`` of ``w1`` meets ``xs`` of ``w2``."""
     entries, groups, ordered = [], {}, True
     for w, c in terms.items():
         xs = ps = last = 0
@@ -443,40 +442,28 @@ def _scan_map(terms: Terms, sets: dict[Word, int]) -> tuple[list | None, list[Ba
                 ps |= 1 << (g - 4)
             else:
                 xs |= 1 << g
-        sets[w] = xs | ps << 4
         entries.append((w, groups.setdefault(c, len(groups)), xs, ps))
     return entries if ordered else None, list(groups)
 
 
-# The X ranks, blocks X+ and X-; the P of an X sits four ranks above it.
-_X_RANKS = 0x0F0F
-
-
-def _scan(p: NcPolynomial) -> tuple[tuple, tuple, dict[Word, int], int, int, int]:
-    """``(plus, minus, sets, partners, lo, hi)``, computed on first use and
-    kept with ``p``: the scan of each component map (one for a shared map),
-    the generator set of each word of ``p`` as a bitmask by rank, the mask
-    of every generator that fails to commute with one of them, and the
-    lowest and highest l-degree of a coefficient (0 and 0 when ``p`` is
-    zero).  None of it depends on the limits in force."""
+def _scan(p: NcPolynomial) -> tuple[tuple, tuple, int, int]:
+    """``(plus, minus, words, longest)``, computed on first use and kept
+    with ``p``: the scan of each component map (one for a shared map), the
+    number of words of ``p`` and the length of its longest word (0 when
+    ``p`` is zero).  None of it depends on the limits in force."""
     scan = p._scanned
     if scan is None:
-        sets: dict[Word, int] = {}
-        plus = _scan_map(p._plus, sets)
-        minus = plus if p._minus is p._plus else _scan_map(p._minus, sets)
-        union = 0
-        for m in sets.values():
-            union |= m
-        partners = (union >> 4 & _X_RANKS) | (union & _X_RANKS) << 4
-        degrees = [d for c in plus[1] + minus[1] for d, _ in c._num]
-        scan = p._scanned = (plus, minus, sets, partners, min(degrees, default=0), max(degrees, default=0))
+        plus = _scan_map(p._plus)
+        minus = plus if p._minus is p._plus else _scan_map(p._minus)
+        words = _words(p)
+        scan = p._scanned = (plus, minus, len(words), max(map(len, words), default=0))
     return scan
 
 
 def _normal_scan(terms: Terms, window: tuple[int, int]) -> tuple[list, list[BaseScalar]]:
     """The scan of ``terms`` normal-ordered under ``window``: it depends on
     the window, so a map with an unsorted word takes it anew in each product."""
-    return _scan_map(_normal_order(terms, {w: _fold(w) for w in terms}, window), {})
+    return _scan_map(_normal_order(terms, {w: _fold(w) for w in terms}, window))
 
 
 def _product(a: Terms, sa: tuple, b: Terms, sb: tuple, window: tuple[int, int]) -> Terms:
@@ -518,14 +505,13 @@ def _product(a: Terms, sa: tuple, b: Terms, sb: tuple, window: tuple[int, int]) 
     return out
 
 
-def _check_size(pw: Collection[Word], qw: Collection[Word], word_cap: int) -> None:
-    """Refuse a product of the word sets ``pw`` and ``qw`` (either order)
-    that pairs more than ``MAX_TERM_PAIRS`` terms or exceeds ``word_cap``."""
-    pairs = len(pw) * len(qw)
+def _check_size(pairs: int, longest: int, word_cap: int) -> None:
+    """Refuse a product of ``pairs`` term pairs that pairs more than
+    ``MAX_TERM_PAIRS``, or whose longest word pair, of ``longest``
+    generators, exceeds ``word_cap``."""
     if pairs > MAX_TERM_PAIRS:
         raise ProductSizeError(f"product of {pairs} term pairs exceeds {MAX_TERM_PAIRS}")
-    longest = pairs and max(map(len, pw)) + max(map(len, qw))
-    if longest > word_cap:
+    if pairs and longest > word_cap:
         raise WordLengthError(f"product word length {longest} exceeds cap {word_cap}")
 
 
@@ -537,40 +523,17 @@ def multiply(p: NcPolynomial, q: NcPolynomial) -> NcPolynomial:
     alone, so all sigma_plus pairs are multiplied before any sigma_minus pair.
     """
     lim = current_limits()
-    p_plus, p_minus, p_sets = _scan(p)[:3]
-    q_plus, q_minus, q_sets = _scan(q)[:3]
-    _check_size(p_sets, q_sets, lim.word_cap)
+    p_plus, p_minus, p_words, p_longest = _scan(p)
+    q_plus, q_minus, q_words, q_longest = _scan(q)
+    _check_size(p_words * q_words, p_longest + q_longest, lim.word_cap)
     plus = _product(p._plus, p_plus, q._plus, q_plus, lim.window)
     if p._minus is p._plus and q._minus is q._plus:
         return _poly(plus, plus)
     return _poly(plus, _product(p._minus, p_minus, q._minus, q_minus, lim.window))
 
 
-def _drop_commuting(p: NcPolynomial, sets: dict[Word, int], partners: int) -> NcPolynomial:
-    """``p`` without the terms whose generator sets (``sets``, by word) miss
-    ``partners``: those commute with every word behind ``partners``."""
-    if all(m & partners for m in sets.values()):
-        return p
-    return _by_component(lambda a: {w: c for w, c in a.items() if sets[w] & partners}, p)
-
-
 def commutator(p: NcPolynomial, q: NcPolynomial) -> NcPolynomial:
-    """``pq - qp``.
-
-    A term whose word commutes with every word of the other operand cancels
-    from the bracket, so it is dropped before the two products: an ``X``
-    fails to commute only with its own momentum, whatever the order of the
-    word.  The size limits are checked on the full operands, and terms are
-    dropped only when no coefficient product can leave the degree window;
-    otherwise the full products run and raise as ``multiply`` does.
-    """
-    lim = current_limits()
-    _, _, p_sets, p_partners, p_lo, p_hi = _scan(p)
-    _, _, q_sets, q_partners, q_lo, q_hi = _scan(q)
-    _check_size(p_sets, q_sets, lim.word_cap)
-    lo, hi = lim.window
-    if lo <= p_lo + q_lo and p_hi + q_hi <= hi:
-        p, q = _drop_commuting(p, p_sets, q_partners), _drop_commuting(q, q_sets, p_partners)
+    """``pq - qp``."""
     return multiply(p, q) - multiply(q, p)
 
 

@@ -14,6 +14,8 @@ from helpers import (
     random_pc_scalar,
     random_poly,
 )
+from pcqm import operators
+from pcqm.expr import evaluate_text
 from pcqm.limits import limits
 from pcqm.operators import (
     INDICES,
@@ -618,6 +620,18 @@ def test_commuting_operands_past_the_pair_limit_raise_as_the_products_do():
     assert len(p.words()) * len(q.words()) == 50050 > MAX_TERM_PAIRS
     with pytest.raises(ProductSizeError, match=r"^product of 50050 term pairs exceeds 50000$"):
         commutator(p, q)
+
+
+def test_a_repeated_bracket_scans_nothing(monkeypatch):
+    # Both operands keep their scans, and a bracket builds no operand of
+    # its own, so a second bracket of the same operands scans no map.
+    cx, x = evaluate_text("Cx"), evaluate_text("X+_1")
+    first = commutator(cx, x)
+    scans = []
+    real_scan_map = operators._scan_map
+    monkeypatch.setattr(operators, "_scan_map", lambda *args: scans.append(args) or real_scan_map(*args))
+    assert commutator(cx, x) == first
+    assert len(scans) == 0
 
 
 def test_sigma_parts_sum_back_to_the_polynomial():
