@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 import sys
+import threading
 from fractions import Fraction
 from functools import lru_cache
 from typing import Union
@@ -46,6 +47,14 @@ MAX_NESTING = 100
 # one is a syntax error with its column.  A lower interpreter limit (set with
 # ``-X int_max_str_digits``) lowers the bound with it.
 MAX_LITERAL_DIGITS = 1000
+# Symbol key -> parse-tree node, filled by the parser as it reads symbols
+# (see ``_Parser.base``).  Every ASCII spelling fits (16 generators, 16
+# aliases, 189 'L'/'M' spellings, 5 Casimirs, 'i' and 'I'); the table stops
+# growing at the bound, since '\d' also reads other scripts' digits
+# ('X+_١') and the spellings are otherwise unbounded.
+_MAX_SYMBOLS = 512
+_SYMBOLS: dict[tuple, Node] = {}
+_SYMBOLS_LOCK = threading.Lock()
 
 
 class ExprSyntaxError(ValueError):
@@ -117,9 +126,11 @@ class Bracket(Record):
     __slots__ = ("left", "right")
 
 
-# Every character falls in one group, so one scan reads the whole text:
-# whitespace, an integer, a name, an operator, or any other character.
-_TOKEN_RE = re.compile(r"(\s+)|(\d+)|([A-Za-z]+)|([+\-*/^()\[\],_])|(.)", re.S)
+# Every character but whitespace, which the scan skips, falls in one group,
+# so one scan reads the whole text: an integer, a name, an operator, or any
+# other character.
+_TOKEN_RE = re.compile(r"(\d+)|([A-Za-z]+)|([+\-*/^()\[\],_])|(\S)")
+_SIGNS = ("+", "-")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -127,17 +138,14 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     limit = sys.get_int_max_str_digits()  # 0: no interpreter limit
     max_digits = min(MAX_LITERAL_DIGITS, limit) if limit else MAX_LITERAL_DIGITS
     for m in _TOKEN_RE.finditer(text):
-        group = m.lastindex
+        group, tok, pos = m.lastindex, m.group(), m.start()
         if group == 1:
-            continue
-        tok, pos = m.group(group), m.start()
-        if group == 2:
             if len(tok) > max_digits:
                 raise ExprSyntaxError(f"integer longer than {max_digits} digits", pos)
             tokens.append(("INT", tok, pos))
-        elif group == 3:
+        elif group == 2:
             tokens.append(("NAME", tok, pos))
-        elif group == 4:
+        elif group == 3:
             tokens.append((tok, tok, pos))
         else:
             raise ExprSyntaxError(f"unexpected character {tok!r}", pos)
@@ -148,62 +156,58 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
+        # Token kinds with an end sentinel: lookahead is one index, and the
+        # sentinel matches no kind.
+        self.kinds = [tok[0] for tok in self.tokens] + [None]
         self.n = 0
         self.depth = 0
 
-    def peek(self, ahead: int = 0) -> tuple[str, str, int] | None:
-        idx = self.n + ahead
-        return self.tokens[idx] if idx < len(self.tokens) else None
-
     def next(self) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok is None:
+        if self.n == len(self.tokens):
             raise ExprSyntaxError("unexpected end of input", len(self.text))
         self.n += 1
-        return tok
+        return self.tokens[self.n - 1]
 
     def expect(self, kind: str) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok is None or tok[0] != kind:
-            pos = tok[2] if tok else len(self.text)
-            got = f"{tok[1]!r}" if tok else "end of input"
-            raise ExprSyntaxError(f"expected {kind!r}, got {got}", pos)
+        if self.kinds[self.n] != kind:
+            if self.n == len(self.tokens):
+                raise ExprSyntaxError(f"expected {kind!r}, got end of input", len(self.text))
+            _, text, pos = self.tokens[self.n]
+            raise ExprSyntaxError(f"expected {kind!r}, got {text!r}", pos)
         return self.next()
-
-    def at(self, kind: str, ahead: int = 0) -> bool:
-        tok = self.peek(ahead)
-        return tok is not None and tok[0] == kind
 
     def parse(self) -> Node:
         node = self.expr()
-        tok = self.peek()
-        if tok is not None:
-            raise ExprSyntaxError(f"trailing input {tok[1]!r}", tok[2])
+        if self.n < len(self.tokens):
+            _, text, pos = self.tokens[self.n]
+            raise ExprSyntaxError(f"trailing input {text!r}", pos)
         return node
 
     def expr(self) -> Node:
-        if self.at("-"):
-            self.next()
+        kinds = self.kinds
+        if kinds[self.n] == "-":
+            self.n += 1
             node: Node = Neg(self.term())
         else:
             node = self.term()
-        while self.at("+") or self.at("-"):
-            op = self.next()[0]
+        while kinds[self.n] in _SIGNS:
+            op = kinds[self.n]
+            self.n += 1
             right = self.term()
             node = Add(node, right) if op == "+" else Sub(node, right)
         return node
 
     def term(self) -> Node:
         node = self.factor()
-        while self.at("*"):
-            self.next()
+        while self.kinds[self.n] == "*":
+            self.n += 1
             node = Mul(node, self.factor())
         return node
 
     def factor(self) -> Node:
         node = self.base()
-        if self.at("^") and not isinstance(node, LengthPower):
-            self.next()
+        if self.kinds[self.n] == "^" and not isinstance(node, LengthPower):
+            self.n += 1
             tok = self.expect("INT")
             nested = _exponent_product(node)
             if int(tok[1]) * nested > MAX_EXPONENT:
@@ -213,11 +217,35 @@ class _Parser:
         return node
 
     def base(self) -> Node:
-        tok = self.next()
-        kind, text, pos = tok
+        kind, text, pos = self.next()
+        if kind == "NAME":
+            # One lookup per symbol, keyed on its tokens: the name, the sign
+            # after a one-letter name (X+, L-, C+) and the digits after an
+            # '_'; ``end`` is the index past them.
+            n, kinds = self.n, self.kinds
+            sign = kinds[n] if len(text) == 1 and kinds[n] in _SIGNS else None
+            end = n + 1 if sign else n
+            digits = None
+            if kinds[end] == "_" and kinds[end + 1] == "INT":
+                digits = self.tokens[end + 1][1]
+                end += 2
+            key = (text, sign, digits)
+            node = _SYMBOLS.get(key)
+            if node is not None:
+                self.n = end
+                return node
+            node = self.symbol(text, pos)
+            # Kept only when the grammar read exactly the key's tokens, so a
+            # hit gives the node it builds; not 'l', whose exponent is read
+            # past them.
+            if self.n == end and text != "l":
+                with _SYMBOLS_LOCK:
+                    if len(_SYMBOLS) < _MAX_SYMBOLS:
+                        _SYMBOLS[key] = node
+            return node
         if kind == "INT":
-            if self.at("/"):
-                self.next()
+            if self.kinds[self.n] == "/":
+                self.n += 1
                 denom = self.expect("INT")
                 if int(denom[1]) == 0:
                     raise ExprSyntaxError("zero denominator", denom[2])
@@ -234,8 +262,6 @@ class _Parser:
             self.expect(")" if kind == "(" else "]")
             self.depth -= 1
             return node
-        if kind == "NAME":
-            return self.symbol(text, pos)
         raise ExprSyntaxError(f"unexpected token {text!r}", pos)
 
     def symbol(self, name: str, pos: int) -> Node:
@@ -244,11 +270,11 @@ class _Parser:
         if name == "I":
             return PseudoUnit()
         if name == "l":
-            if self.at("^"):
-                self.next()
+            if self.kinds[self.n] == "^":
+                self.n += 1
                 sign = 1
-                if self.at("-"):
-                    self.next()
+                if self.kinds[self.n] == "-":
+                    self.n += 1
                     sign = -1
                 tok = self.expect("INT")
                 return LengthPower(sign * int(tok[1]))
@@ -270,7 +296,7 @@ class _Parser:
 
     def named_operator(self, name: str, pos: int) -> Node:
         letter, comp = name[0], name[1:] or None
-        if comp is None and (self.at("+") or self.at("-")) and self.at("_", 1):
+        if comp is None and self.kinds[self.n] in _SIGNS and self.kinds[self.n + 1] == "_":
             comp = self.next()[0]
         if comp not in (None, "R", "I", *BRANCHES, *so4.COMPONENT_FACTORS):
             raise ExprSyntaxError(f"unknown component tag {comp!r} on {letter}", pos)
@@ -293,7 +319,7 @@ class _Parser:
 
     def casimir_symbol(self, name: str, pos: int) -> Node:
         comp = name[1:] or None
-        if comp is None and (self.at("+") or self.at("-")):
+        if comp is None and self.kinds[self.n] in _SIGNS:
             comp = self.next()[0]
         if comp not in CASIMIR_TAGS:
             raise ExprSyntaxError(

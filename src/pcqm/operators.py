@@ -299,15 +299,26 @@ def poly_sum(polys: Sequence[NcPolynomial]) -> NcPolynomial:
 def render_poly(p: NcPolynomial) -> str:
     """Canonical text form; longest words first, CLI-parseable.  Each
     coefficient is read from the two component maps, with no ``PcScalar``
-    built for it."""
+    built for it, and rendered once per pair of component objects: products
+    share one object among many words."""
     plus, minus = p._plus, p._minus
+    words = sorted(_words(p))
+    words.sort(key=len, reverse=True)  # stable: equal lengths stay sorted
+    # Keyed on object ids, which stay unique while ``p`` holds the objects.
+    coeffs: dict[tuple[int, int], tuple[str, bool]] = {}
     terms = []
-    for word in sorted(_words(p), key=lambda w: (-len(w), w)):
-        atoms = _atoms(plus.get(word, _ZERO), minus.get(word, _ZERO))
-        if len(atoms) == 1:
-            body, negative = _atom_str(*atoms[0]), atoms[0][0] < 0
-        else:
-            body, negative = f"({_join_atoms(atoms)})", False
+    for word in words:
+        x, y = plus.get(word, _ZERO), minus.get(word, _ZERO)
+        key = id(x), id(y)
+        coeff = coeffs.get(key)
+        if coeff is None:
+            atoms = _atoms(x, y)
+            if len(atoms) == 1:
+                coeff = _atom_str(*atoms[0]), atoms[0][0] < 0
+            else:
+                coeff = f"({_join_atoms(atoms)})", False
+            coeffs[key] = coeff
+        body, negative = coeff
         if word:
             body = render_word(word) if body == "1" else f"{body}*{render_word(word)}"
         terms.append((body, negative))

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 import sys
@@ -9,8 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import random_poly, reference_tokenize
-from pcqm import so4
+from pcqm import expr, so4
 from pcqm.expr import (
+    CASIMIR_TAGS,
     Add,
     AliasSym,
     MAX_EXPONENT,
@@ -458,3 +460,67 @@ def test_tokenizer_matches_the_reference(text):
 
 def test_non_ascii_digits_read_as_digits():
     assert evaluate_text("X+_١").render() == "X+_1"
+
+
+def _ascii_symbols() -> dict:
+    """Every ASCII operator spelling the grammar accepts, with its node."""
+    nodes = {}
+    for kind, branch, i in itertools.product("XP", "+-", range(1, 5)):
+        nodes[f"{kind}{branch}_{i}"] = GenSym(kind, branch, i)
+    for name, i in itertools.product(("x", "y", "px", "py"), range(1, 5)):
+        nodes[f"{name}_{i}"] = AliasSym(name, i)
+    for letter, vectors in (("L", so4.L_VECTOR_PAIRS), ("M", so4.M_VECTOR_PAIRS)):
+        pairs = [(i, j) for i, j in itertools.permutations(range(1, 5), 2) if letter == "L" or j == 4]
+        for comp in (None, "R", "I", "+", "-", "x", "y", "xy", "yx"):
+            tag = comp or ""
+            for i, j in pairs:
+                nodes[f"{letter}{tag}_{i}{j}"] = NamedOp(letter, comp, i, j)
+            for a, (i, j) in vectors.items():
+                nodes[f"{letter}{tag}_{a}"] = NamedOp(letter, comp, i, j)
+    for comp in CASIMIR_TAGS:
+        nodes[f"C{comp}"] = CasimirOp(comp)
+    return nodes
+
+
+def test_symbol_lookup_is_exact_and_bounded():
+    expr._SYMBOLS.clear()
+    nodes = _ascii_symbols()
+    assert len(nodes) == 16 + 16 + 189 + 5
+    # Each spelling is read twice in every context: the first read takes the
+    # grammar path and fills the table, the second is a lookup.
+    for text, node in nodes.items():
+        spaced = " ".join(tok[1] for tok in _tokenize(text))
+        for spelling in (text, spaced) * 2:
+            assert parse(spelling) == node
+            assert parse(f"2*{spelling}^2 - {spelling}") == Sub(Mul(Num(Fraction(2)), Pow(node, 2)), node)
+            assert parse(f"[{spelling}, i]") == Bracket(node, ImagUnit())
+    assert parse("l*l^2") == Mul(LengthPower(1), LengthPower(2))
+    # Misspellings of symbols the table holds keep their messages and columns.
+    for text, message in (
+        ("X+_5", "col 1: index 5 out of range 1..4"),
+        ("X + _ 5", "col 1: index 5 out of range 1..4"),
+        ("Lx_1 2", "col 6: trailing input '2'"),
+        ("X+_12", "col 4: expected 1..1 index digits, got '12'"),
+        ("L_11", "col 1: indices must differ in L_11"),
+        ("M_12", "col 1: M takes indices (a, 4); use M_14, M_24 or M_34"),
+        ("L_4", "col 1: vector label L_4 must use 1..3"),
+        ("C+_1", "col 3: trailing input '_'"),
+        ("CR_1", "col 3: trailing input '_'"),
+        ("L+", "col 2: expected '_', got '+'"),
+    ):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(text)
+        assert str(err.value) == message
+    # '\d' reads every script's digits, so the spellings are unbounded; the
+    # table stops at its bound, and a spelling past it is still read right.
+    digits = [c for c in map(chr, range(0x80, 0x110000)) if c.isdecimal() and 1 <= int(c) <= 4]
+    names = [f"{kind}{branch}" for kind in "XP" for branch in "+-"] + ["x", "y", "px", "py"]
+    spellings = [f"{name}_{d}" for d in digits for name in names][:2000]
+    assert len(set(spellings)) == 2000
+    for text in spellings:
+        name, d = text.split("_")
+        node = GenSym(name[0], name[1], int(d)) if len(name) == 2 and name[1] in "+-" else AliasSym(name, int(d))
+        assert parse(text) == parse(text) == node
+    assert len(expr._SYMBOLS) == expr._MAX_SYMBOLS
+    assert all(parse(text) == node for text, node in nodes.items())
+    expr._SYMBOLS.clear()

@@ -710,6 +710,19 @@ def test_render_matches_the_per_coefficient_rendering():
         # on some words.
         split = real + p.scale(SIGMA_PLUS) + q.scale(SIGMA_MINUS)
         polys += [p, real, split]
+        if len(polys) < 100:
+            polys.append(multiply(split, p))
+    # Products share one coefficient object among many words; equal values
+    # built apart are distinct objects.
+    shared = evaluate_text("(1+I)*(X+_1+X+_2)*(P+_1+P+_2)")
+    assert len({id(c) for c in shared._plus.values()}) < len(shared._plus) == 4 and not shared._minus
+    apart = NcPolynomial({(XP1,): pc_gaussian(1, 1), (XP2,): pc_gaussian(1, 1), (PP1,): PSEUDO_UNIT,
+                          (XP1, PP1): PSEUDO_UNIT + pc_l(0), (): pc_gaussian(-1, 0)})
+    assert apart._plus[XP1,] == apart._plus[XP2,] and apart._plus[XP1,] is not apart._plus[XP2,]
+    # One component object shared by words whose other components differ.
+    one, two = BaseScalar.rational(1), BaseScalar.rational(2)
+    mixed = operators._poly({(XP1,): one, (XP2,): one, (PP1,): two}, {(XP1,): one, (XP2,): two, (PP1,): one})
+    polys += [shared, apart, multiply(apart, shared), mixed]
     assert any(len(_atoms(c._plus, c._minus)) > 1 for p in polys for c in p.terms().values())
     for p in polys:
         assert render_poly(p) == _render_per_coefficient(p)
