@@ -14,7 +14,9 @@ are aliases over the branch generators; ``y`` and ``py`` carry an explicit
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+from contextvars import ContextVar
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -526,6 +528,22 @@ def _check_size(pairs: int, longest: int, word_cap: int) -> None:
         raise WordLengthError(f"product word length {longest} exceeds cap {word_cap}")
 
 
+# Products of the innermost ``shared_products`` scope (None outside, as in a new
+# thread), keyed on operand ids and window; each entry keeps its operands alive.
+_products: ContextVar[dict | None] = ContextVar("pcqm_products", default=None)
+
+
+@contextlib.contextmanager
+def shared_products():
+    """Inside this ``with`` block or decorated function, ``multiply`` forms the
+    product of two operand objects once per degree window, after its size check."""
+    token = _products.set({})
+    try:
+        yield
+    finally:
+        _products.reset(token)
+
+
 def multiply(p: NcPolynomial, q: NcPolynomial) -> NcPolynomial:
     """Normal-order the concatenation of every term pair.  Bilinear and
     associative.
@@ -537,10 +555,15 @@ def multiply(p: NcPolynomial, q: NcPolynomial) -> NcPolynomial:
     p_plus, p_minus, p_words, p_longest = _scan(p)
     q_plus, q_minus, q_words, q_longest = _scan(q)
     _check_size(p_words * q_words, p_longest + q_longest, lim.word_cap)
+    memo = _products.get()
+    if memo is not None and (key := (id(p), id(q), lim.window)) in memo:
+        return memo[key][2]
     plus = _product(p._plus, p_plus, q._plus, q_plus, lim.window)
-    if p._minus is p._plus and q._minus is q._plus:
-        return _poly(plus, plus)
-    return _poly(plus, _product(p._minus, p_minus, q._minus, q_minus, lim.window))
+    real = p._minus is p._plus and q._minus is q._plus
+    out = _poly(plus, plus if real else _product(p._minus, p_minus, q._minus, q_minus, lim.window))
+    if memo is not None:
+        memo[key] = p, q, out
+    return out
 
 
 def commutator(p: NcPolynomial, q: NcPolynomial) -> NcPolynomial:
@@ -548,21 +571,21 @@ def commutator(p: NcPolynomial, q: NcPolynomial) -> NcPolynomial:
     return multiply(p, q) - multiply(q, p)
 
 
+# Shared by every caller: no word cap or degree window refuses one generator.
+_GENERATOR_POLYS = tuple(NcPolynomial({(g,): PC_ONE}) for g in map(Generator, range(16)))
+
+
 def generator_poly(kind: str, branch: str, index: int) -> NcPolynomial:
-    return NcPolynomial.from_word((gen(kind, branch, index),))
+    return _GENERATOR_POLYS[gen(kind, branch, index)]
 
 
 def pc_coordinate(index: int) -> NcPolynomial:
     """X_i = X+_i*sigma_plus + X-_i*sigma_minus."""
-    return generator_poly("X", "+", index).scale(SIGMA_PLUS) + generator_poly(
-        "X", "-", index
-    ).scale(SIGMA_MINUS)
+    return _leaf(None, gen("X", "+", index), current_limits().window)
 
 
 def pc_momentum(index: int) -> NcPolynomial:
-    return generator_poly("P", "+", index).scale(SIGMA_PLUS) + generator_poly(
-        "P", "-", index
-    ).scale(SIGMA_MINUS)
+    return _leaf(None, gen("P", "+", index), current_limits().window)
 
 
 _HALF = pc_rational(Fraction(1, 2))
@@ -580,13 +603,23 @@ def expand_alias(name: str, index: int) -> NcPolynomial:
     kind = "X" if name in ("x", "y") else "P" if name in ("px", "py") else None
     if kind is None:
         raise ValueError(f"unknown alias symbol {name!r}")
-    plus = generator_poly(kind, "+", index)
-    minus = generator_poly(kind, "-", index)
+    return _leaf(name, gen(kind, "+", index), current_limits().window)
+
+
+@lru_cache(maxsize=384)  # the 24 leaves under 16 degree windows
+def _leaf(name: str | None, g: Generator, window: tuple[int, int]) -> NcPolynomial:
+    """The alias ``name``, or the pc operator for None, over the branch +
+    generator ``g`` and its branch - twin, eight ranks up: shared, and built once
+    per degree window (the one in force), which its scaling checks."""
+    plus, minus = _GENERATOR_POLYS[g], _GENERATOR_POLYS[g + 8]
+    if name is None:
+        return plus.scale(SIGMA_PLUS) + minus.scale(SIGMA_MINUS)
     if name in ("x", "px"):
         return (plus + minus).scale(_HALF)
     return (plus - minus).scale(_HALF_OVER_L)
 
 
+@shared_products()
 def verify_canonical_relations() -> IdentityReport:
     """Check the canonical branch quantization for every branch/index pair.
 
@@ -610,6 +643,7 @@ def verify_canonical_relations() -> IdentityReport:
 _L_SQUARED = pc_l(2)
 
 
+@shared_products()
 def verify_induced_relations() -> IdentityReport:
     """Check the induced relations among x, y, px, py for all index pairs.
 

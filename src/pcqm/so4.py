@@ -30,6 +30,7 @@ from .operators import (
     multiply,
     pc_coordinate,
     pc_momentum,
+    shared_products,
 )
 from .record import Record
 from .reports import Check, IdentityReport
@@ -147,6 +148,7 @@ def _so4_rhs(build, i: int, j: int, k: int, q: int) -> NcPolynomial:
     return out.scale(pc_imag())
 
 
+@shared_products()
 def verify_so4_relations() -> IdentityReport:
     """Check the generator commutation relations for all 36 pair tuples.
 
@@ -174,6 +176,7 @@ def verify_so4_relations() -> IdentityReport:
     return IdentityReport(name="so4-commutators", checks=tuple(checks))
 
 
+@shared_products()
 def verify_recomposition() -> IdentityReport:
     """Check the component decompositions of the generators, per index pair.
 
@@ -243,6 +246,7 @@ def _component_pivots(comp: str) -> list[Pivot]:
     return span_pivots({f"L{comp}_{i}{j}": component(i, j, comp) for i, j in _PAIRS})
 
 
+@shared_products()
 def verify_component_closure() -> IdentityReport:
     """Expand component commutators over component spans by exact solving.
 
@@ -341,6 +345,7 @@ class CasimirExpansion(Record):
         return IdentityReport(name="casimir-expansion", checks=checks)
 
 
+@shared_products()
 def casimir_expansion() -> CasimirExpansion:
     """Expand C^x = (1/2) sum (Lx^2 + Mx^2) in powers of the decomposition.
 
@@ -384,6 +389,7 @@ def casimir_expansion() -> CasimirExpansion:
     )
 
 
+@shared_products()
 def verify_casimir_commutes() -> IdentityReport:
     """C^R commutes with every LR_ij."""
     c_r = casimir("R")

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import threading
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from helpers import (
     random_pc_scalar,
     random_poly,
 )
-from pcqm import operators
+from pcqm import operators, so4
 from pcqm.expr import evaluate_text
 from pcqm.limits import limits
 from pcqm.operators import (
@@ -33,6 +34,7 @@ from pcqm.operators import (
     pc_momentum,
     render_poly,
     render_word,
+    shared_products,
     verify_canonical_relations,
     verify_induced_relations,
 )
@@ -729,3 +731,113 @@ def test_render_matches_the_per_coefficient_rendering():
     assert render_poly(NcPolynomial.zero()) == "0"
     several = NcPolynomial({(XP1,): pc_gaussian(1, 1), (): PSEUDO_UNIT + pc_l(-1)})
     assert render_poly(several) == "(1 + i)*X+_1 + (l^-1 + I)"
+
+
+# ``shared_products`` forms each product of two operand objects once per
+# degree window.  A served product must equal the oracle's and the one formed
+# outside any scope, and no limit may be bypassed by a product formed earlier.
+@pytest.mark.parametrize("kind", ["real", "sigma", "general"])
+def test_shared_products_match_the_oracle_and_the_unscoped_products(kind):
+    rng = random.Random(f"{SEED}-shared-{kind}")
+    for _ in range(15):
+        p, q = _poly_of_kind(rng, kind), _poly_of_kind(rng, kind)
+        pairs = ((p, q), (p, q), (q, p), (p, p))
+        unscoped = [multiply(a, b) for a, b in pairs] + [commutator(p, p)]
+        with shared_products():
+            scoped = [multiply(a, b) for a, b in pairs] + [commutator(p, p)]
+            assert scoped[1] is scoped[0]
+        expected = [oracle_multiply(oracle_poly(a), oracle_poly(b)) for a, b in pairs]
+        for got, alone, terms in zip(scoped, unscoped, expected + [_oracle_commutator(p, p)]):
+            assert_oracle_equal(got, terms)
+            assert got == alone
+
+
+def test_shared_products_refuse_under_narrower_limits():
+    p = NcPolynomial.from_word((XP1,), pc_l(-1) + pc_l(1))
+    q = NcPolynomial.from_word((PP1, XP2), pc_l(-1))
+    with shared_products():
+        formed = multiply(p, q)
+        with limits(window=(-1, 1)):
+            with pytest.raises(DegreeWindowError, match=r"^l\^-2 outside degree window -1\.\.1$"):
+                multiply(p, q)
+        with limits(word_cap=2):
+            with pytest.raises(WordLengthError, match=r"^product word length 3 exceeds cap 2$"):
+                multiply(p, q)
+        assert multiply(p, q) is formed
+
+
+def _outcome(build) -> str:
+    try:
+        return build().render()
+    except (ValueError, DegreeWindowError) as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def test_shared_leaves_are_built_per_degree_window():
+    assert generator_poly("X", "+", 1) is generator_poly("X", "+", 1)
+    y1, x1 = expand_alias("y", 1), pc_coordinate(1)
+    assert expand_alias("y", 1) is y1 and pc_coordinate(1) is x1
+    x_plus, x_minus = generator_poly("X", "+", 1), generator_poly("X", "-", 1)
+    half_over_l = pc_l(-1, Fraction(1, 2))
+    for window in ((0, 4), (1, 4)):
+        with limits(window=window):
+            assert _outcome(lambda: expand_alias("y", 1)) == _outcome(
+                lambda: (x_plus - x_minus).scale(half_over_l))
+            assert _outcome(lambda: pc_coordinate(1)) == _outcome(
+                lambda: x_plus.scale(SIGMA_PLUS) + x_minus.scale(SIGMA_MINUS))
+    with limits(window=(1, 4)):
+        with pytest.raises(DegreeWindowError, match=r"^l\^-1 outside degree window 1\.\.4$"):
+            expand_alias("y", 1)
+        with pytest.raises(DegreeWindowError, match=r"^l\^0 outside degree window 1\.\.4$"):
+            pc_coordinate(1)
+    assert expand_alias("y", 1) is y1 and pc_coordinate(1) is x1
+
+
+def test_shared_leaves_check_their_arguments_first():
+    with pytest.raises(ValueError, match=r"^alias index must be 1\.\.4, got \[1\]$"):
+        expand_alias("x", [1])
+    with pytest.raises(ValueError, match=r"^generator index must be 1\.\.4, got 5$"):
+        generator_poly("X", "+", 5)
+    with pytest.raises(ValueError, match=r"^generator index must be 1\.\.4, got 5$"):
+        pc_momentum(5)
+
+
+VERIFY_SUITES = (
+    verify_canonical_relations, verify_induced_relations, so4.verify_so4_relations,
+    so4.verify_recomposition, so4.verify_component_closure, so4.verify_casimir_commutes,
+    so4.casimir_expansion,
+)
+
+
+def _memoised(p: NcPolynomial, q: NcPolynomial) -> bool:
+    return multiply(p, q) is multiply(p, q)
+
+
+def test_each_verify_suite_shares_products_and_leaves_no_scope(monkeypatch):
+    p, q = generator_poly("P", "+", 1), generator_poly("X", "+", 1)
+    assert not _memoised(p, q)
+    for suite in VERIFY_SUITES:
+        scoped = []
+        check_size = operators._check_size
+        monkeypatch.setattr(operators, "_check_size",
+                            lambda *args: scoped.append(operators._products.get() is not None) or check_size(*args))
+        suite()
+        monkeypatch.undo()
+        assert scoped and all(scoped), suite.__name__
+        assert not _memoised(p, q), suite.__name__
+    with limits(window=(-1, 1)):
+        with pytest.raises(DegreeWindowError):
+            verify_induced_relations()
+    assert not _memoised(p, q)
+
+
+def test_a_thread_started_in_a_scope_shares_no_products():
+    p, q = generator_poly("P", "+", 1), generator_poly("X", "+", 1)
+    seen = []
+    with shared_products():
+        thread = threading.Thread(target=lambda: seen.append(_memoised(p, q)))
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert _memoised(p, q)
+    assert seen == [False]
