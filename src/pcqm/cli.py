@@ -382,5 +382,15 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
+def entry() -> None:
+    """Process entry of ``pcqm`` and ``python -m pcqm.cli``: ``main``, then
+    ``os._exit`` once stdout and stderr are flushed.  The OS reclaims the
+    heap, so the process skips the interpreter's teardown (mostly numpy's)."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -68,8 +68,10 @@ def spin_block(k: SpinLike) -> SpinBlock:
     return SpinBlock(k=k, j1=(jp + jm) / 2, j2=(jp - jm) / 2j, j3=j3)
 
 
-# Sparse matrix: (row, column) -> nonzero entry.
+# Sparse matrix: (row, column) -> nonzero entry; Scaled holds the entries
+# times a common denominator.
 Entries = dict[tuple[int, int], Fraction]
+Scaled = dict[tuple[int, int], int]
 
 
 class LadderBlock(Record):
@@ -99,19 +101,19 @@ def ladder_block(k: SpinLike) -> LadderBlock:
     return LadderBlock(k=k, jp=jp, jm=jm, j3=j3)
 
 
-def _product(a: Entries, b: Entries) -> Entries:
-    by_row: dict[int, list[tuple[int, Fraction]]] = {}
+def _product(a: Scaled, b: Scaled) -> Scaled:
+    by_row: dict[int, list[tuple[int, int]]] = {}
     for (j, c), v in b.items():
         by_row.setdefault(j, []).append((c, v))
-    out: Entries = {}
+    out: Scaled = {}
     for (r, j), u in a.items():
         for c, v in by_row.get(j, ()):
             out[r, c] = out.get((r, c), 0) + u * v
     return out
 
 
-def _combination(*terms: tuple[int | Fraction, Entries]) -> Entries:
-    out: Entries = {}
+def _combination(*terms: tuple[int, Scaled]) -> Scaled:
+    out: Scaled = {}
     for coeff, entries in terms:
         for pos, v in entries.items():
             out[pos] = out.get(pos, 0) + coeff * v
@@ -125,23 +127,29 @@ def check_ladder_block(block: LadderBlock) -> Fraction:
     Requires zero residuals for [J3,J+] = J+, [J3,J-] = -J-, [J+,J-] = 2J3
     and J^2 = J+J- + J3^2 - J3 = k(k+1), each multiplied out from the
     block's entries; raises ArithmeticError naming the first identity and
-    entry (row, column) that fail.
+    entry (row, column) that fail.  The entries and k(k+1) are scaled by
+    their common denominator s into ints, and each identity is checked
+    times s^2.
     """
-    jp, jm, j3 = block.jp, block.jm, block.j3
     j_squared = block.k * (block.k + 1)
-    eye = {(r, r): Fraction(1) for r in range(block.dim)}
+    parts = (block.jp, block.jm, block.j3)
+    s = math.lcm(j_squared.denominator, *(v.denominator for e in parts for v in e.values()))
+    jp, jm, j3 = ({pos: v.numerator * (s // v.denominator) for pos, v in e.items()} for e in parts)
+    casimir = dict.fromkeys([(r, r) for r in range(block.dim)], int(j_squared * s * s))
     pm = _product(jp, jm)
     identities = (
-        ("[J3,J+] = J+", ((1, _product(j3, jp)), (-1, _product(jp, j3)), (-1, jp))),
-        ("[J3,J-] = -J-", ((1, _product(j3, jm)), (-1, _product(jm, j3)), (1, jm))),
-        ("[J+,J-] = 2J3", ((1, pm), (-1, _product(jm, jp)), (-2, j3))),
-        (f"J^2 = {j_squared}", ((1, pm), (1, _product(j3, j3)), (-1, j3), (-j_squared, eye))),
+        ("[J3,J+] = J+", ((1, _product(j3, jp)), (-1, _product(jp, j3)), (-s, jp))),
+        ("[J3,J-] = -J-", ((1, _product(j3, jm)), (-1, _product(jm, j3)), (s, jm))),
+        ("[J+,J-] = 2J3", ((1, pm), (-1, _product(jm, jp)), (-2 * s, j3))),
+        (f"J^2 = {j_squared}", ((1, pm), (1, _product(j3, j3)), (-s, j3), (-1, casimir))),
     )
     for name, terms in identities:
         residual = _combination(*terms)
         if residual:
             (r, c), value = min(residual.items())
-            raise ArithmeticError(f"{name} fails at entry ({r}, {c}): residual {value}")
+            raise ArithmeticError(
+                f"{name} fails at entry ({r}, {c}): residual {Fraction(value, s * s)}"
+            )
     return 2 * j_squared
 
 

@@ -228,6 +228,9 @@ class NcPolynomial:
         word = tuple(word)
         return _pc(self._plus.get(word, _ZERO), self._minus.get(word, _ZERO))
 
+    def __contains__(self, word: Word) -> bool:
+        return word in self._plus or word in self._minus
+
     def words(self) -> tuple[Word, ...]:
         return tuple(sorted(_words(self)))
 

@@ -234,10 +234,9 @@ def express_in_span(
     residual = p
     coeffs: dict[str, PcScalar] = {}
     for label, b, pivot, inverse in pivots:
-        c = residual.coefficient(pivot) * inverse
-        if c.is_zero():
+        if pivot not in residual:
             continue
-        coeffs[label] = c
+        coeffs[label] = c = residual.coefficient(pivot) * inverse
         residual = residual - b.scale(c)
     return coeffs, residual
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -15,8 +16,18 @@ from hypothesis import strategies as st
 from pcqm.cli import config_from_args, main, parse_value_with_unit, run
 from pcqm.limits import current_limits
 
+ROOT = Path(__file__).parents[1]
 DATA = Path(__file__).parent / "data"
 CLI_FORMATS = json.loads((DATA / "cli_formats.json").read_text())
+
+# The console script's target in pyproject.toml, called as the installed
+# wrapper calls it.
+_SCRIPT = re.search(r'^pcqm = "([\w.]+):(\w+)"$', (ROOT / "pyproject.toml").read_text(), re.M)
+ENTRIES = {
+    "module": [sys.executable, "-m", "pcqm.cli"],
+    "script": [sys.executable, "-c", "import sys; from {0} import {1}; sys.exit({1}())".format(
+        *_SCRIPT.groups())],
+}
 
 
 def run_argv(argv: list[str]) -> tuple[int, str]:
@@ -391,18 +402,60 @@ def test_irrep_rejects_k_max_that_is_not_a_spin(k_max):
     assert json.loads(output) == {"schema": "error/v1", "error": message}
 
 
-def test_main_exits_quietly_when_stdout_closes_early():
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "pcqm.cli", "eval", "Cx"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+def spawn(entry: str, argv: list[str], stdout=subprocess.PIPE) -> subprocess.Popen:
+    """A CLI process started through one of ``ENTRIES``, running this checkout,
+    with stdout buffered as in a plain shell."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    return subprocess.Popen(
+        [*ENTRIES[entry], *argv], stdout=stdout, stderr=subprocess.PIPE, env=env
     )
+
+
+def test_main_exits_quietly_when_stdout_closes_early():
+    proc = spawn("module", ["eval", "Cx"])
     # The reader leaves before the child, still importing, has written anything.
     proc.stdout.close()
     _, stderr = proc.communicate(timeout=60)
     assert proc.returncode == 1
     assert stderr == b""
+
+
+def test_entries_write_all_of_verify_to_a_pipe_and_a_file(tmp_path):
+    # Both entries leave without the interpreter's teardown; what they wrote
+    # must be flushed first, whether stdout is a pipe or a file.
+    argv = ["--format", "json", "verify"]
+    procs = []
+    for entry in ENTRIES:
+        with (tmp_path / entry).open("wb") as fh:
+            procs.append((entry, spawn(entry, argv, stdout=fh)))
+        procs.append((entry, spawn(entry, argv)))
+    code, output = run_argv(argv)
+    assert code == 0
+    expected = (output + "\n").encode()
+    for entry, proc in procs:
+        stdout, stderr = proc.communicate(timeout=60)
+        if stdout is None:
+            stdout = (tmp_path / entry).read_bytes()
+        assert (entry, proc.returncode, stderr) == (entry, 0, b"")
+        assert stdout == expected
+    report = json.loads(expected)
+    assert sum(c["passed"] for r in report["reports"] for c in r["checks"]) == 530
+
+
+@pytest.mark.parametrize(
+    "argv, code, stdout",
+    [
+        (["irrep", "--k-max", "10"], 0, run_argv(["irrep", "--k-max", "10"])[1] + "\n"),
+        (["eval", "[Cx*Cx, Cx]"], 2, "error: product of 3468960 term pairs exceeds 50000\n"),
+    ],
+    ids=["irrep", "eval-refused"],
+)
+def test_entries_exit_with_the_command_code(argv, code, stdout):
+    procs = {entry: spawn(entry, argv) for entry in ENTRIES}
+    for entry, proc in procs.items():
+        out, err = proc.communicate(timeout=60)
+        assert (entry, proc.returncode, out.decode(), err) == (entry, code, stdout, b"")
 
 
 def test_verify_text_names_failing_checks(monkeypatch):

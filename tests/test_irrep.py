@@ -145,6 +145,37 @@ def test_casimir_is_tensor_sum_of_block_squares():
         assert np.allclose(casimir_matrix(build_irrep(k)), expected, atol=1e-12)
 
 
+def _first_failure(k: Fraction, parts: dict) -> tuple[str, tuple[int, int], Fraction]:
+    """The first spin relation that fails, its first entry and residual, in
+    dense Fraction matrices: an evaluation independent of ``check_ladder_block``."""
+    n = int(2 * k) + 1
+    cells = list(itertools.product(range(n), range(n)))
+
+    def dense(entries):
+        return {rc: Fraction(entries.get(rc, 0)) for rc in cells}
+
+    def mul(a, b):
+        return {(r, c): sum(a[r, j] * b[j, c] for j in range(n)) for r, c in cells}
+
+    def comb(*terms):
+        return {rc: sum(x * m[rc] for x, m in terms) for rc in cells}
+
+    p, m, z = dense(parts["jp"]), dense(parts["jm"]), dense(parts["j3"])
+    eye = {(r, c): Fraction(r == c) for r, c in cells}
+    j_squared = k * (k + 1)
+    identities = (
+        ("[J3,J+] = J+", comb((1, mul(z, p)), (-1, mul(p, z)), (-1, p))),
+        ("[J3,J-] = -J-", comb((1, mul(z, m)), (-1, mul(m, z)), (1, m))),
+        ("[J+,J-] = 2J3", comb((1, mul(p, m)), (-1, mul(m, p)), (-2, z))),
+        (f"J^2 = {j_squared}", comb((1, mul(p, m)), (1, mul(z, z)), (-1, z), (-j_squared, eye))),
+    )
+    for name, residual in identities:
+        for rc in cells:
+            if residual[rc]:
+                return name, rc, residual[rc]
+    raise AssertionError("every relation holds")
+
+
 @pytest.mark.parametrize(
     "k, field, entry, value, identity",
     [
@@ -153,8 +184,13 @@ def test_casimir_is_tensor_sum_of_block_squares():
         (2, "j3", (4, 4), -1, "[J3,J+] = J+"),
         (1, "jp", (0, 2), 1, "[J3,J+] = J+"),
         (1, "jm", (2, 0), 1, "[J3,J-] = -J-"),
+        # A denominator of 3 makes the check's common denominator 12, not 4.
+        (Fraction(3, 2), "jm", (1, 0), Fraction(7, 3), "[J+,J-] = 2J3"),
     ],
-    ids=["jm-without-m(m-1)", "jp-value", "j3-value", "jp-raises-by-2", "jm-lowers-by-2"],
+    ids=[
+        "jm-without-m(m-1)", "jp-value", "j3-value", "jp-raises-by-2", "jm-lowers-by-2",
+        "jm-in-thirds",
+    ],
 )
 def test_exact_check_names_the_failing_identity_and_entry(k, field, entry, value, identity):
     block = ladder_block(k)
@@ -164,6 +200,8 @@ def test_exact_check_names_the_failing_identity_and_entry(k, field, entry, value
     with pytest.raises(ArithmeticError, match=r"fails at entry \(\d+, \d+\): residual") as err:
         check_ladder_block(LadderBlock(block.k, **parts))
     assert str(err.value).startswith(identity)
+    name, (r, c), residual = _first_failure(block.k, parts)
+    assert str(err.value) == f"{name} fails at entry ({r}, {c}): residual {residual}"
 
 
 def test_exact_check_catches_a_block_of_the_wrong_spin():
