@@ -15,7 +15,9 @@ Grammar (whitespace-insensitive, left-associative, LL(1) after lexing):
 
 Vector labels use one index (L_1 = L_23, L_2 = L_13, L_3 = L_12,
 M_a = L_a4); two-index forms take any pair, with M requiring the second
-index to be 4.  Rendering any tree and reparsing yields the same tree.
+index to be 4.  A bare 'l' reads its own exponent, so 'l^2^2' is refused,
+while '(l)^2' and '(l^-1)^2' are powers.  Rendering any tree and reparsing
+yields the same tree.
 """
 
 from __future__ import annotations
@@ -205,8 +207,10 @@ class _Parser:
         return node
 
     def factor(self) -> Node:
+        start = self.n
         node = self.base()
-        if self.kinds[self.n] == "^" and not isinstance(node, LengthPower):
+        # A bare 'l' has read its own exponent, so a second '^' is trailing.
+        if self.kinds[self.n] == "^" and self.tokens[start][1] != "l":
             self.n += 1
             tok = self.expect("INT")
             nested = _exponent_product(node)
@@ -380,7 +384,7 @@ def _prec(node: Node) -> int:
         return _PREC_SUM
     if isinstance(node, Mul):
         return _PREC_MUL
-    if isinstance(node, Pow):
+    if isinstance(node, (Pow, LengthPower)):
         return _PREC_POW
     return _PREC_ATOM
 

@@ -20,7 +20,7 @@ from contextvars import ContextVar
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Callable, Collection, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .limits import current_limits
 from .reports import Check, IdentityReport
@@ -178,6 +178,7 @@ def _words(p: "NcPolynomial") -> Iterable[Word]:
 
 
 _ZERO = BaseScalar.zero()
+_UNIT = BaseScalar.gaussian(1, 0)
 
 
 class NcPolynomial:
@@ -331,19 +332,21 @@ def render_poly(p: NcPolynomial) -> str:
 
 
 def normal_form(p: NcPolynomial) -> NcPolynomial:
-    """Rewrite every word into the unique sorted normal form.  Each word is
-    folded once, and both component maps read its fold."""
-    folds = {w: _fold(w) for w in _words(p)}
+    """Rewrite every word into the unique sorted normal form.  Each word's
+    run product is formed once, and both component maps read it."""
+    runs = {w: _run_product(w) for w in _words(p)}
     window = current_limits().window
-    return _by_component(lambda terms: _normal_order(terms, folds, window), p)
+    return _by_component(lambda terms: _normal_order(terms, runs, window), p)
 
 
-def _normal_order(terms: Terms, folds: Mapping, window: tuple[int, int]) -> Terms:
-    """``terms`` in normal order, with each word's ``_fold`` read from ``folds``."""
+def _normal_order(terms: Terms, runs: Mapping[Word, Terms], window: tuple[int, int]) -> Terms:
+    """``terms`` in normal order, with each word's ``_run_product`` read from
+    ``runs``.  The sorted word keeps its coefficient; a contracted term's
+    coefficient is checked against the degree window, as a product's would be."""
     out: Terms = {}
-    scaled: dict = {}
-    for word, coeff in terms.items():
-        _add_scaled(out, folds[word], coeff, len(word), window, scaled, word)
+    for word, c in terms.items():
+        n = len(word)
+        _accumulate(out, ((w, c if len(w) == n else _mul(c, s, window)) for w, s in runs[word].items()))
     return out
 
 
@@ -379,15 +382,14 @@ def _contract(word: Word, w1: Word, w2: Word, ranks: int) -> list[tuple[Word, in
     return terms
 
 
-def _fold(word: Word) -> Collection[tuple[Word, int]]:
-    """The normal form of any word as ``(word, factor)`` pairs.
+def _run_product(word: Word) -> Terms:
+    """The normal form of any word as a map word -> ``(-i)^k f``, ``k`` the
+    number of contractions and ``f`` a positive integer.
 
-    A word in which no ``X`` follows its own ``P`` sorts.  Any other word
-    keeps its sorted prefix, and each later generator is multiplied onto
-    every partial word through ``_contract``, where an ``X`` meeting ``m``
-    copies of its ``P`` is the case ``n = 1``:
-    ``P^m X = X P^m - i*m*P^(m-1)``.  Equal partial words carry the same
-    number of contractions, so their factors add.
+    A word in which no ``X`` follows its own ``P`` sorts.  Any other word is
+    the product of its sorted runs, taken left to right by ``_product`` with
+    unit coefficients under the degree-0 window, so each run junction takes
+    the closed form in one step.
     """
     ps = 0
     for g in word:
@@ -396,23 +398,14 @@ def _fold(word: Word) -> Collection[tuple[Word, int]]:
         elif ps >> (g + 4) & 1:
             break
     else:
-        return [(tuple(sorted(word)), 1)]
-    t = 1
-    while word[t - 1] <= word[t]:
-        t += 1
-    terms = {word[:t]: 1}
-    for g in word[t:]:
-        one, step = (g,), {}
-        for w, f in terms.items():
-            merged = tuple(sorted(w + one))
-            # A P block sits four ranks above the X block of its branch.
-            if g & 4 or g + 4 not in w:
-                step[merged] = step.get(merged, 0) + f
-                continue
-            for v, e in _contract(merged, w, one, 1 << g):
-                step[v] = step.get(v, 0) + f * e
-        terms = step
-    return terms.items()
+        return {tuple(sorted(word)): _UNIT}
+    cuts = [t for t in range(1, len(word)) if word[t - 1] > word[t]]
+    runs = [word[a:b] for a, b in zip([0, *cuts], [*cuts, len(word)])]
+    terms = {runs[0]: _UNIT}
+    for run in runs[1:]:
+        right = {run: _UNIT}
+        terms = _product(terms, _scan_map(terms), right, _scan_map(right), (0, 0))
+    return terms
 
 
 # (-i)^k for k = 0..3.
@@ -479,7 +472,7 @@ def _scan(p: NcPolynomial) -> tuple[tuple, tuple, int, int]:
 def _normal_scan(terms: Terms, window: tuple[int, int]) -> tuple[list, list[BaseScalar]]:
     """The scan of ``terms`` normal-ordered under ``window``: it depends on
     the window, so a map with an unsorted word takes it anew in each product."""
-    return _scan_map(_normal_order(terms, {w: _fold(w) for w in terms}, window))
+    return _scan_map(_normal_order(terms, {w: _run_product(w) for w in terms}, window))
 
 
 def _product(a: Terms, sa: tuple, b: Terms, sb: tuple, window: tuple[int, int]) -> Terms:

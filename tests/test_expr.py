@@ -123,7 +123,9 @@ def _random_ast(rng: random.Random, depth: int):
             letter = "M" if j == 4 and rng.random() < 0.5 else "L"
             return NamedOp(letter, comp, i, j)
         return CasimirOp(rng.choice(("R", "x", "y", "+", "-")))
-    kind = rng.randrange(5)
+    kind = rng.randrange(6)
+    if kind == 5:
+        return Pow(_random_ast(rng, depth - 1), rng.randint(0, 3))
     if kind == 0:
         return Add(_random_ast(rng, depth - 1), _random_ast(rng, depth - 1))
     if kind == 1:
@@ -152,6 +154,7 @@ def test_render_parse_fixed_point_handwritten():
         "3/2 + 1/2*i - l^2*I",
         "[L_12, [L_23, M_1]]",
         "x_1^2*y_2",
+        "(l)^2*X+_1 - (l^-1)^3",
     ):
         ast = parse(text)
         assert parse(render(ast)) == ast
@@ -231,6 +234,17 @@ def test_operator_power_is_bounded():
         with pytest.raises(ExprSyntaxError) as err:
             parse(bad)
         assert "exceeds" in str(err.value)
+
+
+def test_parenthesised_length_power_takes_an_exponent():
+    assert parse("(l)^2") == parse("((l))^2") == Pow(LengthPower(1), 2)
+    assert parse("(l^-1)^2") == Pow(LengthPower(-1), 2)
+    assert render(Pow(LengthPower(1), 2)) == "(l)^2"
+    assert render(Pow(LengthPower(-1), 2)) == "(l^-1)^2"
+    for text, expected in (("(l)^2", (0, "l^2")), ("((l))^2", (0, "l^2")), ("(l^-1)^2", (0, "l^-2")),
+                           ("(l)^0", (0, "1")), ("(l)^5", (2, "error: l^5 outside degree window -4..4")),
+                           ("l^2^2", (2, "error: col 4: trailing input '^'"))):
+        assert run(config_from_args(["eval", text])) == expected
 
 
 def test_evaluate_rejects_unknown_trailing_input():

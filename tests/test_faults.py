@@ -1,0 +1,117 @@
+"""Fault injection: what catches each kernel fault.
+
+Each row patches one point of the normal-ordering kernel and records which
+verify families fail, with exact counts, and whether ``normal_form`` then
+departs from the rewriting oracle on a fixed set of raw words.  A row whose
+fault every verify check misses shows that only the oracle catches it.
+"""
+
+import csv
+import io
+import json
+from collections import Counter
+
+import pytest
+
+from helpers import oracle_normal_order
+from pcqm import operators
+from pcqm.cli import config_from_args, run
+from pcqm.operators import NcPolynomial, gen, normal_form, render_word
+from pcqm.scalars import PC_ONE, BaseScalar
+
+CHECKS = 530
+
+X1, P1 = gen("X", "+", 1), gen("P", "+", 1)
+X2, P2 = gen("X", "-", 2), gen("P", "-", 2)
+
+# Raw words that reach every contraction the faults below touch:
+# P+_1*P+_1*X+_1 meets _factors(2, 1), and P+_1^2*X+_1^2 meets (-i)^2.
+RAW_WORDS = (
+    (P1, X1),
+    (P1, P1, X1),
+    (P1, P1, X1, X1),
+    (P2, X2, P2, X2, X1),
+    (P1, P2, X2, X1),
+)
+
+
+def _plus_i_powers():
+    return tuple(BaseScalar.gaussian(re, im) for re, im in ((1, 0), (0, 1), (-1, 0), (0, -1)))
+
+
+def _minus_i_squared_one():
+    powers = operators._MINUS_I_POWERS
+    return powers[:2] + (BaseScalar.gaussian(1, 0),) + powers[3:]
+
+
+def _factors_2_1_bumped():
+    factors = operators._factors
+
+    def bumped(m: int, n: int) -> tuple[int, ...]:
+        out = factors(m, n)
+        return (out[0], out[1] + 1, *out[2:]) if (m, n) == (2, 1) else out
+
+    return bumped
+
+
+# (name, patched attribute of pcqm.operators, a builder of its faulty value,
+# the failing verify checks as {(report, family): count}).
+FAULTS = (
+    ("(-i)^k as (+i)^k", "_MINUS_I_POWERS", _plus_i_powers, {
+        ("canonical-quantization", "same-branch"): 8,
+        ("induced-relations", "coordinate-momentum"): 4,
+        ("so4-commutators", "pc-level"): 24,
+        ("so4-commutators", "branch+"): 24,
+        ("so4-commutators", "branch-"): 24,
+    }),
+    # Every verify check passes under this fault; only the oracle sees it.
+    ("(-i)^2 = 1", "_MINUS_I_POWERS", _minus_i_squared_one, {}),
+    ("_factors(2, 1) k=1 entry + 1", "_factors", _factors_2_1_bumped, {
+        ("casimir-central", "casimir-central"): 6,
+    }),
+)
+
+
+def _verify(fmt: str) -> tuple[int, str]:
+    return run(config_from_args(["--format", fmt, "verify"]))
+
+
+def _departures() -> list[str]:
+    """The raw words whose normal form departs from the oracle's."""
+    out = []
+    for word in RAW_WORDS:
+        raw = NcPolynomial({word: PC_ONE})
+        if normal_form(raw).terms() != oracle_normal_order(raw.terms()):
+            out.append(render_word(word))
+    return out
+
+
+def test_unfaulted_kernel_matches_the_oracle_on_the_raw_words():
+    assert _departures() == []
+
+
+@pytest.mark.parametrize("name, attr, make, failing", FAULTS, ids=[row[0] for row in FAULTS])
+def test_each_kernel_fault_is_caught(monkeypatch, name, attr, make, failing):
+    monkeypatch.setattr(operators, attr, make())
+    assert _departures(), f"{name}: normal_form still matches the oracle"
+
+    code, text = _verify("text")
+    assert code == (1 if failing else 0)
+    lines = text.splitlines()
+    named = Counter(tuple(line.split(" ", 3)[1:3]) for line in lines if line.startswith("FAIL "))
+    assert named == Counter({(report, f"[{family}]"): n for (report, family), n in failing.items()})
+    assert lines[-1] == f"VERIFY: {'FAIL' if failing else 'PASS'} ({CHECKS} checks)"
+
+    code, payload = _verify("json")
+    assert code == (1 if failing else 0)
+    report = json.loads(payload)
+    assert report["all_passed"] is not bool(failing)
+    reports = report["reports"]
+    assert sum(len(r["checks"]) for r in reports) == CHECKS
+    assert Counter((r["name"], c["family"]) for r in reports for c in r["checks"] if not c["passed"]) == failing
+
+    code, table = _verify("csv")
+    assert code == (1 if failing else 0)
+    rows = list(csv.DictReader(io.StringIO(table)))
+    assert len(rows) == CHECKS
+    assert Counter((row["report"], row["family"]) for row in rows if row["status"] != "pass") == failing

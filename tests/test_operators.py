@@ -196,6 +196,25 @@ def test_normal_form_matches_closed_form():
     assert normal_form(raw).terms() == _as_terms(expected)
 
 
+def test_normal_form_checks_only_contracted_terms_against_the_window():
+    # A sorted word keeps its coefficient unchecked, as a raw polynomial holds
+    # it; each contracted term forms its coefficient under the window in force,
+    # and the unit coefficients of the kernel's run products meet no window.
+    cases = (
+        ((1, 3), PC_ONE, [(XP1, PP1), (XM1, XP1)], [(PP1, XP1), (PP1, PP1, XP1, XP1)], "l^0"),
+        ((1, 3), pc_l(1), [(PP1, XP1), (PP1, PP1, XP1, XP1)], [], None),
+        ((-1, 1), pc_l(2), [(XP1, PP1)], [(PP1, XP1)], "l^2"),
+    )
+    for window, coeff, passing, refused, power in cases:
+        with limits(window=window):
+            for word in passing:
+                normal_form(NcPolynomial({word: coeff}))
+            for word in refused:
+                with pytest.raises(DegreeWindowError) as err:
+                    normal_form(NcPolynomial({word: coeff}))
+                assert str(err.value) == f"{power} outside degree window {window[0]}..{window[1]}"
+
+
 def test_multiply_identity_and_plain_word():
     one = NcPolynomial.scalar(PC_ONE)
     rng = random.Random(SEED + 2)
