@@ -49,6 +49,8 @@ from .so4 import (
     component,
     pc_generator_poly,
     vector_operators,
+    verify,
+    verify_casimir_expansion,
     verify_component_closure,
     verify_recomposition,
     verify_so4_relations,

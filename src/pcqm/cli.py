@@ -16,7 +16,7 @@ import re
 import sys
 from fractions import Fraction
 
-from . import hydrogen, irrep, operators, so4, units
+from . import hydrogen, irrep, so4, units
 from .expr import evaluate_text
 from .limits import limits
 from .record import Record
@@ -186,15 +186,7 @@ def render(result: Result, fmt: str) -> str:
 
 
 def _run_verify(cfg: RunConfig) -> Result:
-    reports = [
-        operators.verify_canonical_relations(),
-        operators.verify_induced_relations(),
-        so4.verify_so4_relations(),
-        so4.verify_recomposition(),
-        so4.verify_component_closure(),
-        so4.verify_casimir_commutes(),
-        so4.casimir_expansion().report(),
-    ]
+    reports = so4.verify()
     all_passed = all(r.all_passed for r in reports)
     lines = [r.to_text() for r in reports]
     lines += [

@@ -18,7 +18,7 @@ import contextlib
 import itertools
 from contextvars import ContextVar
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import comb, factorial
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -334,19 +334,21 @@ def render_poly(p: NcPolynomial) -> str:
 def normal_form(p: NcPolynomial) -> NcPolynomial:
     """Rewrite every word into the unique sorted normal form.  Each word's
     run product is formed once, and both component maps read it."""
-    runs = {w: _run_product(w) for w in _words(p)}
-    window = current_limits().window
+    runs, window = {}, current_limits().window
     return _by_component(lambda terms: _normal_order(terms, runs, window), p)
 
 
-def _normal_order(terms: Terms, runs: Mapping[Word, Terms], window: tuple[int, int]) -> Terms:
-    """``terms`` in normal order, with each word's ``_run_product`` read from
-    ``runs``.  The sorted word keeps its coefficient; a contracted term's
+def _normal_order(terms: Terms, runs: dict[Word, Terms], window: tuple[int, int]) -> Terms:
+    """``terms`` in normal order.  Each word's ``_run_product`` is read from
+    ``runs``, or formed and kept there, so maps that share ``runs`` form it
+    once.  The sorted word keeps its coefficient; a contracted term's
     coefficient is checked against the degree window, as a product's would be."""
     out: Terms = {}
     for word, c in terms.items():
-        n = len(word)
-        _accumulate(out, ((w, c if len(w) == n else _mul(c, s, window)) for w, s in runs[word].items()))
+        n, run = len(word), runs.get(word)
+        if run is None:
+            run = runs[word] = _run_product(word)
+        _accumulate(out, ((w, c if len(w) == n else _mul(c, s, window)) for w, s in run.items()))
     return out
 
 
@@ -404,7 +406,7 @@ def _run_product(word: Word) -> Terms:
     terms = {runs[0]: _UNIT}
     for run in runs[1:]:
         right = {run: _UNIT}
-        terms = _product(terms, _scan_map(terms), right, _scan_map(right), (0, 0))
+        terms = _product(terms, _scan_map(terms), right, _scan_map(right), (0, 0), {})
     return terms
 
 
@@ -469,15 +471,11 @@ def _scan(p: NcPolynomial) -> tuple[tuple, tuple, int, int]:
     return scan
 
 
-def _normal_scan(terms: Terms, window: tuple[int, int]) -> tuple[list, list[BaseScalar]]:
-    """The scan of ``terms`` normal-ordered under ``window``: it depends on
-    the window, so a map with an unsorted word takes it anew in each product."""
-    return _scan_map(_normal_order(terms, {w: _run_product(w) for w in terms}, window))
-
-
-def _product(a: Terms, sa: tuple, b: Terms, sb: tuple, window: tuple[int, int]) -> Terms:
+def _product(a: Terms, sa: tuple, b: Terms, sb: tuple, window: tuple[int, int], runs: dict) -> Terms:
     """Every term pair of the maps ``a`` and ``b``, scanned as ``sa`` and
-    ``sb``, multiplied and added to the result in normal order.
+    ``sb``, multiplied and added to the result in normal order.  A map with
+    an unsorted word is normal-ordered under ``window`` first, with the run
+    products in ``runs`` (see ``_normal_order``).
 
     Each pair of sorted words takes the closed form: their concatenation,
     sorted, plus ``_contract``'s terms when the pair contracts.  The
@@ -485,8 +483,8 @@ def _product(a: Terms, sa: tuple, b: Terms, sb: tuple, window: tuple[int, int]) 
     the first term pair that carries them, into the row table ``rows[i][j]``,
     so the first pair to leave the window raises as it would alone.
     """
-    left, lc = sa if sa[0] is not None else _normal_scan(a, window)
-    right, rc = sb if sb[0] is not None else _normal_scan(b, window)
+    left, lc = sa if sa[0] is not None else _scan_map(_normal_order(a, runs, window))
+    right, rc = sb if sb[0] is not None else _scan_map(_normal_order(b, runs, window))
     rows: list[list] = [[None] * len(rc) for _ in lc]
     scaled: dict = {}
     out: Terms = {}
@@ -540,6 +538,24 @@ def shared_products():
         _products.reset(token)
 
 
+def suite(name: str, schema: str = "identity-report/v1"):
+    """Make a generator of claims a verify suite: the decorated function runs it
+    in one ``shared_products`` scope and returns the ``IdentityReport`` ``name``
+    of its checks, in order.  A claim is a ready ``Check``, or the arguments of
+    ``Check.of``: ``(family, label, residual)`` or ``(..., extra)``."""
+
+    def decorate(claims: Callable[[], Iterable]) -> Callable[[], IdentityReport]:
+        @wraps(claims)
+        def run() -> IdentityReport:
+            with shared_products():
+                checks = tuple(c if isinstance(c, Check) else Check.of(*c) for c in claims())
+            return IdentityReport(name, checks, schema)
+
+        return run
+
+    return decorate
+
+
 def multiply(p: NcPolynomial, q: NcPolynomial) -> NcPolynomial:
     """Normal-order the concatenation of every term pair.  Bilinear and
     associative.
@@ -554,9 +570,10 @@ def multiply(p: NcPolynomial, q: NcPolynomial) -> NcPolynomial:
     memo = _products.get()
     if memo is not None and (key := (id(p), id(q), lim.window)) in memo:
         return memo[key][2]
-    plus = _product(p._plus, p_plus, q._plus, q_plus, lim.window)
+    runs: dict = {}  # the run products of unsorted operand words, for both components
+    plus = _product(p._plus, p_plus, q._plus, q_plus, lim.window, runs)
     real = p._minus is p._plus and q._minus is q._plus
-    out = _poly(plus, plus if real else _product(p._minus, p_minus, q._minus, q_minus, lim.window))
+    out = _poly(plus, plus if real else _product(p._minus, p_minus, q._minus, q_minus, lim.window, runs))
     if memo is not None:
         memo[key] = p, q, out
     return out
@@ -615,32 +632,26 @@ def _leaf(name: str | None, g: Generator, window: tuple[int, int]) -> NcPolynomi
     return (plus - minus).scale(_HALF_OVER_L)
 
 
-@shared_products()
-def verify_canonical_relations() -> IdentityReport:
+@suite("canonical-quantization")
+def verify_canonical_relations():
     """Check the canonical branch quantization for every branch/index pair.
 
     Same branch: [X_i, P_j] = i*delta_ij (32 relations); cross branch:
     [X_i, P_j] = 0 (32 relations).
     """
-    checks: list[Check] = []
-    for b in BRANCHES:
+    for b, other in (("+", "+"), ("-", "-"), ("+", "-"), ("-", "+")):
+        family = "same-branch" if b == other else "cross-branch"
         for i, j in itertools.product(INDICES, INDICES):
-            residual = commutator(
-                generator_poly("X", b, i), generator_poly("P", b, j)
-            ) - NcPolynomial.scalar(pc_imag(int(i == j)))
-            checks.append(Check.of("same-branch", f"[X{b}_{i}, P{b}_{j}]", residual))
-    for b, other in (("+", "-"), ("-", "+")):
-        for i, j in itertools.product(INDICES, INDICES):
-            residual = commutator(generator_poly("X", b, i), generator_poly("P", other, j))
-            checks.append(Check.of("cross-branch", f"[X{b}_{i}, P{other}_{j}]", residual))
-    return IdentityReport(name="canonical-quantization", checks=tuple(checks))
+            delta = NcPolynomial.scalar(pc_imag(int(b == other and i == j)))
+            residual = commutator(generator_poly("X", b, i), generator_poly("P", other, j)) - delta
+            yield family, f"[X{b}_{i}, P{other}_{j}]", residual
 
 
-_L_SQUARED = pc_l(2)
+_L2 = pc_l(2)
 
 
-@shared_products()
-def verify_induced_relations() -> IdentityReport:
+@suite("induced-relations")
+def verify_induced_relations():
     """Check the induced relations among x, y, px, py for all index pairs.
 
     Six families:
@@ -649,25 +660,12 @@ def verify_induced_relations() -> IdentityReport:
       [x_i, px_j] = i*delta_ij - l^2 [y_i, py_j]
       [x_i, py_j] = -[y_i, px_j]
     """
-    x = {i: expand_alias("x", i) for i in INDICES}
-    y = {i: expand_alias("y", i) for i in INDICES}
-    px = {i: expand_alias("px", i) for i in INDICES}
-    py = {i: expand_alias("py", i) for i in INDICES}
-
-    def residuals(i: int, j: int) -> list[tuple[str, NcPolynomial]]:
-        delta = NcPolynomial.scalar(pc_imag(int(i == j)))
-        return [
-            ("coordinate-coordinate", commutator(x[i], x[j]) + commutator(y[i], y[j]).scale(_L_SQUARED)),
-            ("coordinate-mixed", commutator(x[i], y[j]) + commutator(y[i], x[j])),
-            ("momentum-momentum", commutator(px[i], px[j]) + commutator(py[i], py[j]).scale(_L_SQUARED)),
-            ("momentum-mixed", commutator(px[i], py[j]) + commutator(py[i], px[j])),
-            ("coordinate-momentum", commutator(x[i], px[j]) - delta + commutator(y[i], py[j]).scale(_L_SQUARED)),
-            ("coordinate-momentum-mixed", commutator(x[i], py[j]) + commutator(y[i], px[j])),
-        ]
-
-    checks = [
-        Check.of(family, f"i={i} j={j}", r)
-        for i, j in itertools.product(INDICES, INDICES)
-        for family, r in residuals(i, j)
-    ]
-    return IdentityReport(name="induced-relations", checks=tuple(checks))
+    x, y, px, py = ({i: expand_alias(name, i) for i in INDICES} for name in ("x", "y", "px", "py"))
+    for i, j in itertools.product(INDICES, INDICES):
+        delta, label = NcPolynomial.scalar(pc_imag(int(i == j))), f"i={i} j={j}"
+        yield "coordinate-coordinate", label, commutator(x[i], x[j]) + commutator(y[i], y[j]).scale(_L2)
+        yield "coordinate-mixed", label, commutator(x[i], y[j]) + commutator(y[i], x[j])
+        yield "momentum-momentum", label, commutator(px[i], px[j]) + commutator(py[i], py[j]).scale(_L2)
+        yield "momentum-mixed", label, commutator(px[i], py[j]) + commutator(py[i], px[j])
+        yield "coordinate-momentum", label, commutator(x[i], px[j]) - delta + commutator(y[i], py[j]).scale(_L2)
+        yield "coordinate-momentum-mixed", label, commutator(x[i], py[j]) + commutator(y[i], px[j])

@@ -19,6 +19,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Mapping, Sequence
 
+from . import operators
 from .operators import (
     INDICES,
     BRANCHES,
@@ -31,6 +32,7 @@ from .operators import (
     pc_coordinate,
     pc_momentum,
     shared_products,
+    suite,
 )
 from .record import Record
 from .reports import Check, IdentityReport
@@ -148,63 +150,49 @@ def _so4_rhs(build, i: int, j: int, k: int, q: int) -> NcPolynomial:
     return out.scale(pc_imag())
 
 
-@shared_products()
-def verify_so4_relations() -> IdentityReport:
+@suite("so4-commutators")
+def verify_so4_relations():
     """Check the generator commutation relations for all 36 pair tuples.
 
     Covers the pc level, each branch separately, and vanishing cross-branch
     commutators.
     """
-    checks: list[Check] = []
     pc_cache = {(i, j): pc_generator_poly(i, j) for i, j in _PAIRS}
     br_cache = {
         (i, j, b): branch_generator(i, j, b) for i, j in _PAIRS for b in BRANCHES
     }
     for (i, j), (k, q) in itertools.product(_PAIRS, _PAIRS):
         label = f"({i}{j}),({k}{q})"
-        residual = commutator(pc_cache[(i, j)], pc_cache[(k, q)]) - _so4_rhs(
-            pc_generator_poly, i, j, k, q
-        )
-        checks.append(Check.of("pc-level", label, residual))
+        bracket = commutator(pc_cache[(i, j)], pc_cache[(k, q)])
+        yield "pc-level", label, bracket - _so4_rhs(pc_generator_poly, i, j, k, q)
         for b in BRANCHES:
-            residual = commutator(br_cache[(i, j, b)], br_cache[(k, q, b)]) - _so4_rhs(
-                lambda a, c, _b=b: branch_generator(a, c, _b), i, j, k, q
-            )
-            checks.append(Check.of(f"branch{b}", label, residual))
-        residual = commutator(br_cache[(i, j, "+")], br_cache[(k, q, "-")])
-        checks.append(Check.of("cross-branch", label, residual))
-    return IdentityReport(name="so4-commutators", checks=tuple(checks))
+            bracket = commutator(br_cache[(i, j, b)], br_cache[(k, q, b)])
+            yield f"branch{b}", label, bracket - _so4_rhs(partial(branch_generator, branch=b), i, j, k, q)
+        yield "cross-branch", label, commutator(br_cache[(i, j, "+")], br_cache[(k, q, "-")])
 
 
-@shared_products()
-def verify_recomposition() -> IdentityReport:
+@suite("component-recomposition")
+def verify_recomposition():
     """Check the component decompositions of the generators, per index pair.
 
     Families: each branch against x/y/xy/yx components, the real and
     pseudo-imaginary parts against their x/y forms, and the recombinations
     of the pc generator from parts and from the zero-divisor basis.
     """
-    checks: list[Check] = []
     for i, j in _PAIRS:
         x, y, xy, yx, real, imag = (component(i, j, c) for c in ("x", "y", "xy", "yx", "R", "I"))
         base = x + y.scale(_L2)
         cross = xy + yx
         for b, sign in (("+", 1), ("-", -1)):
             residual = branch_generator(i, j, b) - (base + cross.scale(pc_l(1, sign)))
-            checks.append(Check.of("branch-components", f"L{b}_{i}{j}", residual))
-        residual = real - base
-        checks.append(Check.of("real-part", f"LR_{i}{j}", residual))
-        residual = imag - cross.scale(pc_l(1))
-        checks.append(Check.of("pseudo-part", f"LI_{i}{j}", residual))
+            yield "branch-components", f"L{b}_{i}{j}", residual
+        yield "real-part", f"LR_{i}{j}", real - base
+        yield "pseudo-part", f"LI_{i}{j}", imag - cross.scale(pc_l(1))
         pc_body = pc_generator_poly(i, j)
-        residual = pc_body - (real + imag.scale(PSEUDO_UNIT))
-        checks.append(Check.of("pc-recombination", f"L_{i}{j}", residual))
-        residual = pc_body - (
-            branch_generator(i, j, "+").scale(SIGMA_PLUS)
-            + branch_generator(i, j, "-").scale(SIGMA_MINUS)
-        )
-        checks.append(Check.of("zero-divisor-recombination", f"L_{i}{j}", residual))
-    return IdentityReport(name="component-recomposition", checks=tuple(checks))
+        yield "pc-recombination", f"L_{i}{j}", pc_body - (real + imag.scale(PSEUDO_UNIT))
+        branches = (branch_generator(i, j, "+").scale(SIGMA_PLUS)
+                    + branch_generator(i, j, "-").scale(SIGMA_MINUS))
+        yield "zero-divisor-recombination", f"L_{i}{j}", pc_body - branches
 
 
 # A basis element as ``express_in_span`` reads it: its label, the element,
@@ -245,8 +233,8 @@ def _component_pivots(comp: str) -> list[Pivot]:
     return span_pivots({f"L{comp}_{i}{j}": component(i, j, comp) for i, j in _PAIRS})
 
 
-@shared_products()
-def verify_component_closure() -> IdentityReport:
+@suite("component-closure", schema="closure-report/v1")
+def verify_component_closure():
     """Expand component commutators over component spans by exact solving.
 
     The verified claims: [R,R] and [I,I] land in span{R}, [R,I] lands in
@@ -260,7 +248,6 @@ def verify_component_closure() -> IdentityReport:
     x_ops = {pair: component(*pair, "x") for pair in _PAIRS}
     y_ops = {pair: component(*pair, "y") for pair in _PAIRS}
     r_pivots = _component_pivots("R")
-    checks: list[Check] = []
     families = (
         ("R,R", r_ops, r_ops, r_pivots),
         ("R,I", r_ops, i_ops, _component_pivots("I")),
@@ -272,17 +259,8 @@ def verify_component_closure() -> IdentityReport:
         for (i, j), (k, q) in itertools.product(_PAIRS, _PAIRS):
             bracket = commutator(left_ops[(i, j)], right_ops[(k, q)])
             coeffs, residual = express_in_span(bracket, pivots)
-            checks.append(
-                Check.of(
-                    f"[{family}]",
-                    f"({i}{j}),({k}{q})",
-                    residual,
-                    {"expansion": {lbl: str(c) for lbl, c in coeffs.items()}},
-                )
-            )
-    return IdentityReport(
-        name="component-closure", checks=tuple(checks), schema="closure-report/v1"
-    )
+            expansion = {lbl: str(c) for lbl, c in coeffs.items()}
+            yield f"[{family}]", f"({i}{j}),({k}{q})", residual, {"expansion": expansion}
 
 
 def _symmetrized_dot(
@@ -310,38 +288,6 @@ class CasimirExpansion(Record):
     __slots__ = (
         "c_x", "c_r", "decomposition_residual", "ordering_residual", "order4_residual", "difference",
     )
-
-    @property
-    def passed(self) -> bool:
-        return self.report().all_passed
-
-    def report(self) -> IdentityReport:
-        diff_is_l4 = self.difference == self.order4_residual.scale(pc_l(4))
-        checks = (
-            Check.of(
-                "casimir-expansion",
-                "no order l^0 or l^2 terms (c_x == s0 + l^2 s1 + l^4 s2)",
-                self.decomposition_residual,
-            ),
-            Check.of(
-                "casimir-expansion",
-                "dot-product ordering immaterial at order l^2",
-                self.ordering_residual,
-            ),
-            Check(
-                "casimir-expansion",
-                "difference equals l^4 times the order-4 slice",
-                "0" if diff_is_l4 else "nonzero",
-                diff_is_l4,
-            ),
-            Check(
-                "casimir-expansion",
-                "order l^4 residual nonzero",
-                f"{len(self.order4_residual.terms())} terms",
-                not self.order4_residual.is_zero(),
-            ),
-        )
-        return IdentityReport(name="casimir-expansion", checks=checks)
 
 
 @shared_products()
@@ -388,12 +334,38 @@ def casimir_expansion() -> CasimirExpansion:
     )
 
 
-@shared_products()
-def verify_casimir_commutes() -> IdentityReport:
+@suite("casimir-central")
+def verify_casimir_commutes():
     """C^R commutes with every LR_ij."""
     c_r = casimir("R")
-    checks = []
     for i, j in _PAIRS:
-        residual = commutator(c_r, component(i, j, "R"))
-        checks.append(Check.of("casimir-central", f"[C^R, LR_{i}{j}]", residual))
-    return IdentityReport(name="casimir-central", checks=tuple(checks))
+        yield "casimir-central", f"[C^R, LR_{i}{j}]", commutator(c_r, component(i, j, "R"))
+
+
+@suite("casimir-expansion")
+def verify_casimir_expansion():
+    """The slices of ``casimir_expansion``: no order l^0 or l^2 terms remain,
+    the dot-product ordering is immaterial, and the truncation drops exactly
+    l^4 times a nonzero order-4 slice."""
+    exp = casimir_expansion()
+    order4, family = exp.order4_residual, "casimir-expansion"
+    yield family, "no order l^0 or l^2 terms (c_x == s0 + l^2 s1 + l^4 s2)", exp.decomposition_residual
+    yield family, "dot-product ordering immaterial at order l^2", exp.ordering_residual
+    is_l4 = exp.difference == order4.scale(pc_l(4))
+    yield Check(family, "difference equals l^4 times the order-4 slice", "0" if is_l4 else "nonzero", is_l4)
+    yield Check(family, "order l^4 residual nonzero", f"{len(order4.terms())} terms", not order4.is_zero())
+
+
+def verify() -> list[IdentityReport]:
+    """The reports of the seven verify suites, in order.  Each suite is looked
+    up by its module-level name at the call, so a wrapper bound to that name
+    (a tracer's span, a test's stand-in) runs in its place."""
+    return [
+        operators.verify_canonical_relations(),
+        operators.verify_induced_relations(),
+        verify_so4_relations(),
+        verify_recomposition(),
+        verify_component_closure(),
+        verify_casimir_commutes(),
+        verify_casimir_expansion(),
+    ]

@@ -476,6 +476,24 @@ def test_verify_text_names_failing_checks(monkeypatch):
     assert lines[-1] == "VERIFY: FAIL (467 checks)"
 
 
+@pytest.mark.parametrize("limit, error", [
+    (["--degree-window", "-1:1"], "l^-2 outside degree window -1..1"),
+    (["--degree-window", "0:0"], "l^-1 outside degree window 0..0"),
+    (["--word-cap", "3"], "product word length 4 exceeds cap 3"),
+    (["--word-cap", "2"], "product word length 4 exceeds cap 2"),
+])
+def test_verify_keeps_its_first_error_under_narrow_limits(limit, error):
+    # The suites evaluate their claims in order, so the first product to
+    # leave a limit is still the one that refuses the run.
+    for fmt, expected in (("text", f"error: {error}"), ("json", {"schema": "error/v1", "error": error})):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([*limit, "--format", fmt, "verify"])
+        lines = out.getvalue().splitlines()
+        assert (code, len(lines)) == (2, 1)
+        assert (lines[0] if fmt == "text" else json.loads(lines[0])) == expected
+
+
 def test_irrep_numeric_failure_exits_1(monkeypatch):
     from pcqm import irrep
 

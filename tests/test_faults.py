@@ -1,9 +1,10 @@
 """Fault injection: what catches each kernel fault.
 
-Each row patches one point of the normal-ordering kernel and records which
-verify families fail, with exact counts, and whether ``normal_form`` then
-departs from the rewriting oracle on a fixed set of raw words.  A row whose
-fault every verify check misses shows that only the oracle catches it.
+Each row patches one point of the normal-ordering kernel, or of the span
+solver behind the closure checks, and records which verify families fail,
+with exact counts, and whether ``normal_form`` then departs from the
+rewriting oracle on a fixed set of raw words.  A row whose fault every verify
+check misses shows that only the oracle catches it.
 """
 
 import csv
@@ -14,24 +15,27 @@ from collections import Counter
 import pytest
 
 from helpers import oracle_normal_order
-from pcqm import operators
+from pcqm import operators, so4
 from pcqm.cli import config_from_args, run
 from pcqm.operators import NcPolynomial, gen, normal_form, render_word
-from pcqm.scalars import PC_ONE, BaseScalar
+from pcqm.scalars import PC_ONE, BaseScalar, pc_rational
 
 CHECKS = 530
 
 X1, P1 = gen("X", "+", 1), gen("P", "+", 1)
 X2, P2 = gen("X", "-", 2), gen("P", "-", 2)
+XP2, PP2 = gen("X", "+", 2), gen("P", "+", 2)
 
 # Raw words that reach every contraction the faults below touch:
-# P+_1*P+_1*X+_1 meets _factors(2, 1), and P+_1^2*X+_1^2 meets (-i)^2.
+# P+_1*P+_1*X+_1 meets _factors(2, 1), P+_1^2*X+_1^2 meets (-i)^2, and
+# P+_1*P+_2*X+_1*X+_2 contracts at two ranks in one run junction.
 RAW_WORDS = (
     (P1, X1),
     (P1, P1, X1),
     (P1, P1, X1, X1),
     (P2, X2, P2, X2, X1),
     (P1, P2, X2, X1),
+    (P1, PP2, X1, XP2),
 )
 
 
@@ -54,21 +58,70 @@ def _factors_2_1_bumped():
     return bumped
 
 
-# (name, patched attribute of pcqm.operators, a builder of its faulty value,
-# the failing verify checks as {(report, family): count}).
+def _difference_keeps_cancelled_words():
+    def difference(a, b):
+        out = dict(a)
+        for word, coeff in b.items():
+            prev = out.get(word)
+            out[word] = -coeff if prev is None else prev - coeff
+        return out
+
+    return difference
+
+
+def _contract_lowest_rank_only():
+    contract = operators._contract
+    return lambda word, w1, w2, ranks: contract(word, w1, w2, ranks & -ranks)
+
+
+def _span_pivots_doubled():
+    span_pivots, two = so4.span_pivots, pc_rational(2)
+    return lambda basis: [(label, b, pivot, inverse * two) for label, b, pivot, inverse in span_pivots(basis)]
+
+
+# Every so4-commutators and component-closure family, with its check count.
+_SO4 = {("so4-commutators", f): 36 for f in ("pc-level", "branch+", "branch-", "cross-branch")}
+_CLOSURE = {("component-closure", f"[{f}]"): 36 for f in ("R,R", "R,I", "I,I", "x,x", "y,y")}
+
+# (name, patched module, its attribute, a builder of the faulty value, the
+# failing verify checks as {(report, family): count}, and whether normal_form
+# departs from the oracle on RAW_WORDS).
 FAULTS = (
-    ("(-i)^k as (+i)^k", "_MINUS_I_POWERS", _plus_i_powers, {
+    ("(-i)^k as (+i)^k", operators, "_MINUS_I_POWERS", _plus_i_powers, {
         ("canonical-quantization", "same-branch"): 8,
         ("induced-relations", "coordinate-momentum"): 4,
         ("so4-commutators", "pc-level"): 24,
         ("so4-commutators", "branch+"): 24,
         ("so4-commutators", "branch-"): 24,
-    }),
+    }, True),
     # Every verify check passes under this fault; only the oracle sees it.
-    ("(-i)^2 = 1", "_MINUS_I_POWERS", _minus_i_squared_one, {}),
-    ("_factors(2, 1) k=1 entry + 1", "_factors", _factors_2_1_bumped, {
+    ("(-i)^2 = 1", operators, "_MINUS_I_POWERS", _minus_i_squared_one, {}, True),
+    ("_factors(2, 1) k=1 entry + 1", operators, "_factors", _factors_2_1_bumped, {
         ("casimir-central", "casimir-central"): 6,
-    }),
+    }, True),
+    # A cancelled word stays as a zero coefficient, so a residual that cancels
+    # is not zero.  Only the three induced *-mixed families and two Casimir
+    # expansion checks still pass; normal_form does not subtract.
+    ("_difference keeps cancelled words", operators, "_difference", _difference_keeps_cancelled_words, {
+        ("canonical-quantization", "same-branch"): 32,
+        ("canonical-quantization", "cross-branch"): 32,
+        ("induced-relations", "coordinate-coordinate"): 16,
+        ("induced-relations", "momentum-momentum"): 16,
+        ("induced-relations", "coordinate-momentum"): 16,
+        **_SO4,
+        ("component-recomposition", "branch-components"): 12,
+        **{("component-recomposition", f): 6
+           for f in ("real-part", "pseudo-part", "pc-recombination", "zero-divisor-recombination")},
+        **_CLOSURE,
+        ("casimir-central", "casimir-central"): 6,
+        ("casimir-expansion", "casimir-expansion"): 2,
+    }, False),
+    # Every verify check passes under this fault; only the oracle sees it, on
+    # P+_1*P+_2*X+_1*X+_2.
+    ("_contract keeps only the lowest rank", operators, "_contract", _contract_lowest_rank_only, {}, True),
+    # Each expansion coefficient is doubled, so exactly the closure checks fail.
+    ("span_pivots doubles each reciprocal", so4, "span_pivots", _span_pivots_doubled,
+     {key: 24 for key in _CLOSURE}, False),
 )
 
 
@@ -90,10 +143,10 @@ def test_unfaulted_kernel_matches_the_oracle_on_the_raw_words():
     assert _departures() == []
 
 
-@pytest.mark.parametrize("name, attr, make, failing", FAULTS, ids=[row[0] for row in FAULTS])
-def test_each_kernel_fault_is_caught(monkeypatch, name, attr, make, failing):
-    monkeypatch.setattr(operators, attr, make())
-    assert _departures(), f"{name}: normal_form still matches the oracle"
+@pytest.mark.parametrize("name, module, attr, make, failing, departs", FAULTS, ids=[row[0] for row in FAULTS])
+def test_each_kernel_fault_is_caught(monkeypatch, name, module, attr, make, failing, departs):
+    monkeypatch.setattr(module, attr, make())
+    assert bool(_departures()) == departs, f"{name}: raw words departing from the oracle: {_departures()}"
 
     code, text = _verify("text")
     assert code == (1 if failing else 0)

@@ -215,6 +215,21 @@ def test_normal_form_checks_only_contracted_terms_against_the_window():
                 assert str(err.value) == f"{power} outside degree window {window[0]}..{window[1]}"
 
 
+def test_multiply_forms_each_unsorted_word_run_product_once(monkeypatch):
+    # Each operand has one unsorted word and a pseudo-imaginary coefficient,
+    # so two component maps, which read one run product per word.
+    coeff = PC_ONE + PSEUDO_UNIT * pc_rational(2)
+    p = NcPolynomial({(PP1, XP1): coeff})
+    q = NcPolynomial({(gen("P", "-", 2), gen("X", "-", 2)): coeff})
+    assert p._minus is not p._plus and q._minus is not q._plus
+    calls = []
+    run_product = operators._run_product
+    monkeypatch.setattr(operators, "_run_product", lambda word: calls.append(word) or run_product(word))
+    product = multiply(p, q)
+    assert sorted(calls) == sorted([*p.terms(), *q.terms()])
+    assert_oracle_equal(product, oracle_multiply(oracle_poly(p), oracle_poly(q)))
+
+
 def test_multiply_identity_and_plain_word():
     one = NcPolynomial.scalar(PC_ONE)
     rng = random.Random(SEED + 2)
@@ -824,7 +839,7 @@ def test_shared_leaves_check_their_arguments_first():
 VERIFY_SUITES = (
     verify_canonical_relations, verify_induced_relations, so4.verify_so4_relations,
     so4.verify_recomposition, so4.verify_component_closure, so4.verify_casimir_commutes,
-    so4.casimir_expansion,
+    so4.casimir_expansion, so4.verify_casimir_expansion,
 )
 
 
