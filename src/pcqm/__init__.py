@@ -11,7 +11,6 @@ from .scalars import (
     DegreeWindowError,
     GaussianRational,
     PcScalar,
-    ZeroDivisorPair,
     PC_I,
     PC_ONE,
     PC_ZERO,

@@ -26,32 +26,6 @@ CONSTANTS_ENV = "PCQM_CONSTANTS"
 FORMATS = ("text", "json", "csv")
 
 
-class RunConfig(Record):
-    """One parsed command line; unlike the other records, its fields may be
-    reassigned, so it has no hash."""
-
-    __slots__ = ("command", "fmt", "constants_mode", "degree_window", "word_cap", "params")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
-
-    def __init__(
-        self,
-        command: str,
-        fmt: str = "text",
-        constants_mode: str = units.PAPER_APPROX,
-        degree_window: tuple[int, int] | None = None,
-        word_cap: int | None = None,
-        params: dict | None = None,
-    ):
-        self.command = command
-        self.fmt = fmt
-        self.constants_mode = constants_mode
-        self.degree_window = degree_window
-        self.word_cap = word_cap
-        self.params = {} if params is None else params
-
-
 _VALUE_UNIT_RE = re.compile(
     r"^\s*([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)\s*([A-Za-z][A-Za-z0-9^\-]*)?\s*$"
 )
@@ -142,21 +116,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(argv: list[str] | None = None) -> RunConfig:
-    args = build_parser().parse_args(argv)
-    params = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("format", "constants", "degree_window", "word_cap", "command")
-    }
-    return RunConfig(
-        command=args.command,
-        fmt=args.format,
-        constants_mode=args.constants,
-        degree_window=args.degree_window,
-        word_cap=args.word_cap,
-        params=params,
-    )
+def config_from_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """One parsed command line: the common options and the subcommand's own."""
+    return build_parser().parse_args(argv)
 
 
 class Result(Record):
@@ -185,7 +147,7 @@ def render(result: Result, fmt: str) -> str:
     return result.text
 
 
-def _run_verify(cfg: RunConfig) -> Result:
+def _run_verify(cfg: argparse.Namespace) -> Result:
     reports = so4.verify()
     all_passed = all(r.all_passed for r in reports)
     lines = [r.to_text() for r in reports]
@@ -253,8 +215,8 @@ def _irrep_rows(k_max: Fraction) -> tuple[list[dict], str | None]:
     return rows, None
 
 
-def _run_irrep(cfg: RunConfig) -> Result:
-    rows, error = _irrep_rows(_k_max(cfg.params["k_max"]))
+def _run_irrep(cfg: argparse.Namespace) -> Result:
+    rows, error = _irrep_rows(_k_max(cfg.k_max))
     ok = error is None and all(
         r["deviation"] == 0 and r["denominator"] == r["denominator_closed_form"]
         for r in rows
@@ -281,15 +243,13 @@ def _run_irrep(cfg: RunConfig) -> Result:
     )
 
 
-def _run_spectrum(cfg: RunConfig) -> Result:
+def _run_spectrum(cfg: argparse.Namespace) -> Result:
     spectrum_cfg = hydrogen.SpectrumConfig(
         constants=hydrogen.PhysicalConstants(),
-        l_gevinv=cfg.params["l"],
-        kappa_gev2=cfg.params["kappa"],
-        n_max=cfg.params["n_max"],
-        numerator=hydrogen.NUMERATOR_LITERAL_E2
-        if cfg.params["literal_e2"]
-        else hydrogen.NUMERATOR_BOHR,
+        l_gevinv=cfg.l,
+        kappa_gev2=cfg.kappa,
+        n_max=cfg.n_max,
+        numerator=hydrogen.NUMERATOR_LITERAL_E2 if cfg.literal_e2 else hydrogen.NUMERATOR_BOHR,
     )
     levels = hydrogen.corrected_spectrum(spectrum_cfg)
     rows = hydrogen.spectrum_rows(levels)
@@ -298,12 +258,12 @@ def _run_spectrum(cfg: RunConfig) -> Result:
     )
 
 
-def _run_bound(cfg: RunConfig) -> Result:
-    constants = ConstantSet.from_mode(cfg.constants_mode)
+def _run_bound(cfg: argparse.Namespace) -> Result:
+    constants = ConstantSet.from_mode(cfg.constants)
     bound = hydrogen.length_bound(
-        delta_e_ev=_energy_in_ev(cfg.params["delta_e"], constants, "observed splitting"),
-        e_ref_ev=_energy_in_ev(cfg.params["e_ref"], constants, "reference energy"),
-        kappa_gev2=cfg.params["kappa"],
+        delta_e_ev=_energy_in_ev(cfg.delta_e, constants, "observed splitting"),
+        e_ref_ev=_energy_in_ev(cfg.e_ref, constants, "reference energy"),
+        kappa_gev2=cfg.kappa,
         constants=constants,
     )
     payload = hydrogen.bound_dict(bound)
@@ -311,11 +271,11 @@ def _run_bound(cfg: RunConfig) -> Result:
     return Result(0, payload, *_columns([fields]), hydrogen.bound_text(bound))
 
 
-def _run_convert(cfg: RunConfig) -> Result:
-    constants = ConstantSet.from_mode(cfg.constants_mode)
-    value = cfg.params["value"]
-    q = units.quantity(value, cfg.params["from_unit"])
-    out = units.convert(q, cfg.params["to_unit"], constants)
+def _run_convert(cfg: argparse.Namespace) -> Result:
+    constants = ConstantSet.from_mode(cfg.constants)
+    value = cfg.value
+    q = units.quantity(value, cfg.from_unit)
+    out = units.convert(q, cfg.to_unit, constants)
     result = units.as_float(out.magnitude, "converted value")
     record = {"value": value, "from": q.unit, "to": out.unit, "result": result}
     return Result(
@@ -326,8 +286,8 @@ def _run_convert(cfg: RunConfig) -> Result:
     )
 
 
-def _run_eval(cfg: RunConfig) -> Result:
-    expression = cfg.params["expression"]
+def _run_eval(cfg: argparse.Namespace) -> Result:
+    expression = cfg.expression
     record = {"expression": expression, "normal_form": evaluate_text(expression).render()}
     return Result(
         0, {"schema": "eval/v1", **record}, *_columns([record]), record["normal_form"]
@@ -344,20 +304,25 @@ _RUNNERS = {
 }
 
 
-def run(cfg: RunConfig) -> tuple[int, str]:
+def run(cfg: argparse.Namespace) -> tuple[int, str]:
     """Execute one subcommand; returns (exit status, rendered output).
 
-    The degree window and word cap apply to this call only.
+    The degree window and word cap apply to this call only.  A refused input
+    (``ValueError`` or ``ArithmeticError``) exits 2, and any other exception,
+    an internal fault, exits 1; either is reported, never raised.
     """
     overrides = {"window": cfg.degree_window, "word_cap": cfg.word_cap}
     try:
         with limits(**{k: v for k, v in overrides.items() if v is not None}):
             result = _RUNNERS[cfg.command](cfg)
-            return result.code, render(result, cfg.fmt)
+            return result.code, render(result, cfg.format)
     except (ValueError, ArithmeticError) as err:
-        if cfg.fmt == "json":
-            return 2, json.dumps({"schema": "error/v1", "error": str(err)})
-        return 2, f"error: {err}"
+        code, error, prefix = 2, str(err), "error: "
+    except Exception as err:
+        code, error, prefix = 1, f"internal error: {type(err).__name__}: {err}", ""
+    if cfg.format == "json":
+        return code, json.dumps({"schema": "error/v1", "error": error})
+    return code, prefix + error
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -33,7 +33,7 @@ from . import so4
 from .limits import Limits, current_limits
 from .operators import BRANCHES, NcPolynomial, commutator, expand_alias, generator_poly, poly_sum
 from .record import Record
-from .scalars import PSEUDO_UNIT, check_renderable, pc_imag, pc_l, pc_rational, stored_renderable
+from .scalars import PSEUDO_UNIT, pc_imag, pc_l, pc_rational, stored_renderable
 
 CASIMIR_TAGS = ("R", "x", "y", "+", "-")
 # Largest operator exponent '^n' accepted, also as the product of nested
@@ -516,11 +516,11 @@ def _renderable(p: NcPolynomial) -> NcPolynomial:
     """``p``, unless a coefficient is already too long to render; refusing it
     here stops a chain of products from growing it further, even where a
     later ``* 0`` would cancel it.  Only a polynomial with a large stored
-    integer has its coefficients rebuilt for the exact check."""
+    integer is rendered, and the renderer raises its digit-limit error."""
     if not stored_renderable(p._plus.values()) or (
         p._minus is not p._plus and not stored_renderable(p._minus.values())
     ):
-        check_renderable(p.terms().values())
+        p.render()
     return p
 
 

@@ -17,13 +17,15 @@ class Limits(Record):
     """The allowed range of l-exponents (inclusive bounds) and word length.
 
     The window is enforced on every term that ends up stored: the
-    ``BaseScalar`` constructor and the result of a product, a ``shift`` or a
-    ``reciprocal`` raise ``DegreeWindowError`` when a nonzero term falls
-    outside it.  A term that cancels to zero is never stored and never
-    raises, so ``(SIGMA_PLUS*pc_l(3)) * (SIGMA_MINUS*pc_l(2)) == 0`` under
-    the default ``-4..4``.  Sums, negation and scaling by a constant keep the
-    degrees of their operands and are not re-checked; narrowing the window
-    therefore takes effect at the next product.
+    ``BaseScalar`` constructor and the result of a product (``x * pc_l(d)``
+    shifts by ``l**d``) or a ``reciprocal`` raise ``DegreeWindowError`` when
+    a nonzero term falls outside it.  A term that cancels to zero is never
+    stored and never raises, so ``(SIGMA_PLUS*pc_l(3)) * (SIGMA_MINUS*pc_l(2))
+    == 0`` under the default ``-4..4``.  Sums, negation and scaling by a
+    constant keep the degrees of their operands and are not re-checked;
+    narrowing the window therefore takes effect at the next product.
+    Coefficient size is not a limit here: the interpreter's int-to-text digit
+    limit bounds it, and the renderer alone checks it exactly.
     """
 
     __slots__ = ("window", "word_cap")

@@ -117,10 +117,6 @@ class BaseScalar:
         """``(degree, coefficient)`` pairs in ascending degree."""
         return tuple((d, self.coefficient(d)) for d in self.degrees())
 
-    def as_integers(self) -> tuple[Numerators, int]:
-        """``(numerators, denominator)`` in the canonical form described above."""
-        return dict(self._num), self._den
-
     def is_zero(self) -> bool:
         return not self._num
 
@@ -157,11 +153,6 @@ class BaseScalar:
     def scale(self, q: Rational) -> "BaseScalar":
         num = {key: n * q.numerator for key, n in self._num.items()} if q else {}
         return _reduced(num, self._den * q.denominator)
-
-    def shift(self, degree: int) -> "BaseScalar":
-        """Multiply by l**degree."""
-        num = {(d + degree, i): n for (d, i), n in self._num.items()}
-        return _base(_in_window(num, current_limits().window), self._den)
 
     def is_unit(self) -> bool:
         return len(self.degrees()) == 1
@@ -208,18 +199,6 @@ def _mul(x: BaseScalar, y: BaseScalar, window: tuple[int, int]) -> BaseScalar:
             key = (d1 + d2, i1 ^ i2)
             out[key] = get(key, 0) + (-n1 * n2 if i1 and i2 else n1 * n2)
     return _reduced(_in_window({key: n for key, n in out.items() if n}, window), den)
-
-
-class ZeroDivisorPair(Record):
-    """Components of a pseudo-complex scalar along sigma_plus and sigma_minus."""
-
-    __slots__ = ("plus", "minus")
-
-    def __mul__(self, other: "ZeroDivisorPair") -> "ZeroDivisorPair":
-        return ZeroDivisorPair(self.plus * other.plus, self.minus * other.minus)
-
-    def is_zero_divisor(self) -> bool:
-        return self.plus.is_zero() != self.minus.is_zero()
 
 
 def _pc(plus: BaseScalar, minus: BaseScalar) -> "PcScalar":
@@ -269,19 +248,9 @@ class PcScalar:
     def scale(self, q: Rational) -> "PcScalar":
         return _pc(self._plus.scale(q), self._minus.scale(q))
 
-    def shift(self, degree: int) -> "PcScalar":
-        return _pc(self._plus.shift(degree), self._minus.shift(degree))
-
     def conjugate(self) -> "PcScalar":
         """Pseudo-conjugation I -> -I; swaps the zero-divisor components."""
         return _pc(self._minus, self._plus)
-
-    def to_zero_divisor(self) -> ZeroDivisorPair:
-        return ZeroDivisorPair(self._plus, self._minus)
-
-    @staticmethod
-    def from_zero_divisor(pair: ZeroDivisorPair) -> "PcScalar":
-        return _pc(pair.plus, pair.minus)
 
     def is_unit(self) -> bool:
         return self._plus.is_unit() and self._minus.is_unit()
@@ -363,14 +332,11 @@ def _atoms(plus: BaseScalar, minus: BaseScalar) -> list[tuple[int, int, bool, in
     return out
 
 
-def _too_long(limit: int) -> ValueError:
-    return ValueError(f"coefficient too long to render (more than {limit} digits)")
-
-
 def stored_renderable(components: Iterable[BaseScalar]) -> bool:
     """True when every integer stored in ``components`` is small enough that
-    all atoms built from them render; False only means that the atoms need
-    the exact check of ``check_renderable``."""
+    all atoms built from them render.  A cheap bound: False only means that
+    rendering must decide, since the renderer alone holds the exact digit
+    test and raises its error."""
     limit = sys.get_int_max_str_digits()
     if not limit:
         return True
@@ -386,26 +352,14 @@ def stored_renderable(components: Iterable[BaseScalar]) -> bool:
     return True
 
 
-def check_renderable(coeffs: Iterable[PcScalar]) -> None:
-    """Raise the render error now, before more work is spent, if an atom of
-    one of ``coeffs`` has more digits than the interpreter's int-to-text limit."""
-    limit = sys.get_int_max_str_digits()
-    if not limit:
-        return
-    for x in coeffs:
-        if not stored_renderable((x._plus, x._minus)):
-            bound = 10 ** limit
-            if any(abs(n) >= bound or d >= bound for n, d, *_ in _atoms(x._plus, x._minus)):
-                raise _too_long(limit)
-
-
 def _atom_str(n: int, d: int, has_i: bool, deg: int, has_pseudo: bool) -> str:
     pieces: list[str] = []
     if abs(n) != 1 or d != 1 or (not has_i and deg == 0 and not has_pseudo):
         try:
             pieces.append(str(abs(n)) if d == 1 else f"{abs(n)}/{d}")
         except ValueError:  # past the interpreter's int-to-str digit limit
-            raise _too_long(sys.get_int_max_str_digits()) from None
+            limit = sys.get_int_max_str_digits()
+            raise ValueError(f"coefficient too long to render (more than {limit} digits)") from None
     if has_i:
         pieces.append("i")
     if deg:

@@ -228,7 +228,7 @@ def test_convert_dimension_error():
 def test_constants_env_default(monkeypatch):
     monkeypatch.setenv("PCQM_CONSTANTS", "precise")
     cfg = config_from_args(["convert", "--value", "1", "--from", "fm", "--to", "GeV^-1"])
-    assert cfg.constants_mode == "precise"
+    assert cfg.constants == "precise"
 
 
 def test_degree_window_and_word_cap_flags():
@@ -492,6 +492,24 @@ def test_verify_keeps_its_first_error_under_narrow_limits(limit, error):
         lines = out.getvalue().splitlines()
         assert (code, len(lines)) == (2, 1)
         assert (lines[0] if fmt == "text" else json.loads(lines[0])) == expected
+
+
+@pytest.mark.parametrize("command", [["verify"], ["eval", "P+_1*X+_1"]])
+def test_internal_fault_exits_1_with_one_line_and_no_traceback(command, monkeypatch, capsys):
+    from pcqm import expr, operators
+
+    def fault(*args):
+        raise TypeError("planted fault")
+
+    monkeypatch.setattr(operators, "_contract", fault)
+    line = "internal error: TypeError: planted fault"
+    for fmt in ("text", "json", "csv"):
+        expr._leaf_product.cache_clear()  # a cached product would skip _contract
+        code = main(["--format", fmt, *command])
+        out, err = capsys.readouterr()
+        assert (code, err, out.count("\n")) == (1, "", 1)
+        shown = json.loads(out) if fmt == "json" else out.rstrip("\n")
+        assert shown == ({"schema": "error/v1", "error": line} if fmt == "json" else line)
 
 
 def test_irrep_numeric_failure_exits_1(monkeypatch):

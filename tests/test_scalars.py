@@ -9,7 +9,9 @@ import pytest
 import sympy
 
 from helpers import random_pc_scalar, random_rational
+from pcqm import expr
 from pcqm.limits import current_limits, limits
+from pcqm.operators import NcPolynomial
 from pcqm.scalars import (
     BaseScalar,
     DegreeWindowError,
@@ -21,13 +23,12 @@ from pcqm.scalars import (
     PcScalar,
     SIGMA_MINUS,
     SIGMA_PLUS,
-    ZeroDivisorPair,
+    _pc,
     pc_gaussian,
     pc_imag,
     pc_l,
     pc_pseudo,
     pc_rational,
-    check_renderable,
     render_pc,
 )
 
@@ -53,41 +54,38 @@ def test_sigma_idempotents_and_annihilation():
     assert SIGMA_PLUS + SIGMA_MINUS == PC_ONE
 
 
+def _recomposed(x: PcScalar) -> PcScalar:
+    """``plus*sigma_plus + minus*sigma_minus`` from the stored components."""
+    zero = BaseScalar.zero()
+    return PcScalar(x._plus, zero) * SIGMA_PLUS + PcScalar(x._minus, zero) * SIGMA_MINUS
+
+
 def test_zero_divisor_of_one_and_pseudo_unit():
-    one = PC_ONE.to_zero_divisor()
-    assert one.plus == BaseScalar.rational(1) and one.minus == BaseScalar.rational(1)
-    pseudo = PSEUDO_UNIT.to_zero_divisor()
-    assert pseudo.plus == BaseScalar.rational(1)
-    assert pseudo.minus == BaseScalar.rational(-1)
+    assert PC_ONE._plus == BaseScalar.rational(1) and PC_ONE._minus == BaseScalar.rational(1)
+    assert PSEUDO_UNIT._plus == BaseScalar.rational(1)
+    assert PSEUDO_UNIT._minus == BaseScalar.rational(-1)
 
 
 def test_zero_divisor_by_substitution():
     # a + I*b with a=3, b=2 -> (a+b, a-b) = (5, 1)
     x = pc_rational(3) + pc_pseudo(2)
-    pair = x.to_zero_divisor()
-    assert pair.plus == BaseScalar.rational(5)
-    assert pair.minus == BaseScalar.rational(1)
-    assert PcScalar.from_zero_divisor(pair) == x
+    assert x._plus == BaseScalar.rational(5)
+    assert x._minus == BaseScalar.rational(1)
+    assert _recomposed(x) == x
 
 
 def test_zero_divisor_roundtrip_random():
     rng = random.Random(SEED)
     for _ in range(200):
         x = random_pc_scalar(rng)
-        assert PcScalar.from_zero_divisor(x.to_zero_divisor()) == x
+        assert _recomposed(x) == x
 
 
 def test_multiplication_is_componentwise_in_pair_basis():
     rng = random.Random(SEED + 1)
     for _ in range(200):
         x, y = random_pc_scalar(rng), random_pc_scalar(rng)
-        assert (x * y).to_zero_divisor() == x.to_zero_divisor() * y.to_zero_divisor()
-
-
-def test_zero_divisor_flag():
-    assert SIGMA_PLUS.to_zero_divisor().is_zero_divisor()
-    assert not PC_ONE.to_zero_divisor().is_zero_divisor()
-    assert not PC_ZERO.to_zero_divisor().is_zero_divisor()
+        assert ((x * y)._plus, (x * y)._minus) == (x._plus * y._plus, x._minus * y._minus)
 
 
 def test_conjugate_examples():
@@ -156,7 +154,7 @@ def test_zero_has_no_stored_coefficients():
 def test_unit_reciprocal():
     half = pc_rational(Fraction(1, 2))
     assert half.reciprocal() == pc_rational(2)
-    assert SIGMA_PLUS.to_zero_divisor().plus.is_unit()
+    assert SIGMA_PLUS._plus.is_unit()
     with pytest.raises(ZeroDivisionError):
         SIGMA_PLUS.reciprocal()  # zero minus-component is not invertible
     x = pc_imag(Fraction(1, 2)) * pc_l(-2)
@@ -184,9 +182,7 @@ def test_real_scalar_renders_as_with_distinct_equal_components():
         base = random_pc_scalar(rng, max_degree=2).re
         real = PcScalar(base, BaseScalar.zero())
         assert real._plus is real._minus
-        twin = PcScalar.from_zero_divisor(
-            ZeroDivisorPair(BaseScalar(base.terms()), BaseScalar(base.terms()))
-        )
+        twin = _pc(BaseScalar(base.terms()), BaseScalar(base.terms()))
         assert twin._plus is not twin._minus and twin == real
         assert render_pc(real) == render_pc(twin)
 
@@ -195,9 +191,6 @@ def test_window_ignores_terms_that_cancel_to_zero():
     assert (SIGMA_PLUS * pc_l(3)) * (SIGMA_MINUS * pc_l(2)) == PC_ZERO
     with pytest.raises(DegreeWindowError):
         (SIGMA_PLUS * pc_l(3)) * (SIGMA_PLUS * pc_l(2))
-    with pytest.raises(DegreeWindowError):
-        pc_l(3).shift(2)
-    assert (pc_l(3) - pc_l(3)).shift(2).is_zero()
 
 
 def test_narrowing_the_window_applies_to_the_next_product():
@@ -258,9 +251,8 @@ def test_arithmetic_against_sympy_oracle():
         assert _same(sx - sy, x - y)
         assert _same(sx * sy, x * y)
         assert _same(sx.subs(SYM_PSEUDO, -SYM_PSEUDO), x.conjugate())
-        pair = x.to_zero_divisor()
-        assert _reduce(sx.subs(SYM_PSEUDO, 1) - _sym_base(pair.plus)) == 0
-        assert _reduce(sx.subs(SYM_PSEUDO, -1) - _sym_base(pair.minus)) == 0
+        assert _reduce(sx.subs(SYM_PSEUDO, 1) - _sym_base(x._plus)) == 0
+        assert _reduce(sx.subs(SYM_PSEUDO, -1) - _sym_base(x._minus)) == 0
 
 
 def test_unit_reciprocal_against_sympy_oracle():
@@ -274,10 +266,15 @@ def test_unit_reciprocal_against_sympy_oracle():
         assert _reduce(sx * _sym(x.reciprocal())) == 1
 
 
+def _stored(part: BaseScalar) -> tuple[dict, int]:
+    """``(numerators, denominator)`` as stored."""
+    return part._num, part._den
+
+
 def _assert_canonical(x: PcScalar) -> None:
     """Each zero-divisor component: nonzero numerators over den > 0, gcd 1."""
-    for part in (x.to_zero_divisor().plus, x.to_zero_divisor().minus, x.re, x.im):
-        num, den = part.as_integers()
+    for part in (x._plus, x._minus, x.re, x.im):
+        num, den = _stored(part)
         assert den > 0 and all(num.values())
         assert math.gcd(den, *num.values()) == 1
         assert part.terms() == tuple(
@@ -311,10 +308,10 @@ def test_equal_values_have_equal_storage():
     for a, b in pairs:
         _assert_canonical(a)
         assert a == b and hash(a) == hash(b)
-        assert a.to_zero_divisor().plus.as_integers() == b.to_zero_divisor().plus.as_integers()
-    assert PC_ZERO.re.as_integers() == ({}, 1)
-    assert (x - x).re.as_integers() == ({}, 1)
-    assert PC_ONE.re.as_integers() == ({(0, False): 1}, 1)
+        assert _stored(a._plus) == _stored(b._plus)
+    assert _stored(PC_ZERO.re) == ({}, 1)
+    assert _stored((x - x).re) == ({}, 1)
+    assert _stored(PC_ONE.re) == ({(0, False): 1}, 1)
 
 
 def _non_dyadic_rational(rng: random.Random) -> Fraction:
@@ -355,7 +352,7 @@ def test_early_size_check_refuses_exactly_what_render_refuses():
                 except ValueError:
                     renders = False
                 try:
-                    check_renderable([x])
+                    expr._renderable(NcPolynomial.scalar(x))
                     passes = True
                 except ValueError as err:
                     assert "coefficient too long to render" in str(err)
