@@ -31,7 +31,7 @@ from typing import Union
 
 from . import so4
 from .limits import Limits, current_limits
-from .operators import BRANCHES, NcPolynomial, commutator, expand_alias, generator_poly, poly_sum
+from .operators import ALIASES, NcPolynomial, commutator, expand_alias, generator_poly, poly_sum
 from .record import Record
 from .scalars import PSEUDO_UNIT, pc_imag, pc_l, pc_rational, stored_renderable
 
@@ -289,7 +289,7 @@ class _Parser:
                 raise ExprSyntaxError(f"expected branch sign after {name!r}", branch_tok[2])
             idx = self._indices(1, 1)[0]
             return GenSym(name, branch_tok[0], self._check_index(idx, pos))
-        if name in ("x", "y", "px", "py"):
+        if name in ALIASES:
             idx = self._indices(1, 1)[0]
             return AliasSym(name, self._check_index(idx, pos))
         if name[0] in ("L", "M"):
@@ -302,7 +302,7 @@ class _Parser:
         letter, comp = name[0], name[1:] or None
         if comp is None and self.kinds[self.n] in _SIGNS and self.kinds[self.n + 1] == "_":
             comp = self.next()[0]
-        if comp not in (None, "R", "I", *BRANCHES, *so4.COMPONENT_FACTORS):
+        if comp not in so4.COMPONENTS:
             raise ExprSyntaxError(f"unknown component tag {comp!r} on {letter}", pos)
         digits = self._indices(1, 2)
         if len(digits) == 1:
@@ -433,10 +433,8 @@ def _render(node: Node) -> str:
 
 def evaluate(node: Node) -> NcPolynomial:
     """Reduce a tree to its normal-form polynomial."""
-    if isinstance(node, _LITERALS):
-        return _literal(node, current_limits().window)
-    if isinstance(node, (GenSym, AliasSym, NamedOp, CasimirOp)):
-        return _operator(node, current_limits())
+    if isinstance(node, _LEAVES):
+        return _leaf_value(node, current_limits())
     if isinstance(node, Neg):
         return -evaluate(node.operand)
     if isinstance(node, (Add, Sub)):
@@ -450,8 +448,7 @@ def evaluate(node: Node) -> NcPolynomial:
     if isinstance(node, Mul):
         first, links = _chain(node, (Mul,))
         if isinstance(first, _LEAVES) and isinstance(links[0].right, _LEAVES):
-            product = _leaf_product(links[0], current_limits(), sys.get_int_max_str_digits())
-            links = links[1:]
+            product, links = _renderable(_leaf_value(links[0], current_limits())), links[1:]
         else:
             product = evaluate(first)
         for link in links:
@@ -464,33 +461,30 @@ def evaluate(node: Node) -> NcPolynomial:
     raise TypeError(f"unknown node {node!r}")
 
 
-_LITERALS = (Num, ImagUnit, PseudoUnit, LengthPower)
-_LEAVES = (*_LITERALS, GenSym, AliasSym, NamedOp, CasimirOp)
+_LEAVES = (Num, ImagUnit, PseudoUnit, LengthPower, GenSym, AliasSym, NamedOp, CasimirOp)
 
 
-# Room for the literals of a long session: each is small, and only the degree
-# window bounds its build.
-@lru_cache(maxsize=256)
-def _literal(node: Num | ImagUnit | PseudoUnit | LengthPower, window: tuple[int, int]) -> NcPolynomial:
-    """The polynomial of a scalar literal, built once per degree window, as
-    ``_operator`` builds a symbol once per ``Limits``."""
+# Room for the leaves and leaf products of a long session: the eval-warm
+# benchmark streams of seeds 5, 2601, 2605 and 2610 meet 739 distinct keys in
+# 40,000 requests.
+@lru_cache(maxsize=1792)
+def _leaf_value(node: Node, limits: Limits) -> NcPolynomial:
+    """The polynomial of a leaf (a literal or an operator symbol) or of a
+    product of two leaves (``l*y_1``, ``i*X+_1``, ``1/2*CR``), built once per
+    ``limits`` and shared by every caller, which is safe because polynomials
+    are immutable.  The limits in force bound the build, so they are part of
+    the key; a build that raises is not cached and raises again on the next
+    call.  The digit limit is not: ``evaluate`` checks a product on each use."""
+    if isinstance(node, Mul):
+        return evaluate(node.left) * evaluate(node.right)
     if isinstance(node, Num):
         return NcPolynomial.scalar(pc_rational(node.value))
     if isinstance(node, ImagUnit):
         return NcPolynomial.scalar(pc_imag())
     if isinstance(node, PseudoUnit):
         return NcPolynomial.scalar(PSEUDO_UNIT)
-    return NcPolynomial.scalar(pc_l(node.power))
-
-
-# Room for every operator symbol (16 generators, 16 aliases, 135 labelled
-# operators and 5 Casimirs) under three limit settings.
-@lru_cache(maxsize=512)
-def _operator(node: GenSym | AliasSym | NamedOp | CasimirOp, limits: Limits) -> NcPolynomial:
-    """The polynomial of an operator symbol, built once per ``limits`` and
-    shared by every caller, which is safe because polynomials are immutable.
-    The limits in force bound the build, so they are part of the key; a build
-    that raises is not cached and raises again on the next call."""
+    if isinstance(node, LengthPower):
+        return NcPolynomial.scalar(pc_l(node.power))
     if isinstance(node, GenSym):
         return generator_poly(node.kind, node.branch, node.index)
     if isinstance(node, AliasSym):
@@ -498,18 +492,6 @@ def _operator(node: GenSym | AliasSym | NamedOp | CasimirOp, limits: Limits) -> 
     if isinstance(node, NamedOp):
         return so4.labelled(node.comp, node.i, node.j)
     return so4.casimir(node.comp)
-
-
-# Room for the leaf products of a long session: the eval-warm benchmark stream
-# of seed 5 meets 599 distinct ones in 20,000 requests (99.2% of lookups hit).
-# They hold about 1.5 MB; the stream's peak RSS rose from 29.8 to 31.6 MB.
-@lru_cache(maxsize=1024)
-def _leaf_product(node: Mul, limits: Limits, digits: int) -> NcPolynomial:
-    """The product of two leaves (``l*y_1``, ``i*X+_1``, ``1/2*CR``), built once
-    per ``limits`` as ``_operator`` builds a symbol.  The coefficient-size
-    check reads the interpreter's int-to-text limit, ``digits``, so that limit
-    is part of the key too; a build that raises is not cached."""
-    return _renderable(evaluate(node.left) * evaluate(node.right))
 
 
 def _renderable(p: NcPolynomial) -> NcPolynomial:

@@ -68,9 +68,7 @@ def spin_block(k: SpinLike) -> SpinBlock:
     return SpinBlock(k=k, j1=(jp + jm) / 2, j2=(jp - jm) / 2j, j3=j3)
 
 
-# Sparse matrix: (row, column) -> nonzero entry; Scaled holds the entries
-# times a common denominator.
-Entries = dict[tuple[int, int], Fraction]
+# Sparse matrix: (row, column) -> nonzero entry times a common denominator.
 Scaled = dict[tuple[int, int], int]
 
 

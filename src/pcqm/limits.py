@@ -32,7 +32,7 @@ class Limits(Record):
 
     def __init__(self, window: tuple[int, int] = (-4, 4), word_cap: int = 8):
         # Stored as a tuple of two ints: the window is hashed and compared as
-        # part of the operator-symbol cache key, and a bound is an exponent.
+        # part of the evaluator's leaf memo key, and a bound is an exponent.
         try:
             lo, hi = window
         except (TypeError, ValueError):
@@ -46,7 +46,7 @@ class Limits(Record):
             raise ValueError(f"word length cap must lie in 1..{MAX_WORD_CAP}, got {word_cap}")
         super().__init__(window if type(window) is tuple else (lo, hi), word_cap)
 
-    # Hashed on every operator-symbol cache lookup, so spelled out.
+    # Hashed on every lookup in the evaluator's leaf memo, so spelled out.
     def __hash__(self):
         return hash((self.window, self.word_cap))
 

@@ -43,6 +43,8 @@ from .scalars import (
 
 INDICES = (1, 2, 3, 4)
 BRANCHES = ("+", "-")
+# The alias symbols, each with the kind of the generators it is built from.
+ALIASES = {"x": "X", "y": "X", "px": "P", "py": "P"}
 
 
 class WordLengthError(ValueError):
@@ -613,7 +615,7 @@ def expand_alias(name: str, index: int) -> NcPolynomial:
     """
     if index not in INDICES:
         raise ValueError(f"alias index must be 1..4, got {index!r}")
-    kind = "X" if name in ("x", "y") else "P" if name in ("px", "py") else None
+    kind = ALIASES.get(name) if isinstance(name, str) else None
     if kind is None:
         raise ValueError(f"unknown alias symbol {name!r}")
     return _leaf(name, gen(kind, "+", index), current_limits().window)
@@ -660,7 +662,7 @@ def verify_induced_relations():
       [x_i, px_j] = i*delta_ij - l^2 [y_i, py_j]
       [x_i, py_j] = -[y_i, px_j]
     """
-    x, y, px, py = ({i: expand_alias(name, i) for i in INDICES} for name in ("x", "y", "px", "py"))
+    x, y, px, py = ({i: expand_alias(name, i) for i in INDICES} for name in ALIASES)
     for i, j in itertools.product(INDICES, INDICES):
         delta, label = NcPolynomial.scalar(pc_imag(int(i == j))), f"i={i} j={j}"
         yield "coordinate-coordinate", label, commutator(x[i], x[j]) + commutator(y[i], y[j]).scale(_L2)

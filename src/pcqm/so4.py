@@ -51,6 +51,9 @@ M_VECTOR_PAIRS = {1: (1, 4), 2: (2, 4), 3: (3, 4)}
 
 # Alias factors (a, b) of the x/y components: Lc_ij = a_i b_j - a_j b_i.
 COMPONENT_FACTORS = {"x": ("x", "px"), "y": ("y", "py"), "xy": ("x", "py"), "yx": ("y", "px")}
+# Every component tag of L_ij: the pc operator (None), a branch, the real and
+# pseudo-imaginary parts, and the alias components.
+COMPONENTS = (None, *BRANCHES, "R", "I", *COMPONENT_FACTORS)
 
 _HALF = Fraction(1, 2)
 _L2 = pc_l(2)
@@ -180,7 +183,7 @@ def verify_recomposition():
     of the pc generator from parts and from the zero-divisor basis.
     """
     for i, j in _PAIRS:
-        x, y, xy, yx, real, imag = (component(i, j, c) for c in ("x", "y", "xy", "yx", "R", "I"))
+        x, y, xy, yx, real, imag = (component(i, j, c) for c in (*COMPONENT_FACTORS, "R", "I"))
         base = x + y.scale(_L2)
         cross = xy + yx
         for b, sign in (("+", 1), ("-", -1)):

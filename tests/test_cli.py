@@ -504,7 +504,7 @@ def test_internal_fault_exits_1_with_one_line_and_no_traceback(command, monkeypa
     monkeypatch.setattr(operators, "_contract", fault)
     line = "internal error: TypeError: planted fault"
     for fmt in ("text", "json", "csv"):
-        expr._leaf_product.cache_clear()  # a cached product would skip _contract
+        expr._leaf_value.cache_clear()  # a cached product would skip _contract
         code = main(["--format", fmt, *command])
         out, err = capsys.readouterr()
         assert (code, err, out.count("\n")) == (1, "", 1)

@@ -48,7 +48,7 @@ from pcqm.operators import (
     generator_poly,
     multiply,
 )
-from pcqm.scalars import DegreeWindowError, pc_imag, pc_l
+from pcqm.scalars import PSEUDO_UNIT, DegreeWindowError, pc_imag, pc_l, pc_rational
 
 SEED = 20260810
 
@@ -303,9 +303,15 @@ def test_cached_operators_equal_fresh_builds_under_each_limits():
           for c in comps for i in range(1, 5) for j in range(1, 5)
           for letter in "LM" if i != j and (letter == "L" or j == 4)],
         *[(CasimirOp(c), lambda c=c: so4.casimir(c)) for c in ("R", "x", "y", "+", "-")],
+        (Num(Fraction(3, 7)), lambda: NcPolynomial.scalar(pc_rational(Fraction(3, 7)))),
+        (ImagUnit(), lambda: NcPolynomial.scalar(pc_imag())),
+        (PseudoUnit(), lambda: NcPolynomial.scalar(PSEUDO_UNIT)),
+        *[(LengthPower(d), lambda d=d: NcPolynomial.scalar(pc_l(d))) for d in range(-4, 5)],
+        *[(node, lambda node=node: multiply(evaluate(node.left), evaluate(node.right)))
+          for node in map(parse, ("l*y_1", "i*X+_1", "1/2*CR", "l^2*Ly_12"))],
     ]
     # The default limits come first, so a later, narrower setting would be
-    # served a stale operator if the limits were not part of the key.
+    # served a stale value if the limits were not part of the key.
     for changes in ({}, {"word_cap": 2}, {"window": (0, 4)}, {"window": (-1, 1)}):
         with limits(**changes):
             for node, build in leaves:
@@ -439,12 +445,14 @@ def test_leaf_product_is_checked_against_the_digit_limit_in_force():
     text = "9" * 400 + "*" + "9" * 400
     assert evaluate_text(text).render() == str(int("9" * 400) ** 2)
     old = sys.get_int_max_str_digits()
+    cached = evaluate_text(text)
     sys.set_int_max_str_digits(640)
     try:
         with pytest.raises(ValueError, match=re.escape("coefficient too long to render (more than 640 digits)")):
             evaluate_text(text)
     finally:
         sys.set_int_max_str_digits(old)
+    assert evaluate_text(text) is cached
     assert evaluate_text(text).render() == str(int("9" * 400) ** 2)
 
 
