@@ -33,7 +33,7 @@ from . import so4
 from .limits import Limits, current_limits
 from .operators import ALIASES, NcPolynomial, commutator, expand_alias, generator_poly, poly_sum
 from .record import Record
-from .scalars import PSEUDO_UNIT, pc_imag, pc_l, pc_rational, stored_renderable
+from .scalars import PSEUDO_UNIT, bits_renderable, pc_imag, pc_l, pc_rational, stored_bits
 
 CASIMIR_TAGS = ("R", "x", "y", "+", "-")
 # Largest operator exponent '^n' accepted, also as the product of nested
@@ -498,10 +498,12 @@ def _renderable(p: NcPolynomial) -> NcPolynomial:
     """``p``, unless a coefficient is already too long to render; refusing it
     here stops a chain of products from growing it further, even where a
     later ``* 0`` would cancel it.  Only a polynomial with a large stored
-    integer is rendered, and the renderer raises its digit-limit error."""
-    if not stored_renderable(p._plus.values()) or (
-        p._minus is not p._plus and not stored_renderable(p._minus.values())
-    ):
+    integer is rendered, and the renderer raises its digit-limit error.  The
+    largest stored bit length is computed on first use and kept with ``p``;
+    the digit limit is read on each call."""
+    if p._bits is None:
+        p._bits = stored_bits(p._plus.values(), () if p._minus is p._plus else p._minus.values())
+    if not bits_renderable(p._bits):
         p.render()
     return p
 

@@ -158,7 +158,7 @@ def _share(plus: Terms, minus: Terms) -> tuple[Terms, Terms]:
 def _poly(plus: Terms, minus: Terms) -> "NcPolynomial":
     out = object.__new__(NcPolynomial)
     out._plus, out._minus = _share(plus, minus)
-    out._scanned = None
+    out._scanned = out._bits = None
     return out
 
 
@@ -189,12 +189,12 @@ class NcPolynomial:
     Stored as the coefficients' sigma_plus and sigma_minus components, two
     maps word -> nonzero BaseScalar, so products and normal ordering work on
     each component alone.  A polynomial without pseudo-imaginary part keeps
-    one map for both.  The maps are never mutated after construction, so
-    the operand scan of products (``_scan``) is computed on first use and
-    kept in ``_scanned``.
+    one map for both.  The maps are never mutated after construction, so the
+    operand scan of products (``_scan``) and the largest stored bit length
+    (``expr._renderable``) are kept in ``_scanned`` and ``_bits`` from first use.
     """
 
-    __slots__ = ("_plus", "_minus", "_scanned")
+    __slots__ = ("_plus", "_minus", "_scanned", "_bits")
 
     def __init__(self, terms: Mapping[Word, PcScalar] | Iterable[tuple[Word, PcScalar]] = ()):
         items = list(terms.items() if isinstance(terms, dict) or hasattr(terms, "items") else terms)
@@ -202,7 +202,7 @@ class NcPolynomial:
             _accumulate({}, ((w, c._plus) for w, c in items)),
             _accumulate({}, ((w, c._minus) for w, c in items)),
         )
-        self._scanned = None
+        self._scanned = self._bits = None
 
     @classmethod
     def zero(cls) -> "NcPolynomial":
@@ -459,21 +459,25 @@ def _scan_map(terms: Terms) -> tuple[list | None, list[BaseScalar]]:
     return entries if ordered else None, list(groups)
 
 
-def _scan(p: NcPolynomial) -> tuple[tuple, tuple, int, int]:
-    """``(plus, minus, words, longest)``, computed on first use and kept
-    with ``p``: the scan of each component map (one for a shared map), the
-    number of words of ``p`` and the length of its longest word (0 when
-    ``p`` is zero).  None of it depends on the limits in force."""
+def _scan(p: NcPolynomial) -> tuple[tuple, tuple, int, int, int, int]:
+    """``(plus, minus, words, longest, lo, hi)``, computed on first use and
+    kept with ``p``: the scan of each component map (one for a shared map),
+    the number of words, the length of the longest word and the lowest and
+    highest l-degree in either component (0 when ``p`` is zero).  None of
+    it depends on the limits in force."""
     scan = p._scanned
     if scan is None:
         plus = _scan_map(p._plus)
         minus = plus if p._minus is p._plus else _scan_map(p._minus)
         words = _words(p)
-        scan = p._scanned = (plus, minus, len(words), max(map(len, words), default=0))
+        degrees = [d for c in plus[1] + minus[1] for d, _ in c._num] or [0]
+        scan = p._scanned = (plus, minus, len(words), max(map(len, words), default=0), min(degrees), max(degrees))
     return scan
 
 
-def _product(a: Terms, sa: tuple, b: Terms, sb: tuple, window: tuple[int, int], runs: dict) -> Terms:
+def _product(
+    a: Terms, sa: tuple, b: Terms, sb: tuple, window: tuple[int, int], runs: dict, contracted: bool = False
+) -> Terms:
     """Every term pair of the maps ``a`` and ``b``, scanned as ``sa`` and
     ``sb``, multiplied and added to the result in normal order.  A map with
     an unsorted word is normal-ordered under ``window`` first, with the run
@@ -483,7 +487,9 @@ def _product(a: Terms, sa: tuple, b: Terms, sb: tuple, window: tuple[int, int], 
     sorted, plus ``_contract``'s terms when the pair contracts.  The
     coefficients of each pair of groups ``(i, j)`` are multiplied once, at
     the first term pair that carries them, into the row table ``rows[i][j]``,
-    so the first pair to leave the window raises as it would alone.
+    so the first pair to leave the window raises as it would alone.  With
+    ``contracted``, a pair that does not contract is skipped, and so is the
+    uncontracted first term of ``_contract``.
     """
     left, lc = sa if sa[0] is not None else _scan_map(_normal_order(a, runs, window))
     right, rc = sb if sb[0] is not None else _scan_map(_normal_order(b, runs, window))
@@ -495,12 +501,15 @@ def _product(a: Terms, sa: tuple, b: Terms, sb: tuple, window: tuple[int, int], 
         row, c1 = rows[i], lc[i]
         last = w1[-1] if w1 else -1
         for w2, j, xs, _ in right:
+            if contracted and not ps & xs:
+                continue
             c = row[j]
             if c is None:
                 c = row[j] = _mul(c1, rc[j], window)
             word = w1 + w2 if not w2 or last <= w2[0] else tuple(sorted(w1 + w2))
             if ps & xs:
-                _add_scaled(out, _contract(word, w1, w2, ps & xs), c, len(word), window, scaled, (i, j))
+                terms = _contract(word, w1, w2, ps & xs)
+                _add_scaled(out, terms[1:] if contracted else terms, c, len(word), window, scaled, (i, j))
                 continue
             prev = get(word)
             if prev is None:
@@ -525,7 +534,7 @@ def _check_size(pairs: int, longest: int, word_cap: int) -> None:
 
 
 # Products of the innermost ``shared_products`` scope (None outside, as in a new
-# thread), keyed on operand ids and window; each entry keeps its operands alive.
+# thread), keyed on operand ids, window and ``contracted``; each holds its operands.
 _products: ContextVar[dict | None] = ContextVar("pcqm_products", default=None)
 
 
@@ -558,32 +567,37 @@ def suite(name: str, schema: str = "identity-report/v1"):
     return decorate
 
 
-def multiply(p: NcPolynomial, q: NcPolynomial) -> NcPolynomial:
+def multiply(p: NcPolynomial, q: NcPolynomial, *, contracted: bool = False) -> NcPolynomial:
     """Normal-order the concatenation of every term pair.  Bilinear and
-    associative.
+    associative.  ``contracted`` keeps only the terms with a contraction,
+    unless a term could leave the degree window (see ``commutator``).
 
     Each component of the result is the product of the operands' components
     alone, so all sigma_plus pairs are multiplied before any sigma_minus pair.
     """
     lim = current_limits()
-    p_plus, p_minus, p_words, p_longest = _scan(p)
-    q_plus, q_minus, q_words, q_longest = _scan(q)
+    window = lim.window
+    p_plus, p_minus, p_words, p_longest, p_lo, p_hi = _scan(p)
+    q_plus, q_minus, q_words, q_longest, q_lo, q_hi = _scan(q)
     _check_size(p_words * q_words, p_longest + q_longest, lim.word_cap)
+    # Skipped products may raise too: where the operands' degrees may add past the window, form all.
+    contracted = contracted and window[0] <= p_lo + q_lo and p_hi + q_hi <= window[1]
     memo = _products.get()
-    if memo is not None and (key := (id(p), id(q), lim.window)) in memo:
+    if memo is not None and (key := (id(p), id(q), window, contracted)) in memo:
         return memo[key][2]
     runs: dict = {}  # the run products of unsorted operand words, for both components
-    plus = _product(p._plus, p_plus, q._plus, q_plus, lim.window, runs)
+    plus = _product(p._plus, p_plus, q._plus, q_plus, window, runs, contracted)
     real = p._minus is p._plus and q._minus is q._plus
-    out = _poly(plus, plus if real else _product(p._minus, p_minus, q._minus, q_minus, lim.window, runs))
+    out = _poly(plus, plus if real else _product(p._minus, p_minus, q._minus, q_minus, window, runs, contracted))
     if memo is not None:
         memo[key] = p, q, out
     return out
 
 
 def commutator(p: NcPolynomial, q: NcPolynomial) -> NcPolynomial:
-    """``pq - qp``."""
-    return multiply(p, q) - multiply(q, p)
+    """``pq - qp``.  For sorted words ``u`` and ``v``, ``uv`` and ``vu`` share their
+    uncontracted term, so the bracket is the difference of the contracted terms alone."""
+    return multiply(p, q, contracted=True) - multiply(q, p, contracted=True)
 
 
 # Shared by every caller: no word cap or degree window refuses one generator.

@@ -332,24 +332,26 @@ def _atoms(plus: BaseScalar, minus: BaseScalar) -> list[tuple[int, int, bool, in
     return out
 
 
-def stored_renderable(components: Iterable[BaseScalar]) -> bool:
-    """True when every integer stored in ``components`` is small enough that
-    all atoms built from them render.  A cheap bound: False only means that
-    rendering must decide, since the renderer alone holds the exact digit
-    test and raises its error."""
+def stored_bits(*groups: Iterable[BaseScalar]) -> int:
+    """The largest bit length of an integer stored in the scalars of ``groups``,
+    read as that of the bitwise or of their magnitudes."""
+    top = 0
+    for scalars in groups:
+        for c in scalars:
+            top |= c._den
+            for n in c._num.values():
+                top |= abs(n)
+    return top.bit_length()
+
+
+def bits_renderable(bits: int) -> bool:
+    """True when all atoms built from stored integers of ``bits`` bits render
+    under the digit limit in force.  A cheap bound: False only means that the
+    renderer, which alone holds the exact digit test, must decide."""
     limit = sys.get_int_max_str_digits()
-    if not limit:
-        return True
     # With every stored integer below 2^b, every atom is below 2^(2b + 1);
     # 3*limit bits hold fewer than limit digits.
-    safe = 1 << (3 * limit - 1) // 2
-    for c in components:
-        if c._den >= safe:
-            return False
-        for n in c._num.values():
-            if not -safe < n < safe:
-                return False
-    return True
+    return not limit or bits <= (3 * limit - 1) // 2
 
 
 def _atom_str(n: int, d: int, has_i: bool, deg: int, has_pseudo: bool) -> str:

@@ -446,6 +446,7 @@ def test_leaf_product_is_checked_against_the_digit_limit_in_force():
     assert evaluate_text(text).render() == str(int("9" * 400) ** 2)
     old = sys.get_int_max_str_digits()
     cached = evaluate_text(text)
+    assert cached._bits == (int("9" * 400) ** 2).bit_length()  # kept from its first check
     sys.set_int_max_str_digits(640)
     try:
         with pytest.raises(ValueError, match=re.escape("coefficient too long to render (more than 640 digits)")):

@@ -79,8 +79,7 @@ def _span_pivots_doubled():
     return lambda basis: [(label, b, pivot, inverse * two) for label, b, pivot, inverse in span_pivots(basis)]
 
 
-# Every so4-commutators and component-closure family, with its check count.
-_SO4 = {("so4-commutators", f): 36 for f in ("pc-level", "branch+", "branch-", "cross-branch")}
+# Every component-closure family, with its check count.
 _CLOSURE = {("component-closure", f"[{f}]"): 36 for f in ("R,R", "R,I", "I,I", "x,x", "y,y")}
 
 # (name, patched module, its attribute, a builder of the faulty value, the
@@ -100,19 +99,18 @@ FAULTS = (
         ("casimir-central", "casimir-central"): 6,
     }, True),
     # A cancelled word stays as a zero coefficient, so a residual that cancels
-    # is not zero.  Only the three induced *-mixed families and two Casimir
-    # expansion checks still pass; normal_form does not subtract.
+    # is not zero.  A bracket forms only the terms of its pairs that contract,
+    # so a word whose pairs commute never reaches _difference inside it: the
+    # cross-branch and induced families, the so4 cross-branch family and six
+    # checks of each other so4 and closure family pass.  normal_form does not
+    # subtract.
     ("_difference keeps cancelled words", operators, "_difference", _difference_keeps_cancelled_words, {
-        ("canonical-quantization", "same-branch"): 32,
-        ("canonical-quantization", "cross-branch"): 32,
-        ("induced-relations", "coordinate-coordinate"): 16,
-        ("induced-relations", "momentum-momentum"): 16,
-        ("induced-relations", "coordinate-momentum"): 16,
-        **_SO4,
+        ("canonical-quantization", "same-branch"): 8,
+        **{("so4-commutators", f): 30 for f in ("pc-level", "branch+", "branch-")},
         ("component-recomposition", "branch-components"): 12,
         **{("component-recomposition", f): 6
            for f in ("real-part", "pseudo-part", "pc-recombination", "zero-divisor-recombination")},
-        **_CLOSURE,
+        **{key: 30 for key in _CLOSURE},
         ("casimir-central", "casimir-central"): 6,
         ("casimir-expansion", "casimir-expansion"): 2,
     }, False),

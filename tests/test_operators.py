@@ -637,6 +637,13 @@ def test_commuting_operands_past_the_degree_window_raise_as_the_products_do():
     p, q = p.scale(SIGMA_PLUS), q.scale(SIGMA_MINUS)
     assert_oracle_equal(commutator(p, q), _oracle_commutator(p, q))
     assert commutator(p, q).is_zero()
+    # X+_2 against P+_2 contracts inside the window, and the commuting pair
+    # l^3*X+_1, l^2*X-_1 leaves it: the bracket raises as its products do.
+    p = NcPolynomial({(XP1,): pc_l(3), (XP2,): PC_ONE})
+    q = NcPolynomial({(XM1,): pc_l(2), (gen("P", "+", 2),): PC_ONE})
+    for a, b in ((p, q), (q, p)):
+        with pytest.raises(DegreeWindowError, match=r"^l\^5 outside degree window -4\.\.4$"):
+            commutator(a, b)
 
 
 def test_commuting_operands_past_the_word_cap_raise_as_the_products_do():
@@ -656,6 +663,40 @@ def test_commuting_operands_past_the_pair_limit_raise_as_the_products_do():
     assert len(p.words()) * len(q.words()) == 50050 > MAX_TERM_PAIRS
     with pytest.raises(ProductSizeError, match=r"^product of 50050 term pairs exceeds 50000$"):
         commutator(p, q)
+
+
+def _shifted_poly(rng: random.Random, kind: str, shift: int) -> NcPolynomial:
+    """A ``_poly_of_kind`` whose terms are scaled by powers of l up to ``shift``."""
+    terms = _poly_of_kind(rng, kind).terms().items()
+    return NcPolynomial({w: c * pc_l(rng.randint(-shift, shift)) for w, c in terms})
+
+
+@pytest.mark.parametrize("window", [(-1, 1), (-2, 2), (-4, 4)], ids=lambda w: f"{w[0]}..{w[1]}")
+def test_brackets_equal_the_oracle_or_raise_as_the_products_do(window):
+    # A bracket forms only the terms of its pairs that contract, unless the
+    # operands' degrees may add past the window; each outcome is that of the
+    # two full products.  Operand degrees reach past half the window, so the
+    # products raise in some trials and keep to it in others.
+    rng = random.Random(f"{SEED}-bracket-window-{window}")
+    outcomes = set()
+    for trial in range(90):
+        p, q = (_shifted_poly(rng, ("real", "sigma", "general")[trial % 3], window[1] // 2) for _ in "pq")
+        with limits(window=(-8, 8)):
+            expected = _oracle_commutator(p, q)
+        with limits(window=window):
+            try:
+                products = multiply(p, q) - multiply(q, p)
+            except DegreeWindowError as err:
+                with pytest.raises(DegreeWindowError) as raised:
+                    commutator(p, q)
+                assert str(raised.value) == str(err)
+                outcomes.add("raised")
+                continue
+            bracket = commutator(p, q)
+        assert bracket == products
+        assert_oracle_equal(bracket, expected)
+        outcomes.add("zero" if bracket.is_zero() else "nonzero")
+    assert outcomes == {"raised", "zero", "nonzero"}
 
 
 def test_a_repeated_bracket_scans_nothing(monkeypatch):
