@@ -14,8 +14,8 @@ The Casimir is therefore scalar with value 2k(k+1) as soon as each block has
 A^2 = B^2 = k(k+1), and the spectrum-denominator combination
 4((L^2+M^2)/2 + 1/2) has the exact eigenvalue 8k(k+1) + 2 = 2(2k+1)^2.
 
-The sweep checks each spin block exactly, with Fractions in the rational
-ladder gauge (``ladder_block``, ``check_ladder_block``), never building the
+The sweep checks each spin block exactly, in the rational ladder gauge
+(``ladder_block``, ``check_ladder_block``), never building the
 (2k+1)^2-dimensional product space.  The dense matrices of ``spin_block``
 and ``build_irrep`` use binary floating point and serve export and the tests.
 """
@@ -76,8 +76,9 @@ class LadderBlock(Record):
     """Spin-k block in the rational ladder gauge, basis ordered m = k .. -k.
 
     J+|m> = |m+1>, J-|m> = (k(k+1) - m(m-1)) |m-1>, J3|m> = m|m>: similar
-    to the unitary gauge of ``spin_block`` (J+ J- is unchanged), but every
-    entry is rational.  Compares by identity, like ``SpinBlock``.
+    to the unitary gauge of ``spin_block`` (J+ J- is unchanged), but the J+
+    and J- entries are integers; only the J3 weights are Fractions.
+    Compares by identity, like ``SpinBlock``.
     """
 
     __slots__ = ("k", "jp", "jm", "j3")
@@ -92,10 +93,10 @@ class LadderBlock(Record):
 def ladder_block(k: SpinLike) -> LadderBlock:
     k = _as_spin(k)
     n = int(2 * k) + 1
-    weights = [k - r for r in range(n)]
-    jp = {(r - 1, r): Fraction(1) for r in range(1, n)}
-    jm = {(r + 1, r): k * (k + 1) - weights[r] * (weights[r] - 1) for r in range(n - 1)}
-    j3 = {(r, r): m for r, m in enumerate(weights) if m}
+    # At m = k - r: k(k+1) - m(m-1) = (2k - r)(r + 1), an integer.
+    jp = {(r - 1, r): 1 for r in range(1, n)}
+    jm = {(r + 1, r): (n - 1 - r) * (r + 1) for r in range(n - 1)}
+    j3 = {(r, r): Fraction(n - 1 - 2 * r, 2) for r in range(n) if n - 1 != 2 * r}
     return LadderBlock(k=k, jp=jp, jm=jm, j3=j3)
 
 

@@ -4,8 +4,9 @@ Sixteen generators: coordinates and momenta ``X<b>_i``, ``P<b>_i`` for
 branch ``b`` in ``{+,-}`` and index ``i`` in 1..4.  Same-branch pairs obey
 ``[X_i, P_j] = i*delta_ij``; cross-branch and same-kind generators commute.
 Words rewrite to a unique normal form under the generator order
-``X+ < P+ < X- < P-`` (ascending index within each block), so polynomial
-equality is map equality.
+``X+ < P+ < X- < P-`` (ascending index within each block).  Every
+polynomial is stored in that form, normal-ordered once when it is built,
+so polynomial equality is map equality and products read sorted words only.
 
 The physical single-branch operators ``x_i``, ``y_i``, ``px_i``, ``py_i``
 are aliases over the branch generators; ``y`` and ``py`` carry an explicit
@@ -187,20 +188,37 @@ class NcPolynomial:
     """Finite map word -> PcScalar; zero coefficients are never stored.
 
     Stored as the coefficients' sigma_plus and sigma_minus components, two
-    maps word -> nonzero BaseScalar, so products and normal ordering work on
-    each component alone.  A polynomial without pseudo-imaginary part keeps
-    one map for both.  The maps are never mutated after construction, so the
-    operand scan of products (``_scan``) and the largest stored bit length
-    (``expr._renderable``) are kept in ``_scanned`` and ``_bits`` from first use.
+    maps sorted word -> nonzero BaseScalar, so products and normal ordering
+    work on each component alone.  A polynomial without pseudo-imaginary part
+    keeps one map for both.  The maps are never mutated after construction,
+    so the operand scan of products (``_scan``) and the largest stored bit
+    length (``expr._renderable``) are kept in ``_scanned`` and ``_bits`` from
+    first use.
+
+    The constructor normal-orders ``terms`` under the window in force: each
+    word's run product (``_run_product``) serves both component maps, and a
+    contracted term's coefficient is checked against the window.
     """
 
     __slots__ = ("_plus", "_minus", "_scanned", "_bits")
 
     def __init__(self, terms: Mapping[Word, PcScalar] | Iterable[tuple[Word, PcScalar]] = ()):
-        items = list(terms.items() if isinstance(terms, dict) or hasattr(terms, "items") else terms)
+        items = list(terms.items() if hasattr(terms, "items") else terms)
+        runs: dict[Word, Terms] = {}
+        window = current_limits().window
+
+        def ordered(component: Terms) -> Terms:
+            out: Terms = {}
+            for word, c in component.items():
+                n, run = len(word), runs.get(word)
+                if run is None:
+                    run = runs[word] = _run_product(word)
+                _accumulate(out, ((w, c if len(w) == n else _mul(c, s, window)) for w, s in run.items()))
+            return out
+
         self._plus, self._minus = _share(
-            _accumulate({}, ((w, c._plus) for w, c in items)),
-            _accumulate({}, ((w, c._minus) for w, c in items)),
+            ordered(_accumulate({}, ((w, c._plus) for w, c in items))),
+            ordered(_accumulate({}, ((w, c._minus) for w, c in items))),
         )
         self._scanned = self._bits = None
 
@@ -334,24 +352,9 @@ def render_poly(p: NcPolynomial) -> str:
 
 
 def normal_form(p: NcPolynomial) -> NcPolynomial:
-    """Rewrite every word into the unique sorted normal form.  Each word's
-    run product is formed once, and both component maps read it."""
-    runs, window = {}, current_limits().window
-    return _by_component(lambda terms: _normal_order(terms, runs, window), p)
-
-
-def _normal_order(terms: Terms, runs: dict[Word, Terms], window: tuple[int, int]) -> Terms:
-    """``terms`` in normal order.  Each word's ``_run_product`` is read from
-    ``runs``, or formed and kept there, so maps that share ``runs`` form it
-    once.  The sorted word keeps its coefficient; a contracted term's
-    coefficient is checked against the degree window, as a product's would be."""
-    out: Terms = {}
-    for word, c in terms.items():
-        n, run = len(word), runs.get(word)
-        if run is None:
-            run = runs[word] = _run_product(word)
-        _accumulate(out, ((w, c if len(w) == n else _mul(c, s, window)) for w, s in run.items()))
-    return out
+    """``p`` itself: every polynomial is normal-ordered when it is built
+    (see ``NcPolynomial``)."""
+    return p
 
 
 @lru_cache(maxsize=1024)
@@ -407,8 +410,7 @@ def _run_product(word: Word) -> Terms:
     runs = [word[a:b] for a, b in zip([0, *cuts], [*cuts, len(word)])]
     terms = {runs[0]: _UNIT}
     for run in runs[1:]:
-        right = {run: _UNIT}
-        terms = _product(terms, _scan_map(terms), right, _scan_map(right), (0, 0), {})
+        terms = _product(_scan_map(terms), _scan_map({run: _UNIT}), (0, 0))
     return terms
 
 
@@ -437,26 +439,23 @@ def _add_scaled(
     _accumulate(out, items)
 
 
-def _scan_map(terms: Terms) -> tuple[list | None, list[BaseScalar]]:
-    """``(entries, coeffs)`` of one component map: ``(word, group, xs, ps)``
-    per term, or ``None`` when a word is unsorted, and the distinct
-    coefficients, which ``group`` indexes.  Bit ``r`` of ``xs`` is set for an
-    ``X`` of rank ``r`` and bit ``r`` of ``ps`` for its momentum, rank
-    ``r + 4``, so two sorted words ``w1``, ``w2`` contract in ``w1 + w2``
-    exactly where ``ps`` of ``w1`` meets ``xs`` of ``w2``."""
-    entries, groups, ordered = [], {}, True
+def _scan_map(terms: Terms) -> tuple[list, list[BaseScalar]]:
+    """``(entries, coeffs)`` of one component map of sorted words:
+    ``(word, group, xs, ps)`` per term, and the distinct coefficients, which
+    ``group`` indexes.  Bit ``r`` of ``xs`` is set for an ``X`` of rank ``r``
+    and bit ``r`` of ``ps`` for its momentum, rank ``r + 4``, so two sorted
+    words ``w1``, ``w2`` contract in ``w1 + w2`` exactly where ``ps`` of
+    ``w1`` meets ``xs`` of ``w2``."""
+    entries, groups = [], {}
     for w, c in terms.items():
-        xs = ps = last = 0
+        xs = ps = 0
         for g in w:
-            if g < last:
-                ordered = False
-            last = g
             if g & 4:
                 ps |= 1 << (g - 4)
             else:
                 xs |= 1 << g
         entries.append((w, groups.setdefault(c, len(groups)), xs, ps))
-    return entries if ordered else None, list(groups)
+    return entries, list(groups)
 
 
 def _scan(p: NcPolynomial) -> tuple[tuple, tuple, int, int, int, int]:
@@ -475,13 +474,9 @@ def _scan(p: NcPolynomial) -> tuple[tuple, tuple, int, int, int, int]:
     return scan
 
 
-def _product(
-    a: Terms, sa: tuple, b: Terms, sb: tuple, window: tuple[int, int], runs: dict, contracted: bool = False
-) -> Terms:
-    """Every term pair of the maps ``a`` and ``b``, scanned as ``sa`` and
-    ``sb``, multiplied and added to the result in normal order.  A map with
-    an unsorted word is normal-ordered under ``window`` first, with the run
-    products in ``runs`` (see ``_normal_order``).
+def _product(sa: tuple, sb: tuple, window: tuple[int, int], contracted: bool = False) -> Terms:
+    """Every term pair of the two component maps scanned as ``sa`` and
+    ``sb``, multiplied and added to the result in normal order.
 
     Each pair of sorted words takes the closed form: their concatenation,
     sorted, plus ``_contract``'s terms when the pair contracts.  The
@@ -491,8 +486,7 @@ def _product(
     ``contracted``, a pair that does not contract is skipped, and so is the
     uncontracted first term of ``_contract``.
     """
-    left, lc = sa if sa[0] is not None else _scan_map(_normal_order(a, runs, window))
-    right, rc = sb if sb[0] is not None else _scan_map(_normal_order(b, runs, window))
+    (left, lc), (right, rc) = sa, sb
     rows: list[list] = [[None] * len(rc) for _ in lc]
     scaled: dict = {}
     out: Terms = {}
@@ -585,10 +579,9 @@ def multiply(p: NcPolynomial, q: NcPolynomial, *, contracted: bool = False) -> N
     memo = _products.get()
     if memo is not None and (key := (id(p), id(q), window, contracted)) in memo:
         return memo[key][2]
-    runs: dict = {}  # the run products of unsorted operand words, for both components
-    plus = _product(p._plus, p_plus, q._plus, q_plus, window, runs, contracted)
+    plus = _product(p_plus, q_plus, window, contracted)
     real = p._minus is p._plus and q._minus is q._plus
-    out = _poly(plus, plus if real else _product(p._minus, p_minus, q._minus, q_minus, window, runs, contracted))
+    out = _poly(plus, plus if real else _product(p_minus, q_minus, window, contracted))
     if memo is not None:
         memo[key] = p, q, out
     return out

@@ -107,50 +107,40 @@ def _factor(values: dict[str, str], key: str) -> Fraction:
     return factor
 
 
-_UNIT_EXPONENT = {
-    "GeV": 1,
-    "GeV^2": 2,
-    "GeV^-1": -1,
-    "GeV^-2": -2,
-    "eV": 1,
-    "fm": -1,
-    "cm": -1,
-    "m": -1,
-    "sec": -1,
-    "Hz": 1,
-    "kg": 1,
+_EV = Fraction(1, 10 ** 9)  # 1 eV in GeV
+
+# unit -> (energy exponent, 1 <unit> in GeV**exponent under a constant set).
+_UNITS = {
+    "GeV": (1, lambda c: Fraction(1)),
+    "GeV^2": (2, lambda c: Fraction(1)),
+    "GeV^-1": (-1, lambda c: Fraction(1)),
+    "GeV^-2": (-2, lambda c: Fraction(1)),
+    "eV": (1, lambda c: _EV),
+    "fm": (-1, lambda c: c.fm_to_gevinv),
+    "cm": (-1, lambda c: c.fm_to_gevinv * 10 ** 13),
+    "m": (-1, lambda c: c.fm_to_gevinv * 10 ** 15),
+    "sec": (-1, lambda c: c.fm_to_gevinv * 10 ** 15 * c.sec_to_m),
+    "Hz": (1, lambda c: _EV / c.ev_to_hz),
+    "kg": (1, lambda c: c.kg_to_gev),
 }
 
-UNITS = tuple(_UNIT_EXPONENT)
+UNITS = tuple(_UNITS)
 
 
-def unit_exponent(unit: str) -> int:
+def _unit(unit: str) -> tuple:
     try:
-        return _UNIT_EXPONENT[unit]
+        return _UNITS[unit]
     except KeyError:
         raise ValueError(f"unknown unit {unit!r}") from None
 
 
+def unit_exponent(unit: str) -> int:
+    return _unit(unit)[0]
+
+
 def unit_factor(unit: str, constants: ConstantSet) -> Fraction:
     """1 <unit> = factor * GeV**exponent."""
-    fm = constants.fm_to_gevinv
-    if unit in ("GeV", "GeV^2", "GeV^-1", "GeV^-2"):
-        return Fraction(1)
-    if unit == "eV":
-        return Fraction(1, 10 ** 9)
-    if unit == "fm":
-        return fm
-    if unit == "cm":
-        return fm * 10 ** 13
-    if unit == "m":
-        return fm * 10 ** 15
-    if unit == "sec":
-        return fm * 10 ** 15 * constants.sec_to_m
-    if unit == "Hz":
-        return Fraction(1, 10 ** 9) / constants.ev_to_hz
-    if unit == "kg":
-        return constants.kg_to_gev
-    raise ValueError(f"unknown unit {unit!r}")
+    return _unit(unit)[1](constants)
 
 
 class Quantity(Record):

@@ -112,22 +112,20 @@ def random_word(rng: random.Random, max_len: int = 2, branch: str | None = None)
     return tuple(rng.choice(pool) for _ in range(rng.randint(0, max_len)))
 
 
-def random_poly(
-    rng: random.Random,
-    max_terms: int = 3,
-    max_len: int = 2,
-    branch: str | None = None,
-    normalized: bool = True,
-) -> NcPolynomial:
+def random_terms(
+    rng: random.Random, max_terms: int = 3, max_len: int = 2, branch: str | None = None
+) -> dict[tuple, PcScalar]:
+    """Random raw terms: words in any order, as the oracle reads them."""
     terms: dict[tuple, PcScalar] = {}
     for _ in range(rng.randint(0, max_terms)):
         terms[random_word(rng, max_len, branch)] = random_pc_scalar(rng)
-    poly = NcPolynomial(terms)
-    if normalized:
-        from pcqm.operators import normal_form
+    return terms
 
-        poly = normal_form(poly)
-    return poly
+
+def random_poly(
+    rng: random.Random, max_terms: int = 3, max_len: int = 2, branch: str | None = None
+) -> NcPolynomial:
+    return NcPolynomial(random_terms(rng, max_terms, max_len, branch))
 
 
 _REFERENCE_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z]+)|([+\-*/^()\[\],_]))")

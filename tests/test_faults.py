@@ -2,9 +2,10 @@
 
 Each row patches one point of the normal-ordering kernel, or of the span
 solver behind the closure checks, and records which verify families fail,
-with exact counts, and whether ``normal_form`` then departs from the
-rewriting oracle on a fixed set of raw words.  A row whose fault every verify
-check misses shows that only the oracle catches it.
+with exact counts, whether a polynomial built from a fixed set of raw words
+then departs from the rewriting oracle, and whether a bracket past the degree
+window then evaluates instead of raising.  A row whose fault every verify
+check misses shows which of the other two checks catches it.
 """
 
 import csv
@@ -17,8 +18,9 @@ import pytest
 from helpers import oracle_normal_order
 from pcqm import operators, so4
 from pcqm.cli import config_from_args, run
-from pcqm.operators import NcPolynomial, gen, normal_form, render_word
-from pcqm.scalars import PC_ONE, BaseScalar, pc_rational
+from pcqm.expr import evaluate_text
+from pcqm.operators import NcPolynomial, gen, render_word
+from pcqm.scalars import PC_ONE, BaseScalar, DegreeWindowError, pc_rational
 
 CHECKS = 530
 
@@ -37,6 +39,11 @@ RAW_WORDS = (
     (P1, P2, X2, X1),
     (P1, PP2, X1, XP2),
 )
+
+# Brackets whose operands' l-degrees add past the default window -4..4 at a
+# pair that commutes: each raises as its two products do.
+PAST_WINDOW = ("[l^3*X+_1, l^2*X-_1]", "[l^3*X+_1 + X+_2, l^2*X-_1 + P+_2]")
+REFUSAL = "l^5 outside degree window -4..4"
 
 
 def _plus_i_powers():
@@ -74,6 +81,11 @@ def _contract_lowest_rank_only():
     return lambda word, w1, w2, ranks: contract(word, w1, w2, ranks & -ranks)
 
 
+def _scan_without_degrees():
+    scan = operators._scan
+    return lambda p: scan(p)[:4] + (0, 0)
+
+
 def _span_pivots_doubled():
     span_pivots, two = so4.span_pivots, pc_rational(2)
     return lambda basis: [(label, b, pivot, inverse * two) for label, b, pivot, inverse in span_pivots(basis)]
@@ -83,8 +95,9 @@ def _span_pivots_doubled():
 _CLOSURE = {("component-closure", f"[{f}]"): 36 for f in ("R,R", "R,I", "I,I", "x,x", "y,y")}
 
 # (name, patched module, its attribute, a builder of the faulty value, the
-# failing verify checks as {(report, family): count}, and whether normal_form
-# departs from the oracle on RAW_WORDS).
+# failing verify checks as {(report, family): count}, whether a polynomial
+# built from RAW_WORDS departs from the oracle, and whether a bracket of
+# PAST_WINDOW evaluates).
 FAULTS = (
     ("(-i)^k as (+i)^k", operators, "_MINUS_I_POWERS", _plus_i_powers, {
         ("canonical-quantization", "same-branch"): 8,
@@ -92,12 +105,12 @@ FAULTS = (
         ("so4-commutators", "pc-level"): 24,
         ("so4-commutators", "branch+"): 24,
         ("so4-commutators", "branch-"): 24,
-    }, True),
+    }, True, False),
     # Every verify check passes under this fault; only the oracle sees it.
-    ("(-i)^2 = 1", operators, "_MINUS_I_POWERS", _minus_i_squared_one, {}, True),
+    ("(-i)^2 = 1", operators, "_MINUS_I_POWERS", _minus_i_squared_one, {}, True, False),
     ("_factors(2, 1) k=1 entry + 1", operators, "_factors", _factors_2_1_bumped, {
         ("casimir-central", "casimir-central"): 6,
-    }, True),
+    }, True, False),
     # A cancelled word stays as a zero coefficient, so a residual that cancels
     # is not zero.  A bracket forms only the terms of its pairs that contract,
     # so a word whose pairs commute never reaches _difference inside it: the
@@ -113,13 +126,19 @@ FAULTS = (
         **{key: 30 for key in _CLOSURE},
         ("casimir-central", "casimir-central"): 6,
         ("casimir-expansion", "casimir-expansion"): 2,
-    }, False),
+    }, False, False),
     # Every verify check passes under this fault; only the oracle sees it, on
     # P+_1*P+_2*X+_1*X+_2.
-    ("_contract keeps only the lowest rank", operators, "_contract", _contract_lowest_rank_only, {}, True),
+    ("_contract keeps only the lowest rank", operators, "_contract", _contract_lowest_rank_only, {},
+     True, False),
     # Each expansion coefficient is doubled, so exactly the closure checks fail.
     ("span_pivots doubles each reciprocal", so4, "span_pivots", _span_pivots_doubled,
-     {key: 24 for key in _CLOSURE}, False),
+     {key: 24 for key in _CLOSURE}, False, False),
+    # The bracket guard sees every operand at l-degree 0, so a bracket forms
+    # only its contracting pairs even where a commuting pair leaves the
+    # window.  No verify check and no raw word sees it; only the brackets of
+    # PAST_WINDOW do.
+    ("bracket degree guard reads (0, 0)", operators, "_scan", _scan_without_degrees, {}, False, True),
 )
 
 
@@ -128,23 +147,36 @@ def _verify(fmt: str) -> tuple[int, str]:
 
 
 def _departures() -> list[str]:
-    """The raw words whose normal form departs from the oracle's."""
+    """The raw words whose polynomial departs from the oracle's normal form."""
     out = []
     for word in RAW_WORDS:
-        raw = NcPolynomial({word: PC_ONE})
-        if normal_form(raw).terms() != oracle_normal_order(raw.terms()):
+        terms = {word: PC_ONE}
+        if NcPolynomial(terms).terms() != oracle_normal_order(terms):
             out.append(render_word(word))
     return out
+
+
+def _outcome(text: str) -> str:
+    try:
+        return evaluate_text(text).render()
+    except DegreeWindowError as err:
+        return str(err)
+
+
+def _admitted() -> list[str]:
+    """The brackets of PAST_WINDOW that do not raise ``REFUSAL``."""
+    return [text for text in PAST_WINDOW if _outcome(text) != REFUSAL]
 
 
 def test_unfaulted_kernel_matches_the_oracle_on_the_raw_words():
     assert _departures() == []
 
 
-@pytest.mark.parametrize("name, module, attr, make, failing, departs", FAULTS, ids=[row[0] for row in FAULTS])
-def test_each_kernel_fault_is_caught(monkeypatch, name, module, attr, make, failing, departs):
+@pytest.mark.parametrize("name, module, attr, make, failing, departs, admits", FAULTS, ids=[row[0] for row in FAULTS])
+def test_each_kernel_fault_is_caught(monkeypatch, name, module, attr, make, failing, departs, admits):
     monkeypatch.setattr(module, attr, make())
     assert bool(_departures()) == departs, f"{name}: raw words departing from the oracle: {_departures()}"
+    assert _admitted() == (list(PAST_WINDOW) if admits else []), f"{name}: brackets that evaluate"
 
     code, text = _verify("text")
     assert code == (1 if failing else 0)

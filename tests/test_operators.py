@@ -14,6 +14,7 @@ from helpers import (
     oracle_poly,
     random_pc_scalar,
     random_poly,
+    random_terms,
 )
 from pcqm import operators, so4
 from pcqm.expr import evaluate_text
@@ -89,25 +90,24 @@ def test_generator_encoding_follows_documented_algebra():
         contracts = ka == "P" and kb == "X" and ba == bb and ia == ib
         sorted_word = (a, b) if a_before_b or (ka, ba, ia) == (kb, bb, ib) else (b, a)
         expected = {sorted_word: PC_ONE, **({(): minus_i} if contracts else {})}
-        assert normal_form(NcPolynomial.from_word((a, b))).terms() == expected
+        assert NcPolynomial.from_word((a, b)).terms() == expected
 
 
 def test_normal_form_single_swap():
     # P+_1 X+_1 -> X+_1 P+_1 - i
-    raw = NcPolynomial.from_word((PP1, XP1))
     expected = {(XP1, PP1): PC_ONE, (): pc_imag(-1)}
-    assert normal_form(raw).terms() == expected
+    assert NcPolynomial.from_word((PP1, XP1)).terms() == expected
 
 
 def test_normal_form_leaves_sorted_words_alone():
-    raw = NcPolynomial.from_word((XP1, XP2))
-    assert normal_form(raw) == raw
+    p = NcPolynomial.from_word((XP1, XP2))
+    assert p.terms() == {(XP1, XP2): PC_ONE}
+    assert normal_form(p) is p
 
 
 def test_normal_form_double_coordinate():
     # P+_1 X+_1 X+_1 -> X+_1 X+_1 P+_1 - 2i X+_1
-    raw = NcPolynomial.from_word((PP1, XP1, XP1))
-    result = normal_form(raw)
+    result = NcPolynomial.from_word((PP1, XP1, XP1))
     expected = {(XP1, XP1, PP1): PC_ONE, (XP1,): pc_imag(-2)}
     assert result.terms() == expected
     assert_oracle_equal(result, oracle_normal_order({(PP1, XP1, XP1): PC_ONE}))
@@ -116,18 +116,35 @@ def test_normal_form_double_coordinate():
 def test_normal_form_matches_oracle_on_random_input():
     rng = random.Random(SEED)
     for _ in range(150):
-        raw = random_poly(rng, max_terms=3, max_len=5, normalized=False)
-        assert_oracle_equal(normal_form(raw), oracle_normal_order(raw.terms()))
+        raw = random_terms(rng, max_terms=3, max_len=5)
+        assert_oracle_equal(NcPolynomial(raw), oracle_normal_order(raw))
 
 
 def test_confluence_under_random_reduction_orders():
     rng = random.Random(SEED + 1)
     for _ in range(60):
-        raw = random_poly(rng, max_terms=3, max_len=5, normalized=False)
-        reference = normal_form(raw)
+        raw = random_terms(rng, max_terms=3, max_len=5)
+        reference = NcPolynomial(raw)
         for trial in range(3):
             picker = random.Random(SEED + trial)
-            assert_oracle_equal(reference, oracle_normal_order(raw.terms(), pick=picker.choice))
+            assert_oracle_equal(reference, oracle_normal_order(raw, pick=picker.choice))
+
+
+def test_a_polynomial_equals_the_one_built_from_its_normal_form():
+    # Built from an unsorted word, a polynomial is stored in normal form, so
+    # equality, hashing, subtraction and render-then-parse all agree.
+    raw = NcPolynomial({(PP1, XP1): PC_ONE})
+    ordered = NcPolynomial({(XP1, PP1): PC_ONE, (): pc_imag(-1)})
+    assert raw == ordered and hash(raw) == hash(ordered)
+    assert (raw - ordered).is_zero()
+    assert evaluate_text(raw.render()) == raw
+    # Its contracted coefficient is formed under the window in force when
+    # it is built: l^2, built under the default window, is refused under
+    # -1..1 as the coefficient of the contracted term.
+    l_squared = pc_l(2)
+    with limits(window=(-1, 1)):
+        with pytest.raises(DegreeWindowError, match=r"^l\^2 outside degree window -1\.\.1$"):
+            NcPolynomial({(PP1, XP1): l_squared})
 
 
 # Pools for long random words: all sixteen generators, then narrower pools in
@@ -135,11 +152,11 @@ def test_confluence_under_random_reduction_orders():
 LONG_WORD_POOLS = (ALL_GENERATORS, (XP1, PP1, XM1, PM1, XP2, gen("P", "+", 2)), (XP1, PP1))
 
 
-def _long_poly(rng: random.Random, pool: tuple, lo: int, hi: int) -> NcPolynomial:
-    return NcPolynomial({
+def _long_terms(rng: random.Random, pool: tuple, lo: int, hi: int) -> dict:
+    return {
         tuple(rng.choice(pool) for _ in range(rng.randint(lo, hi))): random_pc_scalar(rng)
         for _ in range(rng.randint(1, 2))
-    })
+    }
 
 
 def test_long_words_match_oracle():
@@ -147,13 +164,13 @@ def test_long_words_match_oracle():
     with limits(word_cap=12):
         for pool in LONG_WORD_POOLS:
             for trial in range(25):
-                raw = _long_poly(rng, pool, 6, 10)
-                result = normal_form(raw)
-                assert_oracle_equal(result, oracle_normal_order(raw.terms()))
+                raw = _long_terms(rng, pool, 6, 10)
+                result = NcPolynomial(raw)
+                assert_oracle_equal(result, oracle_normal_order(raw))
                 picker = random.Random(SEED + trial)
-                assert_oracle_equal(result, oracle_normal_order(raw.terms(), pick=picker.choice))
-                p, q = _long_poly(rng, pool, 3, 5), _long_poly(rng, pool, 3, 5)
-                assert_oracle_equal(multiply(p, q), oracle_multiply(oracle_poly(p), oracle_poly(q)))
+                assert_oracle_equal(result, oracle_normal_order(raw, pick=picker.choice))
+                p, q = _long_terms(rng, pool, 3, 5), _long_terms(rng, pool, 3, 5)
+                assert_oracle_equal(multiply(NcPolynomial(p), NcPolynomial(q)), oracle_multiply(p, q))
 
 
 # (-i)^k for k mod 4, as (re, im).
@@ -181,9 +198,9 @@ def test_normal_form_matches_closed_form():
         x, p = gen("X", branch, index), gen("P", branch, index)
         for b, c in itertools.product(range(9), repeat=2):
             raw = NcPolynomial({(p,) * b + (x,) * c: PC_ONE})
-            assert normal_form(raw).terms() == _as_terms(_closed_form(x, p, b, c))
+            assert raw.terms() == _as_terms(_closed_form(x, p, b, c))
     raw = NcPolynomial({(PP1,) * 20 + (XP1,) * 20: PC_ONE})
-    assert normal_form(raw).terms() == _as_terms(_closed_form(XP1, PP1, 20, 20))
+    assert raw.terms() == _as_terms(_closed_form(XP1, PP1, 20, 20))
     # Index-1 and index-2 generators commute, so the index-1 and index-2
     # closed forms multiply; the normal-order word is the sorted product word.
     pp2 = gen("P", "+", 2)
@@ -193,13 +210,14 @@ def test_normal_form_matches_closed_form():
         _closed_form(XP1, PP1, 3, 5).items(), _closed_form(XP2, pp2, 4, 3).items()
     ):
         expected[tuple(sorted(w1 + w2))] = (re1 * re2 - im1 * im2, re1 * im2 + im1 * re2)
-    assert normal_form(raw).terms() == _as_terms(expected)
+    assert raw.terms() == _as_terms(expected)
 
 
 def test_normal_form_checks_only_contracted_terms_against_the_window():
-    # A sorted word keeps its coefficient unchecked, as a raw polynomial holds
-    # it; each contracted term forms its coefficient under the window in force,
-    # and the unit coefficients of the kernel's run products meet no window.
+    # A sorted word keeps its coefficient unchecked; each contracted term of
+    # an unsorted word forms its coefficient under the window in force when
+    # the polynomial is built, and the unit coefficients of the kernel's run
+    # products meet no window.
     cases = (
         ((1, 3), PC_ONE, [(XP1, PP1), (XM1, XP1)], [(PP1, XP1), (PP1, PP1, XP1, XP1)], "l^0"),
         ((1, 3), pc_l(1), [(PP1, XP1), (PP1, PP1, XP1, XP1)], [], None),
@@ -208,26 +226,29 @@ def test_normal_form_checks_only_contracted_terms_against_the_window():
     for window, coeff, passing, refused, power in cases:
         with limits(window=window):
             for word in passing:
-                normal_form(NcPolynomial({word: coeff}))
+                NcPolynomial({word: coeff})
             for word in refused:
                 with pytest.raises(DegreeWindowError) as err:
-                    normal_form(NcPolynomial({word: coeff}))
+                    NcPolynomial({word: coeff})
                 assert str(err.value) == f"{power} outside degree window {window[0]}..{window[1]}"
 
 
-def test_multiply_forms_each_unsorted_word_run_product_once(monkeypatch):
-    # Each operand has one unsorted word and a pseudo-imaginary coefficient,
-    # so two component maps, which read one run product per word.
+def test_construction_forms_each_unsorted_word_run_product_once(monkeypatch):
+    # Each polynomial has one unsorted word and a pseudo-imaginary
+    # coefficient, so two component maps, which read one run product per
+    # word; a product of the two reads their sorted words and forms none.
     coeff = PC_ONE + PSEUDO_UNIT * pc_rational(2)
-    p = NcPolynomial({(PP1, XP1): coeff})
-    q = NcPolynomial({(gen("P", "-", 2), gen("X", "-", 2)): coeff})
-    assert p._minus is not p._plus and q._minus is not q._plus
+    p_terms = {(PP1, XP1): coeff}
+    q_terms = {(gen("P", "-", 2), gen("X", "-", 2)): coeff}
     calls = []
     run_product = operators._run_product
     monkeypatch.setattr(operators, "_run_product", lambda word: calls.append(word) or run_product(word))
+    p, q = NcPolynomial(p_terms), NcPolynomial(q_terms)
+    assert p._minus is not p._plus and q._minus is not q._plus
+    assert calls == [*p_terms, *q_terms]
     product = multiply(p, q)
-    assert sorted(calls) == sorted([*p.terms(), *q.terms()])
-    assert_oracle_equal(product, oracle_multiply(oracle_poly(p), oracle_poly(q)))
+    assert calls == [*p_terms, *q_terms]
+    assert_oracle_equal(product, oracle_multiply(p_terms, q_terms))
 
 
 def test_multiply_identity_and_plain_word():
@@ -246,7 +267,7 @@ def test_multiply_distributes_over_branch_sums():
         generator_poly("X", "+", 1) + generator_poly("X", "-", 1),
         generator_poly("P", "+", 1) - generator_poly("P", "-", 1),
     )
-    expected = normal_form(
+    expected = (
         NcPolynomial.from_word((XP1, PP1))
         - NcPolynomial.from_word((XP1, PM1))
         + NcPolynomial.from_word((XM1, PP1))
@@ -257,7 +278,7 @@ def test_multiply_distributes_over_branch_sums():
     assert lhs.coefficient((PP1, XM1)) == PC_ONE
 
 
-# Operands that decide the product kernel's path: a word with an X after its
+# Raw operand terms that decide the kernel's path: a word with an X after its
 # own P (left or right, against a partner without P, without X, or the empty
 # word), a pair that contracts only across the two words, and words that mix
 # both branches under coefficients with a pseudo-imaginary part.
@@ -265,14 +286,14 @@ PM2 = gen("P", "-", 2)
 XM2 = gen("X", "-", 2)
 PC_COEFF = PSEUDO_UNIT + pc_l(1) * pc_imag(2)
 KERNEL_OPERANDS = (
-    (NcPolynomial({(PP1, XP1): PC_ONE}), NcPolynomial({(PP1,): PC_ONE})),
-    (NcPolynomial({(XP2,): PC_ONE}), NcPolynomial({(PM1, XM1, XM1): PC_ONE})),
-    (NcPolynomial({(PP1, XP1): PC_COEFF}), NcPolynomial.scalar(PSEUDO_UNIT)),
-    (NcPolynomial.scalar(PC_COEFF), NcPolynomial({(PM1, XM1): PC_ONE})),
-    (NcPolynomial({(XP1, PP1, PM2): PC_COEFF}), NcPolynomial({(XP1, XM2): PSEUDO_UNIT})),
+    ({(PP1, XP1): PC_ONE}, {(PP1,): PC_ONE}),
+    ({(XP2,): PC_ONE}, {(PM1, XM1, XM1): PC_ONE}),
+    ({(PP1, XP1): PC_COEFF}, {(): PSEUDO_UNIT}),
+    ({(): PC_COEFF}, {(PM1, XM1): PC_ONE}),
+    ({(XP1, PP1, PM2): PC_COEFF}, {(XP1, XM2): PSEUDO_UNIT}),
     (
-        NcPolynomial({(PP1, XM1, PM1): PC_COEFF, (XP2, XM1): PC_ONE}),
-        NcPolynomial({(XM1, XP1): PSEUDO_UNIT, (PM1, XM1, PP1): PC_COEFF}),
+        {(PP1, XM1, PM1): PC_COEFF, (XP2, XM1): PC_ONE},
+        {(XM1, XP1): PSEUDO_UNIT, (PM1, XM1, PP1): PC_COEFF},
     ),
 )
 
@@ -285,26 +306,27 @@ def test_multiply_matches_oracle_and_is_associative():
         r = random_poly(rng, max_terms=2, max_len=2)
         assert_oracle_equal(multiply(p, q), oracle_multiply(oracle_poly(p), oracle_poly(q)))
         assert multiply(multiply(p, q), r) == multiply(p, multiply(q, r))
-        raw_p = random_poly(rng, max_terms=2, max_len=3, normalized=False)
-        raw_q = random_poly(rng, max_terms=2, max_len=3, normalized=False)
-        for a, b in ((raw_p, raw_q), (raw_p, q), (p, raw_q)):
-            assert_oracle_equal(multiply(a, b), oracle_multiply(oracle_poly(a), oracle_poly(b)))
+        raw_p = random_terms(rng, max_terms=2, max_len=3)
+        raw_q = random_terms(rng, max_terms=2, max_len=3)
+        for a, b in ((raw_p, raw_q), (raw_p, oracle_poly(q)), (oracle_poly(p), raw_q)):
+            assert_oracle_equal(multiply(NcPolynomial(a), NcPolynomial(b)), oracle_multiply(a, b))
     for a, b in KERNEL_OPERANDS:
         for x, y in ((a, b), (b, a)):
-            assert_oracle_equal(multiply(x, y), oracle_multiply(oracle_poly(x), oracle_poly(y)))
+            assert_oracle_equal(multiply(NcPolynomial(x), NcPolynomial(y)), oracle_multiply(x, y))
 
 
 def test_unsorted_operand_multiplies_as_its_normal_form():
-    # A product normal-orders an operand with an unsorted word before its
-    # term pairs meet, under the limits in force, so the result is stored
-    # exactly as the sorted product's, and a narrow window refuses both alike.
+    # A polynomial built from unsorted words is stored exactly as the one
+    # built from the oracle's normal form of its terms, so their products
+    # are stored alike, and a narrow window refuses both alike.
     rng = random.Random(SEED + 11)
     refused = 0
     for window in ((-4, 4), (-1, 1)):
         for _ in range(40):
-            raw = random_poly(rng, max_terms=3, max_len=3, normalized=False)
+            terms = random_terms(rng, max_terms=3, max_len=3)
             other = random_poly(rng, max_terms=2, max_len=2)
-            ordered = normal_form(raw)
+            raw, ordered = NcPolynomial(terms), NcPolynomial(oracle_normal_order(terms))
+            assert (raw._plus, raw._minus) == (ordered._plus, ordered._minus)
             with limits(window=window):
                 for a, b, sorted_a, sorted_b in (
                     (raw, other, ordered, other),
@@ -457,22 +479,23 @@ def _coefficient(rng: random.Random, kind: str) -> PcScalar:
     return random_pc_scalar(rng)
 
 
-def _poly_of_kind(rng: random.Random, kind: str, max_len: int = 2) -> NcPolynomial:
-    terms = {
+def _terms_of_kind(rng: random.Random, kind: str, max_len: int = 2) -> dict:
+    """Raw terms: words in any order, with coefficients of ``kind``."""
+    return {
         tuple(rng.choice(ALL_GENERATORS) for _ in range(rng.randint(0, max_len))):
             _coefficient(rng, kind)
         for _ in range(rng.randint(1, 3))
     }
-    return NcPolynomial(terms)
 
 
 def _is_real(p: NcPolynomial) -> bool:
     return all(c.im.is_zero() for c in p.terms().values())
 
 
-def _oracle_commutator(p: NcPolynomial, q: NcPolynomial) -> dict:
-    out = oracle_multiply(oracle_poly(p), oracle_poly(q))
-    for word, coeff in oracle_multiply(oracle_poly(q), oracle_poly(p)).items():
+def _oracle_commutator(p: dict, q: dict) -> dict:
+    """The oracle's ``pq - qp`` of two term maps."""
+    out = oracle_multiply(p, q)
+    for word, coeff in oracle_multiply(q, p).items():
         out[word] = out.get(word, PC_ZERO) - coeff
     return out
 
@@ -484,17 +507,18 @@ STORAGE_KINDS = [("real", "real"), ("sigma", "sigma"), ("real", "general"), ("ge
 def test_component_storage_matches_oracle(kinds):
     rng = random.Random(f"{SEED}-{kinds}")
     for trial in range(40):
-        p, q = (_poly_of_kind(rng, kind) for kind in kinds)
+        pt, qt = (_terms_of_kind(rng, kind) for kind in kinds)
+        p, q = NcPolynomial(pt), NcPolynomial(qt)
         for poly in (p, q):
             # A real polynomial keeps one map for both components.
             assert (poly._minus is poly._plus) == _is_real(poly)
         product = multiply(p, q)
-        assert_oracle_equal(product, oracle_multiply(oracle_poly(p), oracle_poly(q)))
+        assert_oracle_equal(product, oracle_multiply(pt, qt))
         assert (product._minus is product._plus) == _is_real(product)
-        assert_oracle_equal(commutator(p, q), _oracle_commutator(p, q))
-        raw = _poly_of_kind(rng, kinds[0], max_len=5)
+        assert_oracle_equal(commutator(p, q), _oracle_commutator(pt, qt))
+        raw = _terms_of_kind(rng, kinds[0], max_len=5)
         picker = random.Random(SEED + trial)
-        assert_oracle_equal(normal_form(raw), oracle_normal_order(raw.terms(), pick=picker.choice))
+        assert_oracle_equal(NcPolynomial(raw), oracle_normal_order(raw, pick=picker.choice))
 
 
 def _w(text: str) -> tuple:
@@ -514,10 +538,7 @@ COMMUTING_CASES = {
 
 
 def _commutes_with(word: tuple, others: list) -> bool:
-    one = NcPolynomial.from_word(word)
-    return all(
-        c.is_zero() for w in others for c in _oracle_commutator(one, NcPolynomial.from_word(w)).values()
-    )
+    return all(c.is_zero() for w in others for c in _oracle_commutator({word: PC_ONE}, {w: PC_ONE}).values())
 
 
 @pytest.mark.parametrize("kind", ["real", "sigma", "general"])
@@ -531,10 +552,11 @@ def test_commutator_dropping_commuting_terms_matches_oracle(case, kind):
     assert expected[case.split("-")[0]]
     rng = random.Random(f"{SEED}-{case}-{kind}")
     for _ in range(8):
-        p = NcPolynomial({w: _coefficient(rng, kind) for w in p_words})
-        q = NcPolynomial({w: _coefficient(rng, kind) for w in q_words})
-        for a, b in ((p, q), (q, p)):
-            assert_oracle_equal(commutator(a, b), _oracle_commutator(a, b))
+        pt = {w: _coefficient(rng, kind) for w in p_words}
+        qt = {w: _coefficient(rng, kind) for w in q_words}
+        p, q = NcPolynomial(pt), NcPolynomial(qt)
+        for (a, at), (b, bt) in (((p, pt), (q, qt)), ((q, qt), (p, pt))):
+            assert_oracle_equal(commutator(a, b), _oracle_commutator(at, bt))
         assert commutator(p, NcPolynomial.zero()).is_zero()
 
 
@@ -558,11 +580,12 @@ def test_contracting_products_and_brackets_match_oracle(case, kind):
     rng = random.Random(f"{SEED}-{case}-{kind}")
     with limits(word_cap=10):
         for _ in range(3):
-            p = NcPolynomial({w: _coefficient(rng, kind) for w in p_words})
-            q = NcPolynomial({w: _coefficient(rng, kind) for w in q_words})
-            for a, b in ((p, q), (q, p)):
-                assert_oracle_equal(multiply(a, b), oracle_multiply(oracle_poly(a), oracle_poly(b)))
-                assert_oracle_equal(commutator(a, b), _oracle_commutator(a, b))
+            pt = {w: _coefficient(rng, kind) for w in p_words}
+            qt = {w: _coefficient(rng, kind) for w in q_words}
+            p, q = NcPolynomial(pt), NcPolynomial(qt)
+            for (a, at), (b, bt) in (((p, pt), (q, qt)), ((q, qt), (p, pt))):
+                assert_oracle_equal(multiply(a, b), oracle_multiply(at, bt))
+                assert_oracle_equal(commutator(a, b), _oracle_commutator(at, bt))
 
 
 # Operand words that contract and commute in every mix; the first left word
@@ -576,8 +599,8 @@ REPEATED_WORDS = (
 )
 
 
-def _cycled(words: list, pool: list) -> NcPolynomial:
-    return NcPolynomial({w: pool[t % len(pool)] for t, w in enumerate(words)})
+def _cycled(words: list, pool: list) -> dict:
+    return {w: pool[t % len(pool)] for t, w in enumerate(words)}
 
 
 @pytest.mark.parametrize("kind", ["real", "sigma", "general"])
@@ -585,11 +608,12 @@ def test_operands_with_repeated_coefficients_match_oracle(kind):
     p_words, q_words = ([_w(t) for t in texts] for texts in REPEATED_WORDS)
     rng = random.Random(f"{SEED}-repeated-{kind}")
     for size in (2, 3, 2, 3):
-        p = _cycled(p_words, [_coefficient(rng, kind) for _ in range(size)])
-        q = _cycled(q_words, [_coefficient(rng, kind) for _ in range(size)])
-        for a, b in ((p, q), (q, p)):
-            assert_oracle_equal(multiply(a, b), oracle_multiply(oracle_poly(a), oracle_poly(b)))
-            assert_oracle_equal(commutator(a, b), _oracle_commutator(a, b))
+        pt = _cycled(p_words, [_coefficient(rng, kind) for _ in range(size)])
+        qt = _cycled(q_words, [_coefficient(rng, kind) for _ in range(size)])
+        for at, bt in ((pt, qt), (qt, pt)):
+            a, b = NcPolynomial(at), NcPolynomial(bt)
+            assert_oracle_equal(multiply(a, b), oracle_multiply(at, bt))
+            assert_oracle_equal(commutator(a, b), _oracle_commutator(at, bt))
 
 
 def _first_failing_pair(p: NcPolynomial, q: NcPolynomial) -> str | None:
@@ -613,13 +637,14 @@ def test_narrow_window_raises_at_the_first_failing_pair(kind):
     rng = random.Random(f"{SEED}-first-failure-{kind}")
     failures = set()
     for _ in range(12):
-        p = _cycled(p_words, [_coefficient(rng, kind) for _ in range(rng.choice((2, 3)))])
-        q = _cycled(q_words, [_coefficient(rng, kind) for _ in range(rng.choice((2, 3)))])
+        pt = _cycled(p_words, [_coefficient(rng, kind) for _ in range(rng.choice((2, 3)))])
+        qt = _cycled(q_words, [_coefficient(rng, kind) for _ in range(rng.choice((2, 3)))])
+        p, q = NcPolynomial(pt), NcPolynomial(qt)
         with limits(window=(-1, 1)):
-            for a, b in ((p, q), (q, p)):
+            for (a, at), (b, bt) in (((p, pt), (q, qt)), ((q, qt), (p, pt))):
                 expected = _first_failing_pair(a, b)
                 if expected is None:
-                    assert_oracle_equal(multiply(a, b), oracle_multiply(oracle_poly(a), oracle_poly(b)))
+                    assert_oracle_equal(multiply(a, b), oracle_multiply(at, bt))
                     continue
                 failures.add(expected)
                 with pytest.raises(DegreeWindowError) as raised:
@@ -635,7 +660,7 @@ def test_commuting_operands_past_the_degree_window_raise_as_the_products_do():
         commutator(p, q)
     # Degrees that add past the window in opposite components never meet.
     p, q = p.scale(SIGMA_PLUS), q.scale(SIGMA_MINUS)
-    assert_oracle_equal(commutator(p, q), _oracle_commutator(p, q))
+    assert_oracle_equal(commutator(p, q), _oracle_commutator(oracle_poly(p), oracle_poly(q)))
     assert commutator(p, q).is_zero()
     # X+_2 against P+_2 contracts inside the window, and the commuting pair
     # l^3*X+_1, l^2*X-_1 leaves it: the bracket raises as its products do.
@@ -665,10 +690,11 @@ def test_commuting_operands_past_the_pair_limit_raise_as_the_products_do():
         commutator(p, q)
 
 
-def _shifted_poly(rng: random.Random, kind: str, shift: int) -> NcPolynomial:
-    """A ``_poly_of_kind`` whose terms are scaled by powers of l up to ``shift``."""
-    terms = _poly_of_kind(rng, kind).terms().items()
-    return NcPolynomial({w: c * pc_l(rng.randint(-shift, shift)) for w, c in terms})
+def _shifted_terms(rng: random.Random, kind: str, shift: int) -> dict:
+    """The normal-ordered ``_terms_of_kind``, each scaled by a power of l up
+    to ``shift``."""
+    terms = NcPolynomial(_terms_of_kind(rng, kind)).terms().items()
+    return {w: c * pc_l(rng.randint(-shift, shift)) for w, c in terms}
 
 
 @pytest.mark.parametrize("window", [(-1, 1), (-2, 2), (-4, 4)], ids=lambda w: f"{w[0]}..{w[1]}")
@@ -680,9 +706,10 @@ def test_brackets_equal_the_oracle_or_raise_as_the_products_do(window):
     rng = random.Random(f"{SEED}-bracket-window-{window}")
     outcomes = set()
     for trial in range(90):
-        p, q = (_shifted_poly(rng, ("real", "sigma", "general")[trial % 3], window[1] // 2) for _ in "pq")
+        pt, qt = (_shifted_terms(rng, ("real", "sigma", "general")[trial % 3], window[1] // 2) for _ in "pq")
+        p, q = NcPolynomial(pt), NcPolynomial(qt)
         with limits(window=(-8, 8)):
-            expected = _oracle_commutator(p, q)
+            expected = _oracle_commutator(pt, qt)
         with limits(window=window):
             try:
                 products = multiply(p, q) - multiply(q, p)
@@ -715,7 +742,7 @@ def test_sigma_parts_sum_back_to_the_polynomial():
     rng = random.Random(SEED + 7)
     for kind in ("real", "sigma", "general"):
         for _ in range(20):
-            p = _poly_of_kind(rng, kind)
+            p = NcPolynomial(_terms_of_kind(rng, kind))
             total = p.scale(SIGMA_PLUS) + p.scale(SIGMA_MINUS)
             assert total == p
             assert hash(total) == hash(p)
@@ -815,14 +842,15 @@ def test_render_matches_the_per_coefficient_rendering():
 def test_shared_products_match_the_oracle_and_the_unscoped_products(kind):
     rng = random.Random(f"{SEED}-shared-{kind}")
     for _ in range(15):
-        p, q = _poly_of_kind(rng, kind), _poly_of_kind(rng, kind)
+        pt, qt = _terms_of_kind(rng, kind), _terms_of_kind(rng, kind)
+        p, q = NcPolynomial(pt), NcPolynomial(qt)
         pairs = ((p, q), (p, q), (q, p), (p, p))
         unscoped = [multiply(a, b) for a, b in pairs] + [commutator(p, p)]
         with shared_products():
             scoped = [multiply(a, b) for a, b in pairs] + [commutator(p, p)]
             assert scoped[1] is scoped[0]
-        expected = [oracle_multiply(oracle_poly(a), oracle_poly(b)) for a, b in pairs]
-        for got, alone, terms in zip(scoped, unscoped, expected + [_oracle_commutator(p, p)]):
+        expected = [oracle_multiply(a, b) for a, b in ((pt, qt), (pt, qt), (qt, pt), (pt, pt))]
+        for got, alone, terms in zip(scoped, unscoped, expected + [_oracle_commutator(pt, pt)]):
             assert_oracle_equal(got, terms)
             assert got == alone
 
