@@ -66,11 +66,8 @@ from .irrep import (
 from .hydrogen import (
     BoundResult,
     EnergyLevel,
-    PhysicalConstants,
-    SpectrumConfig,
     born_infeld_length,
     corrected_spectrum,
-    energy_level,
     length_bound,
 )
 from .units import ConstantSet, DimensionError, Quantity, convert, dimension_of, quantity

@@ -244,14 +244,7 @@ def _run_irrep(cfg: argparse.Namespace) -> Result:
 
 
 def _run_spectrum(cfg: argparse.Namespace) -> Result:
-    spectrum_cfg = hydrogen.SpectrumConfig(
-        constants=hydrogen.PhysicalConstants(),
-        l_gevinv=cfg.l,
-        kappa_gev2=cfg.kappa,
-        n_max=cfg.n_max,
-        numerator=hydrogen.NUMERATOR_LITERAL_E2 if cfg.literal_e2 else hydrogen.NUMERATOR_BOHR,
-    )
-    levels = hydrogen.corrected_spectrum(spectrum_cfg)
+    levels = hydrogen.corrected_spectrum(cfg.n_max, cfg.l, cfg.kappa, cfg.literal_e2)
     rows = hydrogen.spectrum_rows(levels)
     return Result(
         0, {"schema": "spectrum/v1", "levels": rows}, *_columns(rows), hydrogen.spectrum_text(levels)
@@ -266,9 +259,10 @@ def _run_bound(cfg: argparse.Namespace) -> Result:
         kappa_gev2=cfg.kappa,
         constants=constants,
     )
-    payload = hydrogen.bound_dict(bound)
-    fields = {k: v for k, v in payload.items() if k != "schema"}
-    return Result(0, payload, *_columns([fields]), hydrogen.bound_text(bound))
+    record = hydrogen.bound_dict(bound)
+    return Result(
+        0, {"schema": "bound/v1", **record}, *_columns([record]), hydrogen.bound_text(bound)
+    )
 
 
 def _run_convert(cfg: argparse.Namespace) -> Result:

@@ -160,10 +160,10 @@ class So4Irrep(Record):
     __hash__ = object.__hash__
 
 
-def build_irrep(k: SpinLike, *, k_max: SpinLike = DEFAULT_K_MAX) -> So4Irrep:
+def build_irrep(k: SpinLike) -> So4Irrep:
     k = _as_spin(k)
-    if k > Fraction(k_max):
-        raise ValueError(f"spin {k} exceeds configured maximum {k_max}")
+    if k > DEFAULT_K_MAX:
+        raise ValueError(f"spin {k} exceeds the maximum {DEFAULT_K_MAX}")
     block = spin_block(k)
     eye = np.eye(block.dim)
     l_ops = tuple(np.kron(j, eye) + np.kron(eye, j) for j in (block.j1, block.j2, block.j3))
@@ -176,14 +176,14 @@ def casimir_matrix(rep: So4Irrep) -> np.ndarray:
     return total / 2
 
 
-def casimir_eigenvalue(rep: So4Irrep, *, tol: float = 1e-12) -> float:
-    """Verify (L^2 + M^2)/2 is scalar and return its value, 2k(k+1)."""
+def casimir_eigenvalue(rep: So4Irrep) -> float:
+    """Verify (L^2 + M^2)/2 is scalar to within 1e-12 and return its value, 2k(k+1)."""
     c = casimir_matrix(rep)
     value = float(np.mean(np.diagonal(c)).real)
     deviation = float(np.max(np.abs(c - value * np.eye(rep.dim))))
-    if deviation > tol:
+    if deviation > 1e-12:
         raise ArithmeticError(
-            f"Casimir matrix is not scalar: max deviation {deviation:.3e} > {tol:.1e}"
+            f"Casimir matrix is not scalar: max deviation {deviation:.3e} > 1.0e-12"
         )
     return value
 

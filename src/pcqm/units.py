@@ -13,9 +13,7 @@ exact rationals, so every conversion round-trips identically in both modes.
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
-from pathlib import Path
 from typing import Union
 
 from .record import Record
@@ -66,45 +64,6 @@ class ConstantSet(Record):
         if mode == PRECISE:
             return cls.precise()
         raise ValueError(f"unknown constant-set mode {mode!r}")
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "ConstantSet":
-        """Load from a small ``key = value`` file; all four factors required,
-        each a positive decimal or fraction."""
-        values: dict[str, str] = {}
-        for raw in Path(path).read_text().splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"malformed constant line {raw!r}")
-            key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
-        keys = ("fm_to_gevinv", "sec_to_m", "kg_to_gev", "ev_to_hz")
-        return cls(mode=values.get("mode", "custom"), **{key: _factor(values, key) for key in keys})
-
-
-# Decimal or fraction text of at most 20 digits a side, as ``irrep --k-max``
-# is read, and a decimal may carry an exponent of at most 3 digits (the
-# factors are like 3e8 and 5.6096e26): 1e10000000 is refused as text, before
-# anything expands it.
-_FACTOR_TEXT_RE = re.compile(
-    r"[-+]?(\d{1,20}/\d{1,20}|(\d{1,20}(\.\d{0,20})?|\.\d{1,20})([eE][-+]?\d{1,3})?)"
-)
-
-
-def _factor(values: dict[str, str], key: str) -> Fraction:
-    """The conversion factor ``key`` of a constant file, a positive number."""
-    if key not in values:
-        raise ValueError(f"constant file missing key {key!r}")
-    text = values[key]
-    try:
-        factor = Fraction(text) if _FACTOR_TEXT_RE.fullmatch(text) else None
-    except ZeroDivisionError:
-        factor = None
-    if factor is None or factor <= 0:
-        raise ValueError(f"constant {key} must be a positive decimal or fraction, got {text!r}")
-    return factor
 
 
 _EV = Fraction(1, 10 ** 9)  # 1 eV in GeV

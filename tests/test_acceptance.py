@@ -16,14 +16,7 @@ import pytest
 from helpers import assert_oracle_equal, oracle_normal_order, random_pc_scalar, random_poly, random_terms
 from pcqm import so4
 from pcqm.expr import parse, render
-from pcqm.hydrogen import (
-    PhysicalConstants,
-    SpectrumConfig,
-    born_infeld_length,
-    corrected_spectrum,
-    energy_level,
-    length_bound,
-)
+from pcqm.hydrogen import born_infeld_length, corrected_spectrum, length_bound
 from pcqm.irrep import build_irrep, casimir_eigenvalue, denominator_eigenvalue
 from pcqm.operators import (
     NcPolynomial,
@@ -94,7 +87,7 @@ def test_criterion_3_casimir_sweep():
         k = Fraction(0)
         while k <= 5:
             rep = build_irrep(k)
-            value = casimir_eigenvalue(rep, tol=1e-12)
+            value = casimir_eigenvalue(rep)
             assert abs(value - float(2 * k * (k + 1))) < 1e-12
             assert denominator_eigenvalue(k) == 2 * (2 * k + 1) ** 2
             k += Fraction(1, 2)
@@ -110,16 +103,13 @@ def test_criterion_4_bound_reproduction():
 
 def test_criterion_5_spectrum_sanity():
     with criterion(5, "spectrum sanity and self-consistency loop"):
-        cfg = SpectrumConfig(constants=PhysicalConstants(), n_max=5)
-        levels = corrected_spectrum(cfg)
+        levels = corrected_spectrum(5)
         assert float(levels[0].e0_ev) == pytest.approx(-13.606, rel=1e-3)
         for level in levels:
             assert level.e0_ev / levels[0].e0_ev == Fraction(1, level.n ** 2)
             assert level.shift_ev == 0
-        shifted = SpectrumConfig(
-            constants=PhysicalConstants(), l_gevinv=3e-10 ** 0.5, n_max=1
-        )
-        assert float(-energy_level(shifted, 1).shift_ev) == pytest.approx(4e-9, rel=0.05)
+        (shifted,) = corrected_spectrum(1, l_gevinv=3e-10 ** 0.5)
+        assert float(-shifted.shift_ev) == pytest.approx(4e-9, rel=0.05)
 
 
 def test_criterion_6_units():

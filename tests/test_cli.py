@@ -149,6 +149,12 @@ def test_spectrum_json_fields():
     assert payload["levels"][0]["shift_eV"] != 0
 
 
+def test_spectrum_literal_e2_puts_alpha_in_the_numerator():
+    code, output = run_argv(["spectrum", "--literal-e2", "--n-max", "1"])
+    assert code == 0
+    assert output.splitlines()[-1] == "  1     0           1       -1864.47              0"
+
+
 def test_bound_golden():
     code, output = run_argv(["bound"])
     assert code == 0
@@ -330,6 +336,8 @@ def test_coefficient_growth_is_refused_before_the_work():
         (["spectrum", "--l", "1e300"], "shift of level n=1 for l = 1e+300, kappa = 1 exceeds the float range"),
         (["bound", "--kappa", "1e-320"], "l^2 = delta_E/(|E_ref|*kappa) exceeds the float range"),
         (["convert", "--value", "1e308", "--from", "kg", "--to", "GeV"], "converted value exceeds the float range"),
+        # Of two bad arguments, the finiteness of l is checked first.
+        (["spectrum", "--l", "nan", "--n-max", "0"], "minimal length l must be finite, got nan"),
     ],
 )
 def test_non_finite_or_overflowing_numbers_exit_2(argv, message, capsys):

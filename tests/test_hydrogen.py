@@ -6,22 +6,16 @@ import pytest
 from pcqm.hydrogen import (
     BORN_INFELD_QUOTED_CM,
     MAX_N_MAX,
-    NUMERATOR_LITERAL_E2,
-    PhysicalConstants,
-    SpectrumConfig,
     born_infeld_length,
     bound_dict,
     bound_text,
     corrected_spectrum,
-    energy_level,
     length_bound,
     spectrum_rows,
     spectrum_text,
 )
 from pcqm.irrep import denominator_eigenvalue
 from pcqm.units import ConstantSet
-
-PRECISE = PhysicalConstants()
 
 
 def bohr_ground_state_ev() -> float:
@@ -30,8 +24,7 @@ def bohr_ground_state_ev() -> float:
 
 
 def test_ground_state_matches_bohr_oracle():
-    cfg = SpectrumConfig(constants=PRECISE, n_max=1)
-    level = energy_level(cfg, 1)
+    (level,) = corrected_spectrum(1)
     assert float(level.e0_ev) == pytest.approx(bohr_ground_state_ev(), rel=1e-12)
     assert float(level.e0_ev) == pytest.approx(-13.606, rel=1e-3)
     assert level.shift_ev == 0
@@ -39,8 +32,7 @@ def test_ground_state_matches_bohr_oracle():
 
 
 def test_level_scaling_is_exact():
-    cfg = SpectrumConfig(constants=PRECISE, n_max=6)
-    levels = corrected_spectrum(cfg)
+    levels = corrected_spectrum(6)
     for level in levels:
         assert level.e0_ev / levels[0].e0_ev == Fraction(1, level.n ** 2)
         assert level.degeneracy == level.n ** 2
@@ -49,34 +41,29 @@ def test_level_scaling_is_exact():
 
 
 def test_denominator_comes_from_the_irrep_identity():
-    cfg = SpectrumConfig(constants=PRECISE, n_max=5)
-    for level in corrected_spectrum(cfg):
+    for level in corrected_spectrum(5):
         assert denominator_eigenvalue(level.k) == 2 * level.n ** 2
 
 
 def test_shift_magnitude_reproduces_lamb_scale():
-    cfg = SpectrumConfig(constants=PRECISE, l_gevinv=math.sqrt(3e-10), n_max=1)
-    level = energy_level(cfg, 1)
+    (level,) = corrected_spectrum(1, l_gevinv=math.sqrt(3e-10))
     assert float(-level.shift_ev) == pytest.approx(4e-9, rel=0.05)
 
 
 def test_shift_ratio_is_l_squared_kappa_exactly():
-    cfg = SpectrumConfig(constants=PRECISE, l_gevinv=1.7e-5, kappa_gev2=2.0, n_max=4)
-    for level in corrected_spectrum(cfg):
+    for level in corrected_spectrum(4, l_gevinv=1.7e-5, kappa_gev2=2.0):
         assert level.shift_ev / level.e0_ev == Fraction(1.7e-5) ** 2 * Fraction(2.0)
 
 
 def test_level_takes_kappa_from_its_checked_config_only():
-    # kappa reaches a level only through SpectrumConfig, which refuses a
-    # negative or non-finite value.
-    cfg = SpectrumConfig(constants=PRECISE, l_gevinv=1e-5, n_max=2)
-    with pytest.raises(TypeError):
-        energy_level(cfg, 2, kappa_gev2=-2.0)
+    # kappa reaches a level only through corrected_spectrum, which refuses a
+    # negative or non-finite value before it forms any level.
+    with pytest.raises(ValueError, match="^correction strength kappa must be positive$"):
+        corrected_spectrum(2, l_gevinv=1e-5, kappa_gev2=-2.0)
 
 
 def test_literal_charge_squared_numerator_gives_kev_scale():
-    cfg = SpectrumConfig(constants=PRECISE, n_max=1, numerator=NUMERATOR_LITERAL_E2)
-    level = energy_level(cfg, 1)
+    (level,) = corrected_spectrum(1, literal_e2=True)
     assert float(level.e0_ev) == pytest.approx(-1864.6, rel=1e-3)
 
 
@@ -97,19 +84,17 @@ def test_length_bound_quarter_kappa_scaling():
 def test_bound_consistency_loop():
     delta_e, e_ref = 4e-9, 13.0
     bound = length_bound(delta_e, e_ref, 1.0)
-    cfg = SpectrumConfig(constants=PRECISE, l_gevinv=bound.l_max_gevinv, n_max=1)
-    level = energy_level(cfg, 1)
+    (level,) = corrected_spectrum(1, l_gevinv=bound.l_max_gevinv)
     e0 = abs(float(level.e0_ev))
     assert float(-level.shift_ev) == pytest.approx(delta_e * e0 / e_ref, rel=1e-12)
     # equality (up to sqrt rounding) when the reference is the ground state itself
     bound2 = length_bound(delta_e, e0, 1.0)
-    cfg2 = SpectrumConfig(constants=PRECISE, l_gevinv=bound2.l_max_gevinv, n_max=1)
-    assert float(-energy_level(cfg2, 1).shift_ev) == pytest.approx(delta_e, rel=1e-12)
+    (level2,) = corrected_spectrum(1, l_gevinv=bound2.l_max_gevinv)
+    assert float(-level2.shift_ev) == pytest.approx(delta_e, rel=1e-12)
 
 
 def test_zero_length_recovers_plain_hydrogen():
-    cfg = SpectrumConfig(constants=PRECISE, l_gevinv=0.0, n_max=3)
-    assert all(level.shift_ev == 0 for level in corrected_spectrum(cfg))
+    assert all(level.shift_ev == 0 for level in corrected_spectrum(3, l_gevinv=0.0))
 
 
 def test_born_infeld_conversion():
@@ -132,29 +117,26 @@ def test_born_infeld_comparison_is_echoed():
 
 
 def test_serialization_field_names():
-    cfg = SpectrumConfig(constants=PRECISE, l_gevinv=1e-5, n_max=2)
-    rows = spectrum_rows(corrected_spectrum(cfg))
+    levels = corrected_spectrum(2, l_gevinv=1e-5)
+    rows = spectrum_rows(levels)
     assert list(rows[0]) == ["n", "k", "degeneracy", "E0_eV", "shift_eV"]
     assert rows[1]["k"] == "1/2"
     payload = bound_dict(length_bound(4e-9, 13, 1.0))
     for key in ("l_max_GeVinv", "l_max_fm", "l_max_cm"):
         assert key in payload
-    table = spectrum_text(corrected_spectrum(cfg))
+    table = spectrum_text(levels)
     assert table.splitlines()[0].split() == ["n", "k", "degeneracy", "E0_eV", "shift_eV"]
 
 
 def test_input_validation():
     with pytest.raises(ValueError):
-        SpectrumConfig(constants=PRECISE, l_gevinv=-1.0)
+        corrected_spectrum(10, l_gevinv=-1.0)
     with pytest.raises(ValueError):
-        SpectrumConfig(constants=PRECISE, kappa_gev2=0.0)
+        corrected_spectrum(10, kappa_gev2=0.0)
     with pytest.raises(ValueError):
-        SpectrumConfig(constants=PRECISE, n_max=0)
+        corrected_spectrum(0)
     with pytest.raises(ValueError):
-        SpectrumConfig(constants=PRECISE, n_max=MAX_N_MAX + 1)
-    cfg = SpectrumConfig(constants=PRECISE, n_max=2)
-    with pytest.raises(ValueError):
-        energy_level(cfg, 3)
+        corrected_spectrum(MAX_N_MAX + 1)
     with pytest.raises(ValueError):
         length_bound(-1e-9, 13)
     with pytest.raises(ValueError):
@@ -163,5 +145,3 @@ def test_input_validation():
         length_bound(4e-9, 13, -1)
     with pytest.raises(ValueError):
         born_infeld_length(0)
-    with pytest.raises(ValueError):
-        PhysicalConstants(mu_gev=Fraction(-1), alpha=Fraction(1, 137))

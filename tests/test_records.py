@@ -43,9 +43,6 @@ SAMPLES = [
     (irrep.LadderBlock, {"k": Fraction(1, 2), "jp": {(0, 1): Fraction(1)},
                          "jm": {(1, 0): Fraction(1)}, "j3": {(0, 0): Fraction(1, 2)}}),
     (irrep.So4Irrep, {"k": Fraction(1, 2), "dim": 4, "l_ops": (ARRAY,) * 3, "m_ops": (ARRAY,) * 3}),
-    (hydrogen.PhysicalConstants, {"mu_gev": Fraction(1, 2), "alpha": Fraction(1, 137)}),
-    (hydrogen.SpectrumConfig, {"constants": hydrogen.PhysicalConstants(), "l_gevinv": 0.5,
-                               "kappa_gev2": 2.0, "n_max": 3, "numerator": "literal-e2"}),
     (hydrogen.EnergyLevel, {"n": 2, "k": Fraction(1, 2), "e0_ev": Fraction(-17, 5),
                             "shift_ev": Fraction(0), "degeneracy": 4}),
     (hydrogen.BoundResult, {"l_max_gevinv": 1.0, "l_max_fm": 0.2, "l_max_cm": 2e-14,
@@ -110,7 +107,7 @@ def test_no_pcqm_class_is_a_dataclass():
 def test_samples_cover_every_record_class():
     records = {cls for cls in _classes_defined_in_pcqm() if issubclass(cls, Record)} - {Record}
     assert records == {cls for cls, _ in SAMPLES}
-    assert len(records) == 30
+    assert len(records) == 28
 
 
 @pytest.mark.parametrize("cls, fields", SAMPLES, ids=IDS)
@@ -190,10 +187,6 @@ def test_defaults_and_fresh_params():
     assert expr.LengthPower() == expr.LengthPower(1)
     assert reports.IdentityReport("s", ()).schema == "identity-report/v1"
     assert reports.Check("f", "l", "0", True).extra is None
-    spectrum = hydrogen.SpectrumConfig(hydrogen.PhysicalConstants())
-    assert (spectrum.l_gevinv, spectrum.kappa_gev2, spectrum.n_max, spectrum.numerator) == (
-        0.0, 1.0, 10, hydrogen.NUMERATOR_BOHR,
-    )
 
 
 @pytest.mark.parametrize(
@@ -207,19 +200,13 @@ def test_defaults_and_fresh_params():
         (lambda: limits.Limits(word_cap=13), "word length cap must lie in 1..12, got 13"),
         (lambda: limits.Limits(word_cap=8.5), r"word length cap must lie in 1\.\.12, got 8\.5"),
         (lambda: limits.Limits(word_cap=True), "word length cap must lie in 1..12, got True"),
-        (lambda: hydrogen.PhysicalConstants(mu_gev=Fraction(0)), "reduced mass must be positive"),
-        (lambda: hydrogen.PhysicalConstants(alpha=Fraction(1)),
-         r"fine-structure constant must lie in \(0, 1\)"),
-        (lambda: hydrogen.SpectrumConfig(hydrogen.PhysicalConstants(), l_gevinv=-1.0),
-         "minimal length must be non-negative"),
-        (lambda: hydrogen.SpectrumConfig(hydrogen.PhysicalConstants(), l_gevinv=float("nan")),
+        # The level table takes plain values, and checks them as a constructor would.
+        (lambda: hydrogen.corrected_spectrum(10, l_gevinv=-1.0), "minimal length must be non-negative"),
+        (lambda: hydrogen.corrected_spectrum(10, l_gevinv=float("nan")),
          "minimal length l must be finite, got nan"),
-        (lambda: hydrogen.SpectrumConfig(hydrogen.PhysicalConstants(), kappa_gev2=0.0),
+        (lambda: hydrogen.corrected_spectrum(10, kappa_gev2=0.0),
          "correction strength kappa must be positive"),
-        (lambda: hydrogen.SpectrumConfig(hydrogen.PhysicalConstants(), n_max=0),
-         "n_max must lie in 1..10000, got 0"),
-        (lambda: hydrogen.SpectrumConfig(hydrogen.PhysicalConstants(), numerator="e3"),
-         "unknown numerator mode 'e3'"),
+        (lambda: hydrogen.corrected_spectrum(0), "n_max must lie in 1..10000, got 0"),
     ],
 )
 def test_constructors_reject_bad_values(build, message):

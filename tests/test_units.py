@@ -1,5 +1,4 @@
 import itertools
-import re
 from fractions import Fraction
 
 import pytest
@@ -91,38 +90,6 @@ def test_dimension_table():
 def test_dimension_unknown_symbol():
     with pytest.raises(ValueError):
         dimension_of("Q")
-
-
-def test_constant_set_from_file(tmp_path):
-    path = tmp_path / "constants.cfg"
-    path.write_text(
-        "# rounded factors\n"
-        "mode = custom\n"
-        "fm_to_gevinv = 5\n"
-        "sec_to_m = 3e8\n"
-        "kg_to_gev = 6e26\n"
-        "ev_to_hz = 2.4e14\n"
-    )
-    constants = ConstantSet.from_file(path)
-    assert constants.fm_to_gevinv == 5
-    assert constants.sec_to_m == 3 * 10 ** 8
-    assert convert(quantity(1, "fm"), "GeV^-1", constants).magnitude == 5
-
-
-def test_constant_set_from_file_missing_key(tmp_path):
-    path = tmp_path / "bad.cfg"
-    path.write_text("fm_to_gevinv = 5\n")
-    with pytest.raises(ValueError):
-        ConstantSet.from_file(path)
-
-
-@pytest.mark.parametrize("text", ["1/0", "0", "-5", "1e10000000", "abc"])
-def test_constant_set_from_file_refuses_a_factor_that_is_not_positive(tmp_path, text):
-    path = tmp_path / "bad.cfg"
-    path.write_text(f"fm_to_gevinv = {text}\nsec_to_m = 3e8\nkg_to_gev = 6e26\nev_to_hz = 2.4e14\n")
-    message = f"constant fm_to_gevinv must be a positive decimal or fraction, got '{text}'"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        ConstantSet.from_file(path)
 
 
 def test_mode_lookup():
