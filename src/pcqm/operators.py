@@ -288,11 +288,13 @@ class NcPolynomial:
         return out
 
     def scale(self, c) -> "NcPolynomial":
+        """Each coefficient times ``c``, component by component.  Laurent
+        polynomials over Q(i) have no zero divisors, so nothing cancels: a
+        nonzero component scales every word, and a zero one gives no words."""
         if not isinstance(c, PcScalar):
             c = pc_rational(c)
-        return _by_component(
-            lambda a, s: _accumulate({}, ((w, coeff * s) for w, coeff in a.items())), self, c
-        )
+        window = current_limits().window
+        return _by_component(lambda a, s: {w: _mul(v, s, window) for w, v in a.items()} if s._num else {}, self, c)
 
     def __truediv__(self, q: Fraction | int) -> "NcPolynomial":
         return self.scale(Fraction(1, 1) / Fraction(q))
@@ -479,12 +481,14 @@ def _product(sa: tuple, sb: tuple, window: tuple[int, int], contracted: bool = F
     ``sb``, multiplied and added to the result in normal order.
 
     Each pair of sorted words takes the closed form: their concatenation,
-    sorted, plus ``_contract``'s terms when the pair contracts.  The
-    coefficients of each pair of groups ``(i, j)`` are multiplied once, at
-    the first term pair that carries them, into the row table ``rows[i][j]``,
-    so the first pair to leave the window raises as it would alone.  With
-    ``contracted``, a pair that does not contract is skipped, and so is the
-    uncontracted first term of ``_contract``.
+    sorted, plus ``_contract``'s terms when the pair contracts.  A pair
+    whose one contraction is a lone ``P_r`` of ``w1`` meeting a lone ``X_r``
+    of ``w2`` is formed here: the sorted word, then ``-i`` times the word
+    less its first ``X_r`` and ``P_r``.  The coefficients of each pair of
+    groups ``(i, j)`` are multiplied once, at the first term pair that
+    carries them, into the row table ``rows[i][j]``, so the first pair to
+    leave the window raises as it would alone.  With ``contracted``, a pair
+    that does not contract is skipped, and so is its uncontracted term.
     """
     (left, lc), (right, rc) = sa, sb
     rows: list[list] = [[None] * len(rc) for _ in lc]
@@ -495,16 +499,26 @@ def _product(sa: tuple, sb: tuple, window: tuple[int, int], contracted: bool = F
         row, c1 = rows[i], lc[i]
         last = w1[-1] if w1 else -1
         for w2, j, xs, _ in right:
-            if contracted and not ps & xs:
+            hit = ps & xs
+            if contracted and not hit:
                 continue
             c = row[j]
             if c is None:
                 c = row[j] = _mul(c1, rc[j], window)
             word = w1 + w2 if not w2 or last <= w2[0] else tuple(sorted(w1 + w2))
-            if ps & xs:
-                terms = _contract(word, w1, w2, ps & xs)
-                _add_scaled(out, terms[1:] if contracted else terms, c, len(word), window, scaled, (i, j))
-                continue
+            if hit:
+                r = hit.bit_length() - 1
+                if hit != 1 << r or w1.count(r + 4) > 1 or w2.count(r) > 1:
+                    terms = _contract(word, w1, w2, hit)
+                    _add_scaled(out, terms[1:] if contracted else terms, c, len(word), window, scaled, (i, j))
+                    continue
+                if not contracted:
+                    _accumulate(out, ((word, c),))
+                s = scaled.get(((i, j), 1, 1))
+                if s is None:
+                    s = scaled[(i, j), 1, 1] = _mul(c, _MINUS_I_POWERS[1], window)
+                x, p = word.index(r), word.index(r + 4)
+                word, c = word[:x] + word[x + 1 : p] + word[p + 1 :], s
             prev = get(word)
             if prev is None:
                 out[word] = c
@@ -641,6 +655,10 @@ def _leaf(name: str | None, g: Generator, window: tuple[int, int]) -> NcPolynomi
     return (plus - minus).scale(_HALF_OVER_L)
 
 
+# i*delta_ij for delta_ij = 0 and 1, built once under the default window.
+_DELTAS = (NcPolynomial.scalar(pc_imag(0)), NcPolynomial.scalar(pc_imag(1)))
+
+
 @suite("canonical-quantization")
 def verify_canonical_relations():
     """Check the canonical branch quantization for every branch/index pair.
@@ -651,7 +669,7 @@ def verify_canonical_relations():
     for b, other in (("+", "+"), ("-", "-"), ("+", "-"), ("-", "+")):
         family = "same-branch" if b == other else "cross-branch"
         for i, j in itertools.product(INDICES, INDICES):
-            delta = NcPolynomial.scalar(pc_imag(int(b == other and i == j)))
+            delta = _DELTAS[b == other and i == j]
             residual = commutator(generator_poly("X", b, i), generator_poly("P", other, j)) - delta
             yield family, f"[X{b}_{i}, P{other}_{j}]", residual
 
@@ -671,7 +689,7 @@ def verify_induced_relations():
     """
     x, y, px, py = ({i: expand_alias(name, i) for i in INDICES} for name in ALIASES)
     for i, j in itertools.product(INDICES, INDICES):
-        delta, label = NcPolynomial.scalar(pc_imag(int(i == j))), f"i={i} j={j}"
+        delta, label = _DELTAS[i == j], f"i={i} j={j}"
         yield "coordinate-coordinate", label, commutator(x[i], x[j]) + commutator(y[i], y[j]).scale(_L2)
         yield "coordinate-mixed", label, commutator(x[i], y[j]) + commutator(y[i], x[j])
         yield "momentum-momentum", label, commutator(px[i], px[j]) + commutator(py[i], py[j]).scale(_L2)

@@ -14,7 +14,8 @@ class Check(Record):
     @classmethod
     def of(cls, family: str, label: str, residual, extra: Mapping[str, object] | None = None) -> "Check":
         """The check that ``residual`` (an operator polynomial) is zero."""
-        return cls(family, label, str(residual), residual.is_zero(), extra)
+        zero = residual.is_zero()
+        return cls(family, label, "0" if zero else str(residual), zero, extra)
 
     def to_dict(self) -> dict:
         out = {

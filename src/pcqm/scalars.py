@@ -68,7 +68,7 @@ def _base(num: Numerators, den: int) -> "BaseScalar":
 
 def _reduced(num: Numerators, den: int) -> "BaseScalar":
     """Canonical form of nonzero numerators over ``den > 0``: the gcd divided out."""
-    g = reduce(gcd, num.values(), den)
+    g = 1 if den == 1 else reduce(gcd, num.values(), den)
     if g == 1:
         return _base(num, den)
     return _base({key: n // g for key, n in num.items()}, den // g)
@@ -132,6 +132,8 @@ class BaseScalar:
         a, b = self._num, other._num
         if not b:
             return self
+        if not a:
+            return other if sign == 1 else -other
         g = gcd(self._den, other._den)
         sa, sb = other._den // g, sign * self._den // g
         out = dict(a) if sa == 1 else {key: n * sa for key, n in a.items()}

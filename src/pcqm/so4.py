@@ -37,12 +37,13 @@ from .operators import (
 from .record import Record
 from .reports import Check, IdentityReport
 from .scalars import (
+    PC_I,
     PSEUDO_UNIT,
     PcScalar,
     SIGMA_MINUS,
     SIGMA_PLUS,
-    pc_imag,
     pc_l,
+    pc_rational,
 )
 
 # Vector operator labels: L_a and M_a in terms of index pairs.
@@ -55,7 +56,7 @@ COMPONENT_FACTORS = {"x": ("x", "px"), "y": ("y", "py"), "xy": ("x", "py"), "yx"
 # pseudo-imaginary parts, and the alias components.
 COMPONENTS = (None, *BRANCHES, "R", "I", *COMPONENT_FACTORS)
 
-_HALF = Fraction(1, 2)
+_HALF = pc_rational(Fraction(1, 2))
 _L2 = pc_l(2)
 
 
@@ -150,7 +151,7 @@ def _so4_rhs(build, i: int, j: int, k: int, q: int) -> NcPolynomial:
     ):
         if present:
             out = out + build(a, b)
-    return out.scale(pc_imag())
+    return out.scale(PC_I)
 
 
 @suite("so4-commutators")

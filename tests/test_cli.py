@@ -487,6 +487,9 @@ def test_verify_text_names_failing_checks(monkeypatch):
 @pytest.mark.parametrize("limit, error", [
     (["--degree-window", "-1:1"], "l^-2 outside degree window -1..1"),
     (["--degree-window", "0:0"], "l^-1 outside degree window 0..0"),
+    (["--degree-window", "-4:0"], "l^1 outside degree window -4..0"),
+    (["--degree-window", "1:4"], "l^0 outside degree window 1..4"),
+    (["--degree-window", "-4:-1"], "l^0 outside degree window -4..-1"),
     (["--word-cap", "3"], "product word length 4 exceeds cap 3"),
     (["--word-cap", "2"], "product word length 4 exceeds cap 2"),
 ])
@@ -502,7 +505,7 @@ def test_verify_keeps_its_first_error_under_narrow_limits(limit, error):
         assert (lines[0] if fmt == "text" else json.loads(lines[0])) == expected
 
 
-@pytest.mark.parametrize("command", [["verify"], ["eval", "P+_1*X+_1"]])
+@pytest.mark.parametrize("command", [["verify"], ["eval", "P+_1^2*X+_1"]])
 def test_internal_fault_exits_1_with_one_line_and_no_traceback(command, monkeypatch, capsys):
     from pcqm import expr, operators
 

@@ -20,6 +20,7 @@ from pcqm import operators, so4
 from pcqm.cli import config_from_args, run
 from pcqm.expr import evaluate_text
 from pcqm.operators import NcPolynomial, gen, render_word
+from pcqm.reports import Check
 from pcqm.scalars import PC_ONE, BaseScalar, DegreeWindowError, pc_rational
 
 CHECKS = 530
@@ -91,6 +92,10 @@ def _span_pivots_doubled():
     return lambda basis: [(label, b, pivot, inverse * two) for label, b, pivot, inverse in span_pivots(basis)]
 
 
+def _check_of_always_passes():
+    return classmethod(lambda cls, family, label, residual, extra=None: cls(family, label, "0", True, extra))
+
+
 # Every component-closure family, with its check count.
 _CLOSURE = {("component-closure", f"[{f}]"): 36 for f in ("R,R", "R,I", "I,I", "x,x", "y,y")}
 
@@ -139,6 +144,12 @@ FAULTS = (
     # window.  No verify check and no raw word sees it; only the brackets of
     # PAST_WINDOW do.
     ("bracket degree guard reads (0, 0)", operators, "_scan", _scan_without_degrees, {}, False, True),
+    # Every residual reads as zero, so every check passes, as unfaulted, and
+    # no product changes.  test_residual_check_fails_on_nonzero_residual in
+    # tests/test_operators.py catches it, and so does each row above whose
+    # verify checks fail: (-i)^k as (+i)^k, _factors(2, 1), _difference and
+    # span_pivots.
+    ("Check.of's zero test always passes", Check, "of", _check_of_always_passes, {}, False, False),
 )
 
 

@@ -616,6 +616,66 @@ def test_operands_with_repeated_coefficients_match_oracle(kind):
             assert_oracle_equal(commutator(a, b), _oracle_commutator(at, bt))
 
 
+# Left and right operand words whose pairs contract one-to-one (a lone P
+# against a lone X, also where the left word holds that X as well, as in
+# X+1*P+1 times X+1), at two ranks, and as P^2 X and P X^2 pairs.  Each pool
+# also holds words that contract in no pair, and a raw word with an X after
+# its own P.
+LONE_CONTRACTION_POOLS = (
+    ["P+1", "X+1*P+1", "P+1*P+1", "P+1*P+2", "X-3*P-3", "P-3*X+2", "X+2"],
+    ["X+1", "X+1*X+1", "X+1*X+2", "X-3", "X-3*P-3", "P+2*X+2", "X-1*P+1"],
+)
+
+
+def _contraction_kinds(w1: tuple, w2: tuple) -> set[str]:
+    """How the sorted words ``w1`` and ``w2`` contract in ``w1*w2``, read
+    from the generators' kinds, branches and indices."""
+    counts = []  # per X of w2 whose own P is in w1: (copies of the P, of the X, X in w1)
+    for x in set(w2):
+        p = gen("P", x.branch, x.index) if x.kind == "X" else None
+        if p in w1:
+            counts.append((w1.count(p), w2.count(x), x in w1))
+    if len(counts) > 1:
+        return {"two-rank"}
+    kinds = set()
+    for m, n, own in counts:
+        kinds.add({(1, 1): "one-to-one", (2, 1): "P^2 X", (1, 2): "P X^2"}.get((m, n), "other"))
+        if (m, n, own) == (1, 1, True):
+            kinds.add("self-left")
+    return kinds
+
+
+def _sorted_pairs(p: dict, q: dict) -> dict:
+    """The uncontracted terms of ``p*q``: each concatenated pair of words, sorted."""
+    out: dict = {}
+    for w1, c1 in p.items():
+        for w2, c2 in q.items():
+            word = tuple(sorted(w1 + w2, key=lambda g: g.sort_key))
+            out[word] = out.get(word, PC_ZERO) + c1 * c2
+    return out
+
+
+@pytest.mark.parametrize("kind", ["real", "sigma", "general"])
+def test_lone_contractions_match_the_oracle(kind):
+    pools = [[_w(t) for t in texts] for texts in LONE_CONTRACTION_POOLS]
+    rng = random.Random(f"{SEED}-lone-{kind}")
+    seen = set()
+    for _ in range(30):
+        p, q = (NcPolynomial({w: _coefficient(rng, kind) for w in rng.sample(pool, rng.randint(1, 4))})
+                for pool in pools)
+        for a, b in ((p, q), (q, p)):
+            at, bt = oracle_poly(a), oracle_poly(b)
+            full = oracle_multiply(at, bt)
+            contracted = dict(full)
+            for word, coeff in _sorted_pairs(at, bt).items():
+                contracted[word] = contracted.get(word, PC_ZERO) - coeff
+            assert_oracle_equal(multiply(a, b), full)
+            assert_oracle_equal(multiply(a, b, contracted=True), contracted)
+            assert_oracle_equal(commutator(a, b), _oracle_commutator(at, bt))
+            seen |= {k for w1 in at for w2 in bt for k in _contraction_kinds(w1, w2)}
+    assert {"one-to-one", "self-left", "two-rank", "P^2 X", "P X^2"} <= seen
+
+
 def _first_failing_pair(p: NcPolynomial, q: NcPolynomial) -> str | None:
     """The message of the first term pair of ``p*q`` whose coefficient
     product leaves the window in force, in the documented order: every
