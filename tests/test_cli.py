@@ -487,11 +487,11 @@ def test_verify_text_names_failing_checks(monkeypatch):
 @pytest.mark.parametrize("limit, error", [
     (["--degree-window", "-1:1"], "l^-2 outside degree window -1..1"),
     (["--degree-window", "0:0"], "l^-1 outside degree window 0..0"),
+    (["--word-cap", "3"], "product word length 4 exceeds cap 3"),
+    (["--word-cap", "2"], "product word length 4 exceeds cap 2"),
     (["--degree-window", "-4:0"], "l^1 outside degree window -4..0"),
     (["--degree-window", "1:4"], "l^0 outside degree window 1..4"),
     (["--degree-window", "-4:-1"], "l^0 outside degree window -4..-1"),
-    (["--word-cap", "3"], "product word length 4 exceeds cap 3"),
-    (["--word-cap", "2"], "product word length 4 exceeds cap 2"),
 ])
 def test_verify_keeps_its_first_error_under_narrow_limits(limit, error):
     # The suites evaluate their claims in order, so the first product to
