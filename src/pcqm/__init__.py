@@ -64,13 +64,12 @@ from .irrep import (
     spin_block,
 )
 from .hydrogen import (
-    BoundResult,
     EnergyLevel,
     born_infeld_length,
     corrected_spectrum,
     length_bound,
 )
-from .units import ConstantSet, DimensionError, Quantity, convert, dimension_of, quantity
+from .units import DimensionError, convert
 from .expr import ExprSyntaxError, evaluate, evaluate_text, parse, render
 from .reports import Check, IdentityReport
 

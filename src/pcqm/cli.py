@@ -20,7 +20,6 @@ from . import hydrogen, irrep, so4, units
 from .expr import evaluate_text
 from .limits import limits
 from .record import Record
-from .units import ConstantSet
 
 CONSTANTS_ENV = "PCQM_CONSTANTS"
 FORMATS = ("text", "json", "csv")
@@ -38,12 +37,12 @@ def parse_value_with_unit(text: str, default_unit: str) -> tuple[float, str]:
     return float(m.group(1)), m.group(2) or default_unit
 
 
-def _energy_in_ev(text: str, constants: ConstantSet, name: str) -> float:
+def _energy_in_ev(text: str, constants: str, name: str) -> float:
     value, unit = parse_value_with_unit(text, "eV")
     units.require_finite(value, name)
     if unit == "eV":
         return value
-    return float(units.convert(units.quantity(value, unit), "eV", constants).magnitude)
+    return units.as_float(units.convert(value, unit, "eV", constants), name)
 
 
 def _parse_window(text: str) -> tuple[int, int]:
@@ -252,31 +251,29 @@ def _run_spectrum(cfg: argparse.Namespace) -> Result:
 
 
 def _run_bound(cfg: argparse.Namespace) -> Result:
-    constants = ConstantSet.from_mode(cfg.constants)
-    bound = hydrogen.length_bound(
-        delta_e_ev=_energy_in_ev(cfg.delta_e, constants, "observed splitting"),
-        e_ref_ev=_energy_in_ev(cfg.e_ref, constants, "reference energy"),
+    units.unit_table(cfg.constants)  # refuses an unknown constant set before any argument
+    record = hydrogen.length_bound(
+        delta_e_ev=_energy_in_ev(cfg.delta_e, cfg.constants, "observed splitting"),
+        e_ref_ev=_energy_in_ev(cfg.e_ref, cfg.constants, "reference energy"),
         kappa_gev2=cfg.kappa,
-        constants=constants,
+        constants=cfg.constants,
     )
-    record = hydrogen.bound_dict(bound)
     return Result(
-        0, {"schema": "bound/v1", **record}, *_columns([record]), hydrogen.bound_text(bound)
+        0, {"schema": "bound/v1", **record}, *_columns([record]), hydrogen.bound_text(record)
     )
 
 
 def _run_convert(cfg: argparse.Namespace) -> Result:
-    constants = ConstantSet.from_mode(cfg.constants)
-    value = cfg.value
-    q = units.quantity(value, cfg.from_unit)
-    out = units.convert(q, cfg.to_unit, constants)
-    result = units.as_float(out.magnitude, "converted value")
-    record = {"value": value, "from": q.unit, "to": out.unit, "result": result}
+    value, unit, target_unit = cfg.value, cfg.from_unit, cfg.to_unit
+    result = units.as_float(
+        units.convert(value, unit, target_unit, cfg.constants), "converted value"
+    )
+    record = {"value": value, "from": unit, "to": target_unit, "result": result}
     return Result(
         0,
-        {"schema": "convert/v1", **record, "constants": constants.mode},
+        {"schema": "convert/v1", **record, "constants": cfg.constants},
         *_columns([record]),
-        f"{value:g} {q.unit} = {record['result']:.6g} {out.unit}",
+        f"{value:g} {unit} = {result:.6g} {target_unit}",
     )
 
 

@@ -18,9 +18,7 @@ from fractions import Fraction
 
 from .irrep import denominator_eigenvalue
 from .record import Record
-from .units import ConstantSet, Quantity, as_float, convert, quantity, require_finite, unit_factor
-
-EV_PER_GEV = Fraction(10 ** 9)
+from .units import EV_PER_GEV, PAPER_APPROX, as_float, convert, require_finite, unit_table
 
 # Reference maximal acceleration (m/s^2) and the length usually quoted for it.
 BORN_INFELD_ACCELERATION = 1e22
@@ -70,30 +68,20 @@ def corrected_spectrum(
     return tuple(levels)
 
 
-class BoundResult(Record):
-    __slots__ = (
-        "l_max_gevinv", "l_max_fm", "l_max_cm", "l_squared_gevinv2", "delta_e_ev", "e_ref_ev",
-        "kappa_gev2", "born_infeld_computed_cm", "born_infeld_quoted_cm", "constants_mode",
-    )
-
-
-def born_infeld_length(a_m_per_s2: float, constants: ConstantSet | None = None) -> Quantity:
+def born_infeld_length(a_m_per_s2: float, constants: str = PAPER_APPROX) -> Fraction:
     """Minimal length 1/A_m for a maximal acceleration, i.e. c^2/A_m, in cm."""
     if a_m_per_s2 <= 0:
         raise ValueError("acceleration must be positive")
-    constants = constants or ConstantSet.paper_approx()
-    a_gev = Fraction(a_m_per_s2) * unit_factor("m", constants) / unit_factor("sec", constants) ** 2
-    l_gevinv = Quantity(magnitude=1 / a_gev, exponent=-1, unit="GeV^-1")
-    return convert(l_gevinv, "cm", constants)
+    table = unit_table(constants)
+    a_gev = Fraction(a_m_per_s2) * table["m"][1] / table["sec"][1] ** 2
+    return convert(1 / a_gev, "GeV^-1", "cm", constants)
 
 
 def length_bound(
-    delta_e_ev: float,
-    e_ref_ev: float,
-    kappa_gev2: float = 1.0,
-    constants: ConstantSet | None = None,
-) -> BoundResult:
-    """Invert dE = |E_ref| * l^2 * kappa into an upper bound on l."""
+    delta_e_ev: float, e_ref_ev: float, kappa_gev2: float = 1.0, constants: str = PAPER_APPROX
+) -> dict:
+    """Invert dE = |E_ref| * l^2 * kappa into an upper bound on l: the
+    ``bound/v1`` record, without its schema tag."""
     require_finite(delta_e_ev, "observed splitting")
     require_finite(e_ref_ev, "reference energy")
     require_finite(kappa_gev2, "kappa")
@@ -103,21 +91,20 @@ def length_bound(
         raise ValueError("reference energy must be nonzero")
     if kappa_gev2 <= 0:
         raise ValueError("kappa must be positive")
-    constants = constants or ConstantSet.paper_approx()
     l_squared = Fraction(delta_e_ev) / (abs(Fraction(e_ref_ev)) * Fraction(kappa_gev2))
-    l_gevinv = quantity(math.sqrt(as_float(l_squared, "l^2 = delta_E/(|E_ref|*kappa)")), "GeV^-1")
-    return BoundResult(
-        l_max_gevinv=float(l_gevinv),
-        l_max_fm=float(convert(l_gevinv, "fm", constants)),
-        l_max_cm=float(convert(l_gevinv, "cm", constants)),
-        l_squared_gevinv2=l_squared,
-        delta_e_ev=delta_e_ev,
-        e_ref_ev=e_ref_ev,
-        kappa_gev2=kappa_gev2,
-        born_infeld_computed_cm=float(born_infeld_length(BORN_INFELD_ACCELERATION, constants)),
-        born_infeld_quoted_cm=BORN_INFELD_QUOTED_CM,
-        constants_mode=constants.mode,
-    )
+    l_gevinv = math.sqrt(as_float(l_squared, "l^2 = delta_E/(|E_ref|*kappa)"))
+    return {
+        "l_max_GeVinv": l_gevinv,
+        "l_max_fm": float(convert(l_gevinv, "GeV^-1", "fm", constants)),
+        "l_max_cm": float(convert(l_gevinv, "GeV^-1", "cm", constants)),
+        "l_squared_GeVinv2": float(l_squared),
+        "delta_e_eV": delta_e_ev,
+        "e_ref_eV": e_ref_ev,
+        "kappa_GeV2": kappa_gev2,
+        "born_infeld_computed_cm": float(born_infeld_length(BORN_INFELD_ACCELERATION, constants)),
+        "born_infeld_quoted_cm": BORN_INFELD_QUOTED_CM,
+        "constants": constants,
+    }
 
 
 def spectrum_rows(levels: tuple[EnergyLevel, ...]) -> list[dict]:
@@ -144,29 +131,15 @@ def spectrum_text(levels: tuple[EnergyLevel, ...]) -> str:
     return "\n".join(lines)
 
 
-def bound_dict(b: BoundResult) -> dict:
-    return {
-        "l_max_GeVinv": b.l_max_gevinv,
-        "l_max_fm": b.l_max_fm,
-        "l_max_cm": b.l_max_cm,
-        "l_squared_GeVinv2": float(b.l_squared_gevinv2),
-        "delta_e_eV": b.delta_e_ev,
-        "e_ref_eV": b.e_ref_ev,
-        "kappa_GeV2": b.kappa_gev2,
-        "born_infeld_computed_cm": b.born_infeld_computed_cm,
-        "born_infeld_quoted_cm": b.born_infeld_quoted_cm,
-        "constants": b.constants_mode,
-    }
-
-
-def bound_text(b: BoundResult) -> str:
+def bound_text(b: dict) -> str:
     return "\n".join(
         [
-            f"inputs: delta_E = {b.delta_e_ev:g} eV, E_ref = {b.e_ref_ev:g} eV, "
-            f"kappa = {b.kappa_gev2:g} GeV^2  [{b.constants_mode}]",
-            f"l^2   <= {float(b.l_squared_gevinv2):.6g} GeV^-2",
-            f"l_max <= {b.l_max_gevinv:.6g} GeV^-1 = {b.l_max_fm:.6g} fm = {b.l_max_cm:.6g} cm",
-            f"Born-Infeld comparison: computed {b.born_infeld_computed_cm:.6g} cm "
-            f"(quoted {b.born_infeld_quoted_cm:g} cm) for A_m = {BORN_INFELD_ACCELERATION:g} m/sec^2",
+            f"inputs: delta_E = {b['delta_e_eV']:g} eV, E_ref = {b['e_ref_eV']:g} eV, "
+            f"kappa = {b['kappa_GeV2']:g} GeV^2  [{b['constants']}]",
+            f"l^2   <= {b['l_squared_GeVinv2']:.6g} GeV^-2",
+            f"l_max <= {b['l_max_GeVinv']:.6g} GeV^-1 = {b['l_max_fm']:.6g} fm "
+            f"= {b['l_max_cm']:.6g} cm",
+            f"Born-Infeld comparison: computed {b['born_infeld_computed_cm']:.6g} cm "
+            f"(quoted {b['born_infeld_quoted_cm']:g} cm) for A_m = {BORN_INFELD_ACCELERATION:g} m/sec^2",
         ]
     )

@@ -16,102 +16,67 @@ import math
 from fractions import Fraction
 from typing import Union
 
-from .record import Record
-
 Number = Union[int, float, Fraction, str]
 
 PAPER_APPROX = "paper-approx"
 PRECISE = "precise"
+
+EV_PER_GEV = Fraction(10 ** 9)
 
 
 class DimensionError(ValueError):
     """Conversion between quantities of different dimension."""
 
 
-class ConstantSet(Record):
-    __slots__ = (
-        "mode",
-        "fm_to_gevinv",     # 1 fm  = this many GeV^-1
-        "sec_to_m",         # 1 sec = this many m
-        "kg_to_gev",        # 1 kg  = this many GeV
-        "ev_to_hz",         # 1 eV  = this many Hz
-    )
-
-    @classmethod
-    def paper_approx(cls) -> "ConstantSet":
-        return cls(
-            mode=PAPER_APPROX,
-            fm_to_gevinv=Fraction(5),
-            sec_to_m=Fraction(3) * 10 ** 8,
-            kg_to_gev=Fraction(6) * 10 ** 26,
-            ev_to_hz=Fraction("2.4e14"),
-        )
-
-    @classmethod
-    def precise(cls) -> "ConstantSet":
-        return cls(
-            mode=PRECISE,
-            fm_to_gevinv=Fraction("5.0677"),
-            sec_to_m=Fraction(299792458),
-            kg_to_gev=Fraction("5.6096e26"),
-            ev_to_hz=Fraction("2.417989242e14"),
-        )
-
-    @classmethod
-    def from_mode(cls, mode: str) -> "ConstantSet":
-        if mode == PAPER_APPROX:
-            return cls.paper_approx()
-        if mode == PRECISE:
-            return cls.precise()
-        raise ValueError(f"unknown constant-set mode {mode!r}")
+def _unit_table(
+    fm_to_gevinv: Fraction, sec_to_m: Fraction, kg_to_gev: Fraction, ev_to_hz: Fraction
+) -> dict:
+    """unit -> (energy exponent, 1 <unit> in GeV**exponent), from the four
+    factors of a constant set: 1 fm in GeV^-1, 1 sec in m, 1 kg in GeV and
+    1 eV in Hz."""
+    ev = 1 / EV_PER_GEV
+    m = fm_to_gevinv * 10 ** 15
+    return {
+        "GeV": (1, Fraction(1)),
+        "GeV^2": (2, Fraction(1)),
+        "GeV^-1": (-1, Fraction(1)),
+        "GeV^-2": (-2, Fraction(1)),
+        "eV": (1, ev),
+        "fm": (-1, fm_to_gevinv),
+        "cm": (-1, fm_to_gevinv * 10 ** 13),
+        "m": (-1, m),
+        "sec": (-1, m * sec_to_m),
+        "Hz": (1, ev / ev_to_hz),
+        "kg": (1, kg_to_gev),
+    }
 
 
-_EV = Fraction(1, 10 ** 9)  # 1 eV in GeV
-
-# unit -> (energy exponent, 1 <unit> in GeV**exponent under a constant set).
-_UNITS = {
-    "GeV": (1, lambda c: Fraction(1)),
-    "GeV^2": (2, lambda c: Fraction(1)),
-    "GeV^-1": (-1, lambda c: Fraction(1)),
-    "GeV^-2": (-2, lambda c: Fraction(1)),
-    "eV": (1, lambda c: _EV),
-    "fm": (-1, lambda c: c.fm_to_gevinv),
-    "cm": (-1, lambda c: c.fm_to_gevinv * 10 ** 13),
-    "m": (-1, lambda c: c.fm_to_gevinv * 10 ** 15),
-    "sec": (-1, lambda c: c.fm_to_gevinv * 10 ** 15 * c.sec_to_m),
-    "Hz": (1, lambda c: _EV / c.ev_to_hz),
-    "kg": (1, lambda c: c.kg_to_gev),
+# constant-set name -> unit -> (energy exponent, exact factor).
+CONSTANT_SETS = {
+    PAPER_APPROX: _unit_table(
+        Fraction(5), Fraction(3) * 10 ** 8, Fraction(6) * 10 ** 26, Fraction("2.4e14")
+    ),
+    PRECISE: _unit_table(
+        Fraction("5.0677"), Fraction(299792458), Fraction("5.6096e26"), Fraction("2.417989242e14")
+    ),
 }
 
-UNITS = tuple(_UNITS)
+UNITS = tuple(CONSTANT_SETS[PAPER_APPROX])
 
 
-def _unit(unit: str) -> tuple:
+def unit_table(constants: str) -> dict:
+    """The unit table of the named constant set."""
     try:
-        return _UNITS[unit]
+        return CONSTANT_SETS[constants]
+    except KeyError:
+        raise ValueError(f"unknown constant-set mode {constants!r}") from None
+
+
+def _unit(table: dict, unit: str) -> tuple:
+    try:
+        return table[unit]
     except KeyError:
         raise ValueError(f"unknown unit {unit!r}") from None
-
-
-def unit_exponent(unit: str) -> int:
-    return _unit(unit)[0]
-
-
-def unit_factor(unit: str, constants: ConstantSet) -> Fraction:
-    """1 <unit> = factor * GeV**exponent."""
-    return _unit(unit)[1](constants)
-
-
-class Quantity(Record):
-    """Magnitude plus energy-exponent dimension and a rendering unit tag."""
-
-    __slots__ = ("magnitude", "exponent", "unit")
-
-    def __float__(self) -> float:
-        return float(self.magnitude)
-
-    def __str__(self) -> str:
-        return f"{float(self.magnitude):.6g} {self.unit}"
 
 
 def require_finite(value: Number, name: str) -> None:
@@ -128,46 +93,14 @@ def as_float(x: Fraction, name: str) -> float:
         raise ValueError(f"{name} exceeds the float range") from None
 
 
-def quantity(value: Number, unit: str) -> Quantity:
+def convert(value: Number, unit: str, target_unit: str, constants: str) -> Fraction:
+    """``value`` in ``unit``, exactly, in ``target_unit``; dimension must match."""
+    table = unit_table(constants)
     require_finite(value, "value")
-    return Quantity(magnitude=Fraction(value), exponent=unit_exponent(unit), unit=unit)
-
-
-def convert(q: Quantity, target_unit: str, constants: ConstantSet) -> Quantity:
-    """Rescale to the target unit; dimension must match."""
-    target_exp = unit_exponent(target_unit)
-    if target_exp != q.exponent:
+    exponent, factor = _unit(table, unit)
+    target_exponent, target_factor = _unit(table, target_unit)
+    if target_exponent != exponent:
         raise DimensionError(
-            f"cannot convert {q.unit} (GeV^{q.exponent}) to {target_unit} (GeV^{target_exp})"
+            f"cannot convert {unit} (GeV^{exponent}) to {target_unit} (GeV^{target_exponent})"
         )
-    magnitude = q.magnitude * unit_factor(q.unit, constants) / unit_factor(target_unit, constants)
-    return Quantity(magnitude=magnitude, exponent=target_exp, unit=target_unit)
-
-
-# Energy exponents of the theory's symbols in natural units.
-_SYMBOL_DIMENSION = {
-    "X": -1,
-    "x": -1,
-    "l": -1,
-    "y": 0,
-    "P": 1,
-    "p": 1,
-    "px": 1,
-    "py": 2,
-    "Lx": 0,
-    "Ly": 2,
-    "Lxy": 1,
-    "Lyx": 1,
-    "LR": 0,
-    "LI": 1,
-    "mu": 1,
-    "e2": 0,
-}
-
-
-def dimension_of(symbol: str) -> int:
-    """Energy exponent of a tabulated symbol; exponents add under products."""
-    try:
-        return _SYMBOL_DIMENSION[symbol]
-    except KeyError:
-        raise ValueError(f"unknown symbol {symbol!r}") from None
+    return Fraction(value) * factor / target_factor

@@ -26,7 +26,7 @@ from pcqm.operators import (
     verify_induced_relations,
 )
 from pcqm.scalars import PC_ONE, SIGMA_MINUS, SIGMA_PLUS, pc_l, render_pc
-from pcqm.units import ConstantSet, UNITS, convert, quantity, unit_exponent
+from pcqm.units import PAPER_APPROX, PRECISE, UNITS, convert, unit_table
 
 SEED = 20260810
 DATA = Path(__file__).parent / "data"
@@ -95,10 +95,10 @@ def test_criterion_3_casimir_sweep():
 
 def test_criterion_4_bound_reproduction():
     with criterion(4, "length bound from the observed splitting"):
-        bound = length_bound(4e-9, 13.0, 1.0, ConstantSet.paper_approx())
-        assert float(bound.l_squared_gevinv2) == pytest.approx(3e-10, rel=0.05)
-        assert bound.l_max_gevinv == pytest.approx(1.7e-5, rel=0.05)
-        assert bound.l_max_cm == pytest.approx(3.5e-19, rel=0.05)
+        bound = length_bound(4e-9, 13.0, 1.0, PAPER_APPROX)
+        assert bound["l_squared_GeVinv2"] == pytest.approx(3e-10, rel=0.05)
+        assert bound["l_max_GeVinv"] == pytest.approx(1.7e-5, rel=0.05)
+        assert bound["l_max_cm"] == pytest.approx(3.5e-19, rel=0.05)
 
 
 def test_criterion_5_spectrum_sanity():
@@ -114,16 +114,16 @@ def test_criterion_5_spectrum_sanity():
 
 def test_criterion_6_units():
     with criterion(6, "unit conversions verbatim and round-tripping"):
-        approx = ConstantSet.paper_approx()
-        assert convert(quantity(1, "fm"), "GeV^-1", approx).magnitude == 5
-        assert convert(quantity(1, "sec"), "m", approx).magnitude == 3 * 10 ** 8
-        assert convert(quantity(1, "kg"), "GeV", approx).magnitude == 6 * 10 ** 26
-        for constants in (approx, ConstantSet.precise()):
-            for a, b in itertools.product(UNITS, UNITS):
-                if unit_exponent(a) != unit_exponent(b):
-                    continue
-                q = quantity(Fraction("3.5e-19"), a)
-                assert convert(convert(q, b, constants), a, constants).magnitude == q.magnitude
+        assert convert(1, "fm", "GeV^-1", PAPER_APPROX) == 5
+        assert convert(1, "sec", "m", PAPER_APPROX) == 3 * 10 ** 8
+        assert convert(1, "kg", "GeV", PAPER_APPROX) == 6 * 10 ** 26
+        for constants in (PAPER_APPROX, PRECISE):
+            table = unit_table(constants)
+            pairs = [(a, b) for a, b in itertools.product(UNITS, UNITS) if table[a][0] == table[b][0]]
+            assert len(pairs) == 43
+            value = Fraction("3.5e-19")
+            for a, b in pairs:
+                assert convert(convert(value, a, b, constants), b, a, constants) == value
 
 
 def _random_ast(rng: random.Random, depth: int):
@@ -188,8 +188,8 @@ def test_criterion_7_property_suites():
 
 def test_criterion_8_excluded_figures_are_reported_not_asserted():
     with criterion(8, "Born-Infeld figure reported alongside computed value"):
-        computed = born_infeld_length(1e22, ConstantSet.paper_approx())
+        computed = born_infeld_length(1e22, PAPER_APPROX)
         assert float(computed) == pytest.approx(9e-4, rel=1e-12)
         bound = length_bound(4e-9, 13.0, 1.0)
-        assert bound.born_infeld_computed_cm == pytest.approx(9e-4, rel=1e-12)
-        assert bound.born_infeld_quoted_cm == 1e-7
+        assert bound["born_infeld_computed_cm"] == pytest.approx(9e-4, rel=1e-12)
+        assert bound["born_infeld_quoted_cm"] == 1e-7

@@ -201,6 +201,17 @@ def test_bound_accepts_hz_input():
     assert payload["delta_e_eV"] == pytest.approx(4.14e-12, rel=0.01)
 
 
+def test_bound_with_the_precise_constants():
+    code, output = run_argv(
+        ["--format", "json", "bound", "--constants", "precise", "--delta-e", "1000Hz"]
+    )
+    assert code == 0
+    payload = json.loads(output)
+    assert payload["constants"] == "precise"
+    assert payload["delta_e_eV"] == pytest.approx(1000 / 2.417989242e14, rel=1e-12)
+    assert payload["l_max_fm"] == pytest.approx(payload["l_max_GeVinv"] / 5.0677, rel=1e-12)
+
+
 def test_irrep_sweep():
     code, output = run_argv(["irrep", "--k-max", "2"])
     assert code == 0
@@ -235,6 +246,38 @@ def test_constants_env_default(monkeypatch):
     monkeypatch.setenv("PCQM_CONSTANTS", "precise")
     cfg = config_from_args(["convert", "--value", "1", "--from", "fm", "--to", "GeV^-1"])
     assert cfg.constants == "precise"
+
+
+@pytest.mark.parametrize(
+    "env, argv, message",
+    [
+        # The constant set is checked before any other argument.
+        ({"PCQM_CONSTANTS": "bogus"}, ["bound"], "unknown constant-set mode 'bogus'"),
+        ({"PCQM_CONSTANTS": "bogus"}, ["bound", "--kappa", "-1"], "unknown constant-set mode 'bogus'"),
+        ({"PCQM_CONSTANTS": "bogus"}, ["convert", "--value", "1", "--from", "fm", "--to", "cm"],
+         "unknown constant-set mode 'bogus'"),
+        ({"PCQM_CONSTANTS": "bogus"}, ["convert", "--value", "nan", "--from", "fm", "--to", "cm"],
+         "unknown constant-set mode 'bogus'"),
+        ({}, ["bound", "--delta-e", "4e-9parsec"], "unknown unit 'parsec'"),
+        ({}, ["bound", "--delta-e", "4fm"], "cannot convert fm (GeV^-1) to eV (GeV^1)"),
+    ],
+)
+def test_constant_set_and_unit_refusals_exit_2(env, argv, message, monkeypatch, capsys):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == f"error: {message}\n"
+    assert err == ""
+
+
+def test_verify_ignores_the_constant_set(monkeypatch, verify_main):
+    # Only bound and convert read the constant set.
+    monkeypatch.setenv("PCQM_CONSTANTS", "bogus")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["verify"]) == 0
+    assert out.getvalue() == verify_main("text")[1]
 
 
 def test_degree_window_and_word_cap_flags():
@@ -338,6 +381,8 @@ def test_coefficient_growth_is_refused_before_the_work():
         (["convert", "--value", "1e308", "--from", "kg", "--to", "GeV"], "converted value exceeds the float range"),
         # Of two bad arguments, the finiteness of l is checked first.
         (["spectrum", "--l", "nan", "--n-max", "0"], "minimal length l must be finite, got nan"),
+        (["bound", "--delta-e", "1e300kg"], "observed splitting exceeds the float range"),
+        (["bound", "--e-ref", "1e300kg"], "reference energy exceeds the float range"),
     ],
 )
 def test_non_finite_or_overflowing_numbers_exit_2(argv, message, capsys):

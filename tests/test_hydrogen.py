@@ -7,7 +7,6 @@ from pcqm.hydrogen import (
     BORN_INFELD_QUOTED_CM,
     MAX_N_MAX,
     born_infeld_length,
-    bound_dict,
     bound_text,
     corrected_spectrum,
     length_bound,
@@ -15,7 +14,7 @@ from pcqm.hydrogen import (
     spectrum_text,
 )
 from pcqm.irrep import denominator_eigenvalue
-from pcqm.units import ConstantSet
+from pcqm.units import PRECISE
 
 
 def bohr_ground_state_ev() -> float:
@@ -69,27 +68,27 @@ def test_literal_charge_squared_numerator_gives_kev_scale():
 
 def test_length_bound_reproduces_reference_numbers():
     bound = length_bound(4e-9, 13, 1.0)
-    assert float(bound.l_squared_gevinv2) == pytest.approx(3e-10, rel=0.05)
-    assert bound.l_max_gevinv == pytest.approx(1.7e-5, rel=0.05)
-    assert bound.l_max_cm == pytest.approx(3.5e-19, rel=0.05)
-    assert bound.l_max_fm == pytest.approx(3.5e-6, rel=0.05)
+    assert bound["l_squared_GeVinv2"] == pytest.approx(3e-10, rel=0.05)
+    assert bound["l_max_GeVinv"] == pytest.approx(1.7e-5, rel=0.05)
+    assert bound["l_max_cm"] == pytest.approx(3.5e-19, rel=0.05)
+    assert bound["l_max_fm"] == pytest.approx(3.5e-6, rel=0.05)
 
 
 def test_length_bound_quarter_kappa_scaling():
     base = length_bound(4e-9, 13, 1.0)
     quartered = length_bound(4e-9, 13, 4.0)
-    assert quartered.l_max_gevinv == pytest.approx(base.l_max_gevinv / 2, rel=1e-12)
+    assert quartered["l_max_GeVinv"] == pytest.approx(base["l_max_GeVinv"] / 2, rel=1e-12)
 
 
 def test_bound_consistency_loop():
     delta_e, e_ref = 4e-9, 13.0
     bound = length_bound(delta_e, e_ref, 1.0)
-    (level,) = corrected_spectrum(1, l_gevinv=bound.l_max_gevinv)
+    (level,) = corrected_spectrum(1, l_gevinv=bound["l_max_GeVinv"])
     e0 = abs(float(level.e0_ev))
     assert float(-level.shift_ev) == pytest.approx(delta_e * e0 / e_ref, rel=1e-12)
     # equality (up to sqrt rounding) when the reference is the ground state itself
     bound2 = length_bound(delta_e, e0, 1.0)
-    (level2,) = corrected_spectrum(1, l_gevinv=bound2.l_max_gevinv)
+    (level2,) = corrected_spectrum(1, l_gevinv=bound2["l_max_GeVinv"])
     assert float(-level2.shift_ev) == pytest.approx(delta_e, rel=1e-12)
 
 
@@ -100,8 +99,7 @@ def test_zero_length_recovers_plain_hydrogen():
 def test_born_infeld_conversion():
     # oracle: c^2 / A_m = (2.998e8 m/s)^2 / 1e22 m/s^2, rendered in cm
     expected_cm = (2.998e8) ** 2 / 1e22 * 100
-    computed = born_infeld_length(1e22, ConstantSet.precise())
-    assert computed.unit == "cm"
+    computed = born_infeld_length(1e22, PRECISE)
     assert float(computed) == pytest.approx(expected_cm, rel=1e-3)
     assert float(born_infeld_length(1e22)) == pytest.approx(9e-4, rel=1e-12)
     assert float(born_infeld_length(2e22)) == pytest.approx(4.5e-4, rel=1e-12)
@@ -109,10 +107,8 @@ def test_born_infeld_conversion():
 
 def test_born_infeld_comparison_is_echoed():
     bound = length_bound(4e-9, 13, 1.0)
-    assert bound.born_infeld_quoted_cm == BORN_INFELD_QUOTED_CM == 1e-7
-    assert bound.born_infeld_computed_cm == pytest.approx(9e-4, rel=1e-12)
-    payload = bound_dict(bound)
-    assert payload["born_infeld_quoted_cm"] == 1e-7
+    assert bound["born_infeld_quoted_cm"] == BORN_INFELD_QUOTED_CM == 1e-7
+    assert bound["born_infeld_computed_cm"] == pytest.approx(9e-4, rel=1e-12)
     assert "Born-Infeld" in bound_text(bound)
 
 
@@ -121,7 +117,7 @@ def test_serialization_field_names():
     rows = spectrum_rows(levels)
     assert list(rows[0]) == ["n", "k", "degeneracy", "E0_eV", "shift_eV"]
     assert rows[1]["k"] == "1/2"
-    payload = bound_dict(length_bound(4e-9, 13, 1.0))
+    payload = length_bound(4e-9, 13, 1.0)
     for key in ("l_max_GeVinv", "l_max_fm", "l_max_cm"):
         assert key in payload
     table = spectrum_text(levels)
