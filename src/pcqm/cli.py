@@ -8,16 +8,12 @@ eval (parse and normal-order an operator expression).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import os
 import re
 import sys
 from fractions import Fraction
 
-from . import hydrogen, irrep, so4, units
-from .expr import evaluate_text
+from . import hydrogen, irrep, units
 from .limits import limits
 from .record import Record
 
@@ -74,50 +70,60 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
     parser._negative_number_matcher = re.compile(r"-\.?\d")
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = {
+    "verify": "run the full symbolic identity battery",
+    "irrep": "Casimir and denominator sweep over (k,k) irreps",
+    "spectrum": "hydrogen level table with the l^2 correction",
+    "bound": "upper bound on the minimal length",
+    "convert": "natural-units conversion",
+    "eval": "evaluate an operator expression to normal form",
+}
+
+
+def _add_options(p: argparse.ArgumentParser, command: str) -> None:
+    _add_common(p, suppress=True)
+    if command == "irrep":
+        p.add_argument("--k-max", default="5", help="largest spin, a half-integer in 0..10")
+    elif command == "spectrum":
+        p.add_argument("--l", type=float, default=0.0, help="minimal length in GeV^-1")
+        p.add_argument("--kappa", type=float, default=1.0, help="correction strength in GeV^2")
+        p.add_argument("--n-max", type=int, default=5)
+        p.add_argument("--literal-e2", action="store_true", help="literal charge-squared numerator")
+    elif command == "bound":
+        p.add_argument("--delta-e", default="4e-9eV", help="observed splitting (eV or Hz)")
+        p.add_argument("--e-ref", default="13eV", help="reference level energy (eV or Hz)")
+        p.add_argument("--kappa", type=float, default=1.0)
+    elif command == "convert":
+        p.add_argument("--value", type=float, required=True)
+        p.add_argument("--from", dest="from_unit", required=True, choices=units.UNITS)
+        p.add_argument("--to", dest="to_unit", required=True, choices=units.UNITS)
+    elif command == "eval":
+        p.add_argument("expression")
+        # Read "-X+_1" as the expression; "-f" and "-h" still name options.
+        p._negative_number_matcher = re.compile(r"-[^-]")
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser of ``argv`` (``sys.argv[1:]`` for None).  Every subcommand is
+    listed with its help, but only those named in ``argv`` get their options:
+    the one chosen is among them, and a cold process skips building the rest."""
+    named = set(sys.argv[1:] if argv is None else argv)
     parser = argparse.ArgumentParser(
         prog="pcqm",
         description="Pseudo-complex quantum mechanics toolkit",
     )
     _add_common(parser, suppress=False)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def subparser(name: str, help: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help)
-        _add_common(p, suppress=True)
-        return p
-
-    subparser("verify", "run the full symbolic identity battery")
-
-    p = subparser("irrep", "Casimir and denominator sweep over (k,k) irreps")
-    p.add_argument("--k-max", default="5", help="largest spin, a half-integer in 0..10")
-
-    p = subparser("spectrum", "hydrogen level table with the l^2 correction")
-    p.add_argument("--l", type=float, default=0.0, help="minimal length in GeV^-1")
-    p.add_argument("--kappa", type=float, default=1.0, help="correction strength in GeV^2")
-    p.add_argument("--n-max", type=int, default=5)
-    p.add_argument("--literal-e2", action="store_true", help="literal charge-squared numerator")
-
-    p = subparser("bound", "upper bound on the minimal length")
-    p.add_argument("--delta-e", default="4e-9eV", help="observed splitting (eV or Hz)")
-    p.add_argument("--e-ref", default="13eV", help="reference level energy (eV or Hz)")
-    p.add_argument("--kappa", type=float, default=1.0)
-
-    p = subparser("convert", "natural-units conversion")
-    p.add_argument("--value", type=float, required=True)
-    p.add_argument("--from", dest="from_unit", required=True, choices=units.UNITS)
-    p.add_argument("--to", dest="to_unit", required=True, choices=units.UNITS)
-
-    p = subparser("eval", "evaluate an operator expression to normal form")
-    p.add_argument("expression")
-    # Read "-X+_1" as the expression; "-f" and "-h" still name options.
-    p._negative_number_matcher = re.compile(r"-[^-]")
+    for command, help in COMMANDS.items():
+        p = sub.add_parser(command, help=help)
+        if command in named:
+            _add_options(p, command)
     return parser
 
 
 def config_from_args(argv: list[str] | None = None) -> argparse.Namespace:
     """One parsed command line: the common options and the subcommand's own."""
-    return build_parser().parse_args(argv)
+    return build_parser(argv).parse_args(argv)
 
 
 class Result(Record):
@@ -136,8 +142,13 @@ def _columns(records: list[dict]) -> tuple[list[str], list[list]]:
 def render(result: Result, fmt: str) -> str:
     """The result as text, JSON or CSV."""
     if fmt == "json":
+        import json
+
         return json.dumps(result.payload, indent=2)
     if fmt == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(result.header)
@@ -147,6 +158,8 @@ def render(result: Result, fmt: str) -> str:
 
 
 def _run_verify(cfg: argparse.Namespace) -> Result:
+    from . import so4
+
     reports = so4.verify()
     all_passed = all(r.all_passed for r in reports)
     lines = [r.to_text() for r in reports]
@@ -278,6 +291,8 @@ def _run_convert(cfg: argparse.Namespace) -> Result:
 
 
 def _run_eval(cfg: argparse.Namespace) -> Result:
+    from .expr import evaluate_text
+
     expression = cfg.expression
     record = {"expression": expression, "normal_form": evaluate_text(expression).render()}
     return Result(
@@ -312,6 +327,8 @@ def run(cfg: argparse.Namespace) -> tuple[int, str]:
     except Exception as err:
         code, error, prefix = 1, f"internal error: {type(err).__name__}: {err}", ""
     if cfg.format == "json":
+        import json
+
         return code, json.dumps({"schema": "error/v1", "error": error})
     return code, prefix + error
 

@@ -61,8 +61,10 @@ def corrected_spectrum(
         k = Fraction(n - 1, 2)
         e0_ev = -numerator / denominator_eigenvalue(k)  # 2(2k+1)^2 == 2n^2
         shift_ev = e0_ev * ratio
-        # The level table prints floats, so a shift beyond their range is refused here.
-        as_float(shift_ev, f"shift of level n={n} for {inputs}")
+        # The level table prints floats, so a shift beyond their range is
+        # refused here; one too small for them prints as 0.
+        if abs(shift_ev) >= 1:
+            as_float(shift_ev, f"shift of level n={n} for {inputs}")
         # Positional: a table of up to MAX_N_MAX levels skips the keyword matching.
         levels.append(EnergyLevel(n, k, e0_ev, shift_ev, n * n))
     return tuple(levels)

@@ -52,7 +52,8 @@ class Limits(Record):
 
 
 # A new thread starts from the defaults; an asyncio task copies its creator's.
-_current = ContextVar("pcqm_limits", default=Limits())
+_DEFAULT = Limits()
+_current = ContextVar("pcqm_limits", default=_DEFAULT)
 
 
 def current_limits() -> Limits:
@@ -64,6 +65,19 @@ def limits(**changes):
     """Replace fields of the current limits inside a ``with`` block."""
     now = _current.get()
     token = _current.set(Limits(**{"window": now.window, "word_cap": now.word_cap, **changes}))
+    try:
+        yield
+    finally:
+        _current.reset(token)
+
+
+@contextlib.contextmanager
+def default_limits():
+    """The default limits inside a ``with`` block, whatever the caller set.
+
+    A module builds its constants in one, so a module first imported under a
+    narrow window holds the same values as one imported before it."""
+    token = _current.set(_DEFAULT)
     try:
         yield
     finally:

@@ -23,7 +23,7 @@ from functools import lru_cache, wraps
 from math import comb, factorial
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .limits import current_limits
+from .limits import current_limits, default_limits
 from .reports import Check, IdentityReport
 from .scalars import (
     PC_ONE,
@@ -180,8 +180,13 @@ def _words(p: "NcPolynomial") -> Iterable[Word]:
     return p._plus.keys() if p._minus is p._plus else p._plus.keys() | p._minus.keys()
 
 
-_ZERO = BaseScalar.zero()
-_UNIT = BaseScalar.gaussian(1, 0)
+with default_limits():
+    _ZERO = BaseScalar.zero()
+    _UNIT = BaseScalar.gaussian(1, 0)
+    # (-i)^k for k = 0..3.
+    _MINUS_I_POWERS = tuple(
+        BaseScalar.gaussian(re, im) for re, im in ((1, 0), (0, -1), (-1, 0), (0, 1))
+    )
 
 
 class NcPolynomial:
@@ -416,10 +421,6 @@ def _run_product(word: Word) -> Terms:
     return terms
 
 
-# (-i)^k for k = 0..3.
-_MINUS_I_POWERS = tuple(BaseScalar.gaussian(re, im) for re, im in ((1, 0), (0, -1), (-1, 0), (0, 1)))
-
-
 def _add_scaled(
     out: Terms, terms: Iterable[tuple[Word, int]], c: BaseScalar, length: int,
     window: tuple[int, int], scaled: dict, key: object,
@@ -607,8 +608,14 @@ def commutator(p: NcPolynomial, q: NcPolynomial) -> NcPolynomial:
     return multiply(p, q, contracted=True) - multiply(q, p, contracted=True)
 
 
-# Shared by every caller: no word cap or degree window refuses one generator.
-_GENERATOR_POLYS = tuple(NcPolynomial({(g,): PC_ONE}) for g in map(Generator, range(16)))
+with default_limits():
+    # Shared by every caller: no word cap or degree window refuses one generator.
+    _GENERATOR_POLYS = tuple(NcPolynomial({(g,): PC_ONE}) for g in map(Generator, range(16)))
+    _HALF = pc_rational(Fraction(1, 2))
+    _HALF_OVER_L = pc_l(-1, Fraction(1, 2))
+    # i*delta_ij for delta_ij = 0 and 1.
+    _DELTAS = (NcPolynomial.scalar(pc_imag(0)), NcPolynomial.scalar(pc_imag(1)))
+    _L2 = pc_l(2)
 
 
 def generator_poly(kind: str, branch: str, index: int) -> NcPolynomial:
@@ -622,10 +629,6 @@ def pc_coordinate(index: int) -> NcPolynomial:
 
 def pc_momentum(index: int) -> NcPolynomial:
     return _leaf(None, gen("P", "+", index), current_limits().window)
-
-
-_HALF = pc_rational(Fraction(1, 2))
-_HALF_OVER_L = pc_l(-1, Fraction(1, 2))
 
 
 def expand_alias(name: str, index: int) -> NcPolynomial:
@@ -655,10 +658,6 @@ def _leaf(name: str | None, g: Generator, window: tuple[int, int]) -> NcPolynomi
     return (plus - minus).scale(_HALF_OVER_L)
 
 
-# i*delta_ij for delta_ij = 0 and 1, built once under the default window.
-_DELTAS = (NcPolynomial.scalar(pc_imag(0)), NcPolynomial.scalar(pc_imag(1)))
-
-
 @suite("canonical-quantization")
 def verify_canonical_relations():
     """Check the canonical branch quantization for every branch/index pair.
@@ -672,9 +671,6 @@ def verify_canonical_relations():
             delta = _DELTAS[b == other and i == j]
             residual = commutator(generator_poly("X", b, i), generator_poly("P", other, j)) - delta
             yield family, f"[X{b}_{i}, P{other}_{j}]", residual
-
-
-_L2 = pc_l(2)
 
 
 @suite("induced-relations")

@@ -24,7 +24,7 @@ from functools import reduce
 from math import gcd, lcm
 from typing import Iterable, Mapping, Union
 
-from .limits import current_limits
+from .limits import current_limits, default_limits
 from .record import Record
 
 Rational = Union[int, Fraction]
@@ -302,12 +302,13 @@ def pc_pseudo(q: Rational = 1) -> PcScalar:
     return _pc(BaseScalar.rational(q), BaseScalar.rational(-Fraction(q)))
 
 
-PC_ZERO = pc_rational(0)
-PC_ONE = pc_rational(1)
-PC_I = pc_imag()
-PSEUDO_UNIT = pc_pseudo()
-SIGMA_PLUS = _pc(BaseScalar.rational(1), BaseScalar.zero())
-SIGMA_MINUS = _pc(BaseScalar.zero(), BaseScalar.rational(1))
+with default_limits():
+    PC_ZERO = pc_rational(0)
+    PC_ONE = pc_rational(1)
+    PC_I = pc_imag()
+    PSEUDO_UNIT = pc_pseudo()
+    SIGMA_PLUS = _pc(BaseScalar.rational(1), BaseScalar.zero())
+    SIGMA_MINUS = _pc(BaseScalar.zero(), BaseScalar.rational(1))
 
 
 def _atoms(plus: BaseScalar, minus: BaseScalar) -> list[tuple[int, int, bool, int, bool]]:

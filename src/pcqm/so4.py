@@ -20,6 +20,7 @@ from functools import partial
 from typing import Callable, Mapping, Sequence
 
 from . import operators
+from .limits import default_limits
 from .operators import (
     INDICES,
     BRANCHES,
@@ -56,8 +57,9 @@ COMPONENT_FACTORS = {"x": ("x", "px"), "y": ("y", "py"), "xy": ("x", "py"), "yx"
 # pseudo-imaginary parts, and the alias components.
 COMPONENTS = (None, *BRANCHES, "R", "I", *COMPONENT_FACTORS)
 
-_HALF = pc_rational(Fraction(1, 2))
-_L2 = pc_l(2)
+with default_limits():
+    _HALF = pc_rational(Fraction(1, 2))
+    _L2 = pc_l(2)
 
 
 def _check_pair(i: int, j: int) -> None:

@@ -86,11 +86,15 @@ def require_finite(value: Number, name: str) -> None:
 
 
 def as_float(x: Fraction, name: str) -> float:
-    """``x`` as a float, unless it lies beyond the float range."""
+    """``x`` as a float, unless it lies beyond the float range or is nonzero
+    and rounds to 0."""
     try:
-        return float(x)
+        value = float(x)
     except OverflowError:
         raise ValueError(f"{name} exceeds the float range") from None
+    if value == 0 and x:
+        raise ValueError(f"{name} is too small for the float range")
+    return value
 
 
 def convert(value: Number, unit: str, target_unit: str, constants: str) -> Fraction:

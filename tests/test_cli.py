@@ -393,6 +393,31 @@ def test_non_finite_or_overflowing_numbers_exit_2(argv, message, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bound", "--delta-e", "1e-320Hz"], "observed splitting is too small for the float range"),
+        (["bound", "--e-ref", "1e-320Hz"], "reference energy is too small for the float range"),
+        (["convert", "--value", "1e-300", "--from", "GeV", "--to", "kg"],
+         "converted value is too small for the float range"),
+        (["bound", "--delta-e", "1e-300", "--kappa", "1e100"],
+         "l^2 = delta_E/(|E_ref|*kappa) is too small for the float range"),
+    ],
+)
+def test_nonzero_values_that_round_to_zero_exit_2(argv, message, capsys):
+    # A nonzero value that underflows is refused by its name, not read as 0.
+    for fmt, expected in (("text", f"error: {message}"),
+                          ("json", json.dumps({"schema": "error/v1", "error": message}))):
+        assert main(["--format", fmt, *argv]) == 2
+        assert capsys.readouterr() == (expected + "\n", "")
+
+
+def test_a_level_shift_too_small_for_a_float_prints_as_zero():
+    code, output = run_argv(["--format", "json", "spectrum", "--l", "1e-200", "--n-max", "2"])
+    assert code == 0
+    assert [level["shift_eV"] for level in json.loads(output)["levels"]] == [0.0, 0.0]
+
+
+@pytest.mark.parametrize(
     "before, option, value, after, code, message",
     [
         (["bound"], "--e-ref", "-13eV", [], 0, None),

@@ -9,6 +9,7 @@ from pcqm.units import (
     PAPER_APPROX,
     PRECISE,
     UNITS,
+    as_float,
     convert,
     unit_table,
 )
@@ -89,3 +90,13 @@ def test_mode_lookup():
 def test_refusals_come_in_order(args, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         convert(*args)
+
+
+def test_as_float_refuses_what_the_float_range_cannot_hold():
+    assert as_float(Fraction(0), "x") == 0.0
+    assert as_float(Fraction(1, 10 ** 300), "x") == 1e-300
+    for tiny in (Fraction(1, 10 ** 400), Fraction(-1, 10 ** 400)):
+        with pytest.raises(ValueError, match="^x is too small for the float range$"):
+            as_float(tiny, "x")
+    with pytest.raises(ValueError, match="^x exceeds the float range$"):
+        as_float(Fraction(10 ** 400), "x")
