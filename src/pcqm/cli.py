@@ -26,15 +26,27 @@ _VALUE_UNIT_RE = re.compile(
 )
 
 
-def parse_value_with_unit(text: str, default_unit: str) -> tuple[float, str]:
+def _number(text: str, name: str) -> float:
+    """A number literal as a float, named ``name`` when it is refused: text that
+    is no number, or a nonzero literal below the float range, which reads as 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"{name} must be a number, got {text!r}") from None
+    if value == 0 and float(text.lower().partition("e")[0]):  # a nonzero mantissa
+        raise ValueError(f"{name} is too small for the float range")
+    return value
+
+
+def parse_value_with_unit(text: str, default_unit: str, name: str = "value") -> tuple[float, str]:
     m = _VALUE_UNIT_RE.match(text)
     if m is None:
         raise ValueError(f"cannot parse value {text!r} (expected e.g. '4e-9eV')")
-    return float(m.group(1)), m.group(2) or default_unit
+    return _number(m.group(1), name), m.group(2) or default_unit
 
 
 def _energy_in_ev(text: str, constants: str, name: str) -> float:
-    value, unit = parse_value_with_unit(text, "eV")
+    value, unit = parse_value_with_unit(text, "eV", name)
     units.require_finite(value, name)
     if unit == "eV":
         return value
@@ -85,16 +97,16 @@ def _add_options(p: argparse.ArgumentParser, command: str) -> None:
     if command == "irrep":
         p.add_argument("--k-max", default="5", help="largest spin, a half-integer in 0..10")
     elif command == "spectrum":
-        p.add_argument("--l", type=float, default=0.0, help="minimal length in GeV^-1")
-        p.add_argument("--kappa", type=float, default=1.0, help="correction strength in GeV^2")
+        p.add_argument("--l", default="0", help="minimal length in GeV^-1")
+        p.add_argument("--kappa", default="1", help="correction strength in GeV^2")
         p.add_argument("--n-max", type=int, default=5)
         p.add_argument("--literal-e2", action="store_true", help="literal charge-squared numerator")
     elif command == "bound":
         p.add_argument("--delta-e", default="4e-9eV", help="observed splitting (eV or Hz)")
         p.add_argument("--e-ref", default="13eV", help="reference level energy (eV or Hz)")
-        p.add_argument("--kappa", type=float, default=1.0)
+        p.add_argument("--kappa", default="1")
     elif command == "convert":
-        p.add_argument("--value", type=float, required=True)
+        p.add_argument("--value", required=True)
         p.add_argument("--from", dest="from_unit", required=True, choices=units.UNITS)
         p.add_argument("--to", dest="to_unit", required=True, choices=units.UNITS)
     elif command == "eval":
@@ -133,10 +145,42 @@ class Result(Record):
     __slots__ = ("code", "payload", "header", "rows", "text")
 
 
-def _columns(records: list[dict]) -> tuple[list[str], list[list]]:
-    """CSV header and rows of a list of same-keyed records."""
-    header = list(records[0])
-    return header, [[r[h] for h in header] for r in records]
+def _columns(record: dict) -> tuple[list[str], list[list]]:
+    """CSV header and row of a one-record result."""
+    return list(record), [list(record.values())]
+
+
+# A table's columns: row key -> (text title, width, format), or None for a
+# column the text leaves out.  JSON rows and CSV columns carry every key.
+_IRREP_COLUMNS = {
+    "k": ("k", 4, ""),
+    "dim": ("dim", 5, ""),
+    "casimir": ("casimir", 10, ".6g"),
+    "expected": ("2k(k+1)", 9, ".6g"),
+    "deviation": ("deviation", 10, ".2e"),
+    "denominator": ("4(C+1/2)", 9, ""),
+    "denominator_closed_form": None,
+}
+_SPECTRUM_COLUMNS = {
+    "n": ("n", 3, ""),
+    "k": ("k", 5, ""),
+    "degeneracy": ("degeneracy", 11, ""),
+    "E0_eV": ("E0_eV", 14, ".6g"),
+    "shift_eV": ("shift_eV", 14, ".6g"),
+}
+
+
+def _table(columns: dict, rows: list[dict], *tail: str) -> tuple[list[str], list[list], str]:
+    """A table's CSV header and rows, and its fixed-width text: the titles, one
+    line per row, then the ``tail`` lines."""
+    shown = {key: column for key, column in columns.items() if column is not None}
+    lines = [" ".join(f"{title:>{width}}" for title, width, _ in shown.values())]
+    lines += [
+        " ".join(f"{row[key]:>{width}{fmt}}" for key, (_, width, fmt) in shown.items())
+        for row in rows
+    ]
+    header = list(columns)
+    return header, [[row[key] for key in header] for row in rows], "\n".join([*lines, *tail])
 
 
 def render(result: Result, fmt: str) -> str:
@@ -181,11 +225,6 @@ def _run_verify(cfg: argparse.Namespace) -> Result:
         [row for r in reports for row in r.to_csv_rows()],
         "\n".join(lines),
     )
-
-
-_IRREP_COLUMNS = [
-    "k", "dim", "casimir", "expected", "deviation", "denominator", "denominator_closed_form",
-]
 
 
 # Decimal or fraction text of at most 20 digits a side: an exponent such as
@@ -233,33 +272,39 @@ def _run_irrep(cfg: argparse.Namespace) -> Result:
         r["deviation"] == 0 and r["denominator"] == r["denominator_closed_form"]
         for r in rows
     )
-    lines = [
-        f"{'k':>4} {'dim':>5} {'casimir':>10} {'2k(k+1)':>9} {'deviation':>10} {'4(C+1/2)':>9}"
-    ]
-    for r in rows:
-        lines.append(
-            f"{r['k']:>4} {r['dim']:>5} {r['casimir']:>10.6g} {r['expected']:>9.6g} "
-            f"{r['deviation']:>10.2e} {r['denominator']:>9}"
-        )
+    tail = [f"IRREP SWEEP: {'PASS' if ok else 'FAIL'}"]
     payload = {"schema": "irrep-sweep/v1", "all_passed": ok, "rows": rows}
     if error is not None:
-        lines.append(f"FAIL {error}")
+        tail.insert(0, f"FAIL {error}")
         payload["error"] = error
-    lines.append(f"IRREP SWEEP: {'PASS' if ok else 'FAIL'}")
-    return Result(
-        0 if ok else 1,
-        payload,
-        _IRREP_COLUMNS,
-        [list(r.values()) for r in rows],
-        "\n".join(lines),
+    return Result(0 if ok else 1, payload, *_table(_IRREP_COLUMNS, rows, *tail))
+
+
+def spectrum_rows(levels: tuple[hydrogen.EnergyLevel, ...]) -> list[dict]:
+    """The ``spectrum/v1`` rows of a level table."""
+    fields = (
+        (lv.n, str(lv.k), lv.degeneracy, float(lv.e0_ev), float(lv.shift_ev)) for lv in levels
     )
+    return [dict(zip(_SPECTRUM_COLUMNS, values)) for values in fields]
 
 
 def _run_spectrum(cfg: argparse.Namespace) -> Result:
-    levels = hydrogen.corrected_spectrum(cfg.n_max, cfg.l, cfg.kappa, cfg.literal_e2)
-    rows = hydrogen.spectrum_rows(levels)
-    return Result(
-        0, {"schema": "spectrum/v1", "levels": rows}, *_columns(rows), hydrogen.spectrum_text(levels)
+    l, kappa = _number(cfg.l, "minimal length l"), _number(cfg.kappa, "correction strength kappa")
+    rows = spectrum_rows(hydrogen.corrected_spectrum(cfg.n_max, l, kappa, cfg.literal_e2))
+    return Result(0, {"schema": "spectrum/v1", "levels": rows}, *_table(_SPECTRUM_COLUMNS, rows))
+
+
+def bound_text(b: dict) -> str:
+    """The text of a ``bound/v1`` record."""
+    return (
+        f"inputs: delta_E = {b['delta_e_eV']:g} eV, E_ref = {b['e_ref_eV']:g} eV, "
+        f"kappa = {b['kappa_GeV2']:g} GeV^2  [{b['constants']}]\n"
+        f"l^2   <= {b['l_squared_GeVinv2']:.6g} GeV^-2\n"
+        f"l_max <= {b['l_max_GeVinv']:.6g} GeV^-1 = {b['l_max_fm']:.6g} fm "
+        f"= {b['l_max_cm']:.6g} cm\n"
+        f"Born-Infeld comparison: computed {b['born_infeld_computed_cm']:.6g} cm "
+        f"(quoted {b['born_infeld_quoted_cm']:g} cm) for A_m = "
+        f"{hydrogen.BORN_INFELD_ACCELERATION:g} m/sec^2"
     )
 
 
@@ -268,16 +313,15 @@ def _run_bound(cfg: argparse.Namespace) -> Result:
     record = hydrogen.length_bound(
         delta_e_ev=_energy_in_ev(cfg.delta_e, cfg.constants, "observed splitting"),
         e_ref_ev=_energy_in_ev(cfg.e_ref, cfg.constants, "reference energy"),
-        kappa_gev2=cfg.kappa,
+        kappa_gev2=_number(cfg.kappa, "kappa"),
         constants=cfg.constants,
     )
-    return Result(
-        0, {"schema": "bound/v1", **record}, *_columns([record]), hydrogen.bound_text(record)
-    )
+    return Result(0, {"schema": "bound/v1", **record}, *_columns(record), bound_text(record))
 
 
 def _run_convert(cfg: argparse.Namespace) -> Result:
-    value, unit, target_unit = cfg.value, cfg.from_unit, cfg.to_unit
+    units.unit_table(cfg.constants)  # refuses an unknown constant set before any argument
+    value, unit, target_unit = _number(cfg.value, "value"), cfg.from_unit, cfg.to_unit
     result = units.as_float(
         units.convert(value, unit, target_unit, cfg.constants), "converted value"
     )
@@ -285,7 +329,7 @@ def _run_convert(cfg: argparse.Namespace) -> Result:
     return Result(
         0,
         {"schema": "convert/v1", **record, "constants": cfg.constants},
-        *_columns([record]),
+        *_columns(record),
         f"{value:g} {unit} = {result:.6g} {target_unit}",
     )
 
@@ -295,9 +339,7 @@ def _run_eval(cfg: argparse.Namespace) -> Result:
 
     expression = cfg.expression
     record = {"expression": expression, "normal_form": evaluate_text(expression).render()}
-    return Result(
-        0, {"schema": "eval/v1", **record}, *_columns([record]), record["normal_form"]
-    )
+    return Result(0, {"schema": "eval/v1", **record}, *_columns(record), record["normal_form"])
 
 
 _RUNNERS = {

@@ -108,40 +108,3 @@ def length_bound(
         "constants": constants,
     }
 
-
-def spectrum_rows(levels: tuple[EnergyLevel, ...]) -> list[dict]:
-    return [
-        {
-            "n": lv.n,
-            "k": str(lv.k),
-            "degeneracy": lv.degeneracy,
-            "E0_eV": float(lv.e0_ev),
-            "shift_eV": float(lv.shift_ev),
-        }
-        for lv in levels
-    ]
-
-
-def spectrum_text(levels: tuple[EnergyLevel, ...]) -> str:
-    header = f"{'n':>3} {'k':>5} {'degeneracy':>11} {'E0_eV':>14} {'shift_eV':>14}"
-    lines = [header]
-    for lv in levels:
-        lines.append(
-            f"{lv.n:>3} {str(lv.k):>5} {lv.degeneracy:>11} "
-            f"{float(lv.e0_ev):>14.6g} {float(lv.shift_ev):>14.6g}"
-        )
-    return "\n".join(lines)
-
-
-def bound_text(b: dict) -> str:
-    return "\n".join(
-        [
-            f"inputs: delta_E = {b['delta_e_eV']:g} eV, E_ref = {b['e_ref_eV']:g} eV, "
-            f"kappa = {b['kappa_GeV2']:g} GeV^2  [{b['constants']}]",
-            f"l^2   <= {b['l_squared_GeVinv2']:.6g} GeV^-2",
-            f"l_max <= {b['l_max_GeVinv']:.6g} GeV^-1 = {b['l_max_fm']:.6g} fm "
-            f"= {b['l_max_cm']:.6g} cm",
-            f"Born-Infeld comparison: computed {b['born_infeld_computed_cm']:.6g} cm "
-            f"(quoted {b['born_infeld_quoted_cm']:g} cm) for A_m = {BORN_INFELD_ACCELERATION:g} m/sec^2",
-        ]
-    )

@@ -15,15 +15,15 @@ The quadratic Casimir per component c is C^c = (L_c^2 + M_c^2)/2.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import partial
 from typing import Callable, Mapping, Sequence
 
 from . import operators
-from .limits import default_limits
 from .operators import (
     INDICES,
     BRANCHES,
+    _HALF,
+    _L2,
     NcPolynomial,
     Word,
     commutator,
@@ -44,7 +44,6 @@ from .scalars import (
     SIGMA_MINUS,
     SIGMA_PLUS,
     pc_l,
-    pc_rational,
 )
 
 # Vector operator labels: L_a and M_a in terms of index pairs.
@@ -56,10 +55,6 @@ COMPONENT_FACTORS = {"x": ("x", "px"), "y": ("y", "py"), "xy": ("x", "py"), "yx"
 # Every component tag of L_ij: the pc operator (None), a branch, the real and
 # pseudo-imaginary parts, and the alias components.
 COMPONENTS = (None, *BRANCHES, "R", "I", *COMPONENT_FACTORS)
-
-with default_limits():
-    _HALF = pc_rational(Fraction(1, 2))
-    _L2 = pc_l(2)
 
 
 def _check_pair(i: int, j: int) -> None:

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pcqm.cli import config_from_args, main, parse_value_with_unit, run
+from pcqm.cli import bound_text, config_from_args, main, parse_value_with_unit, run, spectrum_rows
+from pcqm.hydrogen import corrected_spectrum, length_bound
 from pcqm.limits import current_limits
 
 ROOT = Path(__file__).parents[1]
@@ -149,6 +150,14 @@ def test_spectrum_json_fields():
     assert payload["levels"][0]["shift_eV"] != 0
 
 
+def test_spectrum_rows_and_text_name_the_same_fields():
+    rows = spectrum_rows(corrected_spectrum(2, l_gevinv=1e-5))
+    assert list(rows[0]) == ["n", "k", "degeneracy", "E0_eV", "shift_eV"]
+    assert rows[1]["k"] == "1/2"
+    code, output = run_argv(["spectrum", "--n-max", "2", "--l", "1e-5"])
+    assert output.splitlines()[0].split() == ["n", "k", "degeneracy", "E0_eV", "shift_eV"]
+
+
 def test_spectrum_literal_e2_puts_alpha_in_the_numerator():
     code, output = run_argv(["spectrum", "--literal-e2", "--n-max", "1"])
     assert code == 0
@@ -159,6 +168,10 @@ def test_bound_golden():
     code, output = run_argv(["bound"])
     assert code == 0
     assert output + "\n" == (DATA / "bound_default.txt").read_text()
+
+
+def test_bound_text_echoes_the_born_infeld_comparison():
+    assert "Born-Infeld" in bound_text(length_bound(4e-9, 13, 1.0))
 
 
 def test_spectrum_and_bound_csv():
@@ -234,6 +247,9 @@ def test_convert_text_and_flag_positions():
         ["--constants", "precise", "convert", "--value", "1", "--from", "sec", "--to", "m"]
     )
     assert output == "1 sec = 2.99792e+08 m"
+    # A zero literal is zero, however small its exponent.
+    assert run_argv(["convert", "--value", "0.0e-400", "--from", "fm", "--to", "cm"]) == (
+        0, "0 fm = 0 cm")
 
 
 def test_convert_dimension_error():
@@ -260,6 +276,13 @@ def test_constants_env_default(monkeypatch):
          "unknown constant-set mode 'bogus'"),
         ({}, ["bound", "--delta-e", "4e-9parsec"], "unknown unit 'parsec'"),
         ({}, ["bound", "--delta-e", "4fm"], "cannot convert fm (GeV^-1) to eV (GeV^1)"),
+        ({"PCQM_CONSTANTS": "bogus"}, ["convert", "--value", "1e-330", "--from", "fm", "--to", "cm"],
+         "unknown constant-set mode 'bogus'"),
+        # A number option is read by its command, so text that is no number is
+        # refused by the option's name.
+        ({}, ["spectrum", "--kappa", "abc"], "correction strength kappa must be a number, got 'abc'"),
+        ({}, ["convert", "--value", "1,5", "--from", "fm", "--to", "cm"],
+         "value must be a number, got '1,5'"),
     ],
 )
 def test_constant_set_and_unit_refusals_exit_2(env, argv, message, monkeypatch, capsys):
@@ -401,6 +424,14 @@ def test_non_finite_or_overflowing_numbers_exit_2(argv, message, capsys):
          "converted value is too small for the float range"),
         (["bound", "--delta-e", "1e-300", "--kappa", "1e100"],
          "l^2 = delta_E/(|E_ref|*kappa) is too small for the float range"),
+        # A nonzero number literal below the float range, which float() reads as 0.
+        (["convert", "--value", "1e-330", "--from", "GeV", "--to", "kg"],
+         "value is too small for the float range"),
+        (["bound", "--delta-e", "1e-330"], "observed splitting is too small for the float range"),
+        (["bound", "--e-ref", "-1e-330eV"], "reference energy is too small for the float range"),
+        (["bound", "--kappa", "1e-330"], "kappa is too small for the float range"),
+        (["spectrum", "--kappa", "1e-330"], "correction strength kappa is too small for the float range"),
+        (["spectrum", "--l", "2.5E-400"], "minimal length l is too small for the float range"),
     ],
 )
 def test_nonzero_values_that_round_to_zero_exit_2(argv, message, capsys):
@@ -609,6 +640,10 @@ def test_irrep_numeric_failure_exits_1(monkeypatch):
     lines = output.splitlines()
     assert lines[-2].startswith("FAIL k=0: [J+,J-] = 2J3 fails at entry (0, 0)")
     assert lines[-1] == "IRREP SWEEP: FAIL"
+    # A table without rows still prints its titles, and its CSV its header.
+    assert lines[0].split() == ["k", "dim", "casimir", "2k(k+1)", "deviation", "4(C+1/2)"]
+    code, output = run_argv(["--format", "csv", "irrep", "--k-max", "1"])
+    assert output.splitlines() == ["k,dim,casimir,expected,deviation,denominator,denominator_closed_form"]
     code, output = run_argv(["--format", "json", "irrep", "--k-max", "1"])
     assert code == 1
     payload = json.loads(output)

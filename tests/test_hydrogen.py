@@ -7,11 +7,8 @@ from pcqm.hydrogen import (
     BORN_INFELD_QUOTED_CM,
     MAX_N_MAX,
     born_infeld_length,
-    bound_text,
     corrected_spectrum,
     length_bound,
-    spectrum_rows,
-    spectrum_text,
 )
 from pcqm.irrep import denominator_eigenvalue
 from pcqm.units import PRECISE
@@ -109,19 +106,12 @@ def test_born_infeld_comparison_is_echoed():
     bound = length_bound(4e-9, 13, 1.0)
     assert bound["born_infeld_quoted_cm"] == BORN_INFELD_QUOTED_CM == 1e-7
     assert bound["born_infeld_computed_cm"] == pytest.approx(9e-4, rel=1e-12)
-    assert "Born-Infeld" in bound_text(bound)
 
 
 def test_serialization_field_names():
-    levels = corrected_spectrum(2, l_gevinv=1e-5)
-    rows = spectrum_rows(levels)
-    assert list(rows[0]) == ["n", "k", "degeneracy", "E0_eV", "shift_eV"]
-    assert rows[1]["k"] == "1/2"
     payload = length_bound(4e-9, 13, 1.0)
     for key in ("l_max_GeVinv", "l_max_fm", "l_max_cm"):
         assert key in payload
-    table = spectrum_text(levels)
-    assert table.splitlines()[0].split() == ["n", "k", "degeneracy", "E0_eV", "shift_eV"]
 
 
 def test_input_validation():
