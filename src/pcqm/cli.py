@@ -35,7 +35,7 @@ def _number(text: str, name: str) -> float:
         raise ValueError(f"{name} must be a number, got {text!r}") from None
     if value == 0 and float(text.lower().partition("e")[0]):  # a nonzero mantissa
         raise ValueError(f"{name} is too small for the float range")
-    return value
+    return value or 0.0  # -0.0 reads as 0.0, as the exact conversions do
 
 
 def parse_value_with_unit(text: str, default_unit: str, name: str = "value") -> tuple[float, str]:
@@ -51,6 +51,14 @@ def _energy_in_ev(text: str, constants: str, name: str) -> float:
     if unit == "eV":
         return value
     return units.as_float(units.convert(value, unit, "eV", constants), name)
+
+
+def _integer(text: str, name: str) -> int:
+    """An integer literal, named ``name`` when it is refused."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {text!r}") from None
 
 
 def _parse_window(text: str) -> tuple[int, int]:
@@ -74,10 +82,9 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
         default=default(os.environ.get(CONSTANTS_ENV, units.PAPER_APPROX)),
         help="constant set (env %s)" % CONSTANTS_ENV,
     )
-    parser.add_argument(
-        "--degree-window", type=_parse_window, default=default(None), metavar="LO:HI"
-    )
-    parser.add_argument("--word-cap", type=int, default=default(None))
+    # Held as the text typed, as each command's options are; ``run`` reads them.
+    parser.add_argument("--degree-window", default=default(None), metavar="LO:HI")
+    parser.add_argument("--word-cap", default=default(None))
     # Read "-1e5", "-13eV" and "-4:4" as values, as argparse reads "-2".
     parser._negative_number_matcher = re.compile(r"-\.?\d")
 
@@ -99,7 +106,7 @@ def _add_options(p: argparse.ArgumentParser, command: str) -> None:
     elif command == "spectrum":
         p.add_argument("--l", default="0", help="minimal length in GeV^-1")
         p.add_argument("--kappa", default="1", help="correction strength in GeV^2")
-        p.add_argument("--n-max", type=int, default=5)
+        p.add_argument("--n-max", default="5")
         p.add_argument("--literal-e2", action="store_true", help="literal charge-squared numerator")
     elif command == "bound":
         p.add_argument("--delta-e", default="4e-9eV", help="observed splitting (eV or Hz)")
@@ -204,27 +211,25 @@ def render(result: Result, fmt: str) -> str:
 def _run_verify(cfg: argparse.Namespace) -> Result:
     from . import so4
 
-    reports = so4.verify()
-    all_passed = all(r.all_passed for r in reports)
-    lines = [r.to_text() for r in reports]
-    lines += [
-        f"FAIL {r.name} [{c.family}] {c.label}  residual: {c.residual}"
+    # The reports' JSON documents, from which the text and the CSV rows are read.
+    reports = [r.to_dict() for r in so4.verify()]
+    rows = [
+        [r["name"], c["family"], c["label"], "pass" if c["passed"] else "fail", c["residual"]]
         for r in reports
-        for c in r.failures()
+        for c in r["checks"]
     ]
-    total = sum(len(r.checks) for r in reports)
-    lines.append(f"VERIFY: {'PASS' if all_passed else 'FAIL'} ({total} checks)")
-    return Result(
-        0 if all_passed else 1,
-        {
-            "schema": "verify-report/v1",
-            "all_passed": all_passed,
-            "reports": [r.to_dict() for r in reports],
-        },
-        ["report", "family", "label", "status", "residual"],
-        [row for r in reports for row in r.to_csv_rows()],
-        "\n".join(lines),
-    )
+    lines = []
+    for r in reports:
+        failed = sum(not c["passed"] for c in r["checks"])
+        verdict = f"{failed} FAILED" if failed else "all pass"
+        lines.append(f"{r['name']:28s} {len(r['checks']):4d} checks   {verdict}")
+    lines += [f"FAIL {name} [{family}] {label}  residual: {residual}"
+              for name, family, label, status, residual in rows if status == "fail"]
+    all_passed = all(r["all_passed"] for r in reports)
+    lines.append(f"VERIFY: {'PASS' if all_passed else 'FAIL'} ({len(rows)} checks)")
+    payload = {"schema": "verify-report/v1", "all_passed": all_passed, "reports": reports}
+    header = ["report", "family", "label", "status", "residual"]
+    return Result(0 if all_passed else 1, payload, header, rows, "\n".join(lines))
 
 
 # Decimal or fraction text of at most 20 digits a side: an exponent such as
@@ -290,7 +295,8 @@ def spectrum_rows(levels: tuple[hydrogen.EnergyLevel, ...]) -> list[dict]:
 
 def _run_spectrum(cfg: argparse.Namespace) -> Result:
     l, kappa = _number(cfg.l, "minimal length l"), _number(cfg.kappa, "correction strength kappa")
-    rows = spectrum_rows(hydrogen.corrected_spectrum(cfg.n_max, l, kappa, cfg.literal_e2))
+    n_max = _integer(cfg.n_max, "n_max")
+    rows = spectrum_rows(hydrogen.corrected_spectrum(n_max, l, kappa, cfg.literal_e2))
     return Result(0, {"schema": "spectrum/v1", "levels": rows}, *_table(_SPECTRUM_COLUMNS, rows))
 
 
@@ -359,9 +365,13 @@ def run(cfg: argparse.Namespace) -> tuple[int, str]:
     (``ValueError`` or ``ArithmeticError``) exits 2, and any other exception,
     an internal fault, exits 1; either is reported, never raised.
     """
-    overrides = {"window": cfg.degree_window, "word_cap": cfg.word_cap}
     try:
-        with limits(**{k: v for k, v in overrides.items() if v is not None}):
+        overrides = {}
+        if cfg.degree_window is not None:
+            overrides["window"] = _parse_window(cfg.degree_window)
+        if cfg.word_cap is not None:
+            overrides["word_cap"] = _integer(cfg.word_cap, "word length cap")
+        with limits(**overrides):
             result = _RUNNERS[cfg.command](cfg)
             return result.code, render(result, cfg.format)
     except (ValueError, ArithmeticError) as err:

@@ -31,9 +31,9 @@ from typing import Union
 
 from . import so4
 from .limits import Limits, current_limits
-from .operators import ALIASES, NcPolynomial, commutator, expand_alias, generator_poly, poly_sum
+from .operators import ALIASES, NcPolynomial, commutator, expand_alias, generator_poly, poly_sum, renderable
 from .record import Record
-from .scalars import PSEUDO_UNIT, bits_renderable, pc_imag, pc_l, pc_rational, stored_bits
+from .scalars import PSEUDO_UNIT, pc_imag, pc_l, pc_rational
 
 CASIMIR_TAGS = ("R", "x", "y", "+", "-")
 # Largest operator exponent '^n' accepted, also as the product of nested
@@ -448,16 +448,16 @@ def evaluate(node: Node) -> NcPolynomial:
     if isinstance(node, Mul):
         first, links = _chain(node, (Mul,))
         if isinstance(first, _LEAVES) and isinstance(links[0].right, _LEAVES):
-            product, links = _renderable(_leaf_value(links[0], current_limits())), links[1:]
+            product, links = renderable(_leaf_value(links[0], current_limits())), links[1:]
         else:
             product = evaluate(first)
         for link in links:
-            product = _renderable(product * evaluate(link.right))
+            product = renderable(product * evaluate(link.right))
         return product
     if isinstance(node, Pow):
-        return _renderable(evaluate(node.base) ** node.exponent)
+        return renderable(evaluate(node.base) ** node.exponent)
     if isinstance(node, Bracket):
-        return _renderable(commutator(evaluate(node.left), evaluate(node.right)))
+        return renderable(commutator(evaluate(node.left), evaluate(node.right)))
     raise TypeError(f"unknown node {node!r}")
 
 
@@ -492,20 +492,6 @@ def _leaf_value(node: Node, limits: Limits) -> NcPolynomial:
     if isinstance(node, NamedOp):
         return so4.labelled(node.comp, node.i, node.j)
     return so4.casimir(node.comp)
-
-
-def _renderable(p: NcPolynomial) -> NcPolynomial:
-    """``p``, unless a coefficient is already too long to render; refusing it
-    here stops a chain of products from growing it further, even where a
-    later ``* 0`` would cancel it.  Only a polynomial with a large stored
-    integer is rendered, and the renderer raises its digit-limit error.  The
-    largest stored bit length is computed on first use and kept with ``p``;
-    the digit limit is read on each call."""
-    if p._bits is None:
-        p._bits = stored_bits(p._plus.values(), () if p._minus is p._plus else p._minus.values())
-    if not bits_renderable(p._bits):
-        p.render()
-    return p
 
 
 def evaluate_text(text: str) -> NcPolynomial:

@@ -31,15 +31,15 @@ from .scalars import (
     PcScalar,
     SIGMA_MINUS,
     SIGMA_PLUS,
-    _atom_str,
-    _atoms,
-    _join_atoms,
+    _atom_texts,
     _join_signed,
     _mul,
     _pc,
+    bits_renderable,
     pc_imag,
     pc_l,
     pc_rational,
+    stored_bits,
 )
 
 INDICES = (1, 2, 3, 4)
@@ -197,7 +197,7 @@ class NcPolynomial:
     work on each component alone.  A polynomial without pseudo-imaginary part
     keeps one map for both.  The maps are never mutated after construction,
     so the operand scan of products (``_scan``) and the largest stored bit
-    length (``expr._renderable``) are kept in ``_scanned`` and ``_bits`` from
+    length (``renderable``) are kept in ``_scanned`` and ``_bits`` from
     first use.
 
     The constructor normal-orders ``terms`` under the window in force: each
@@ -345,17 +345,27 @@ def render_poly(p: NcPolynomial) -> str:
         key = id(x), id(y)
         coeff = coeffs.get(key)
         if coeff is None:
-            atoms = _atoms(x, y)
-            if len(atoms) == 1:
-                coeff = _atom_str(*atoms[0]), atoms[0][0] < 0
-            else:
-                coeff = f"({_join_atoms(atoms)})", False
-            coeffs[key] = coeff
+            atoms = list(_atom_texts(x, y))
+            coeff = coeffs[key] = atoms[0] if len(atoms) == 1 else (f"({_join_signed(atoms)})", False)
         body, negative = coeff
         if word:
             body = render_word(word) if body == "1" else f"{body}*{render_word(word)}"
         terms.append((body, negative))
     return _join_signed(terms)
+
+
+def renderable(p: NcPolynomial) -> NcPolynomial:
+    """``p``, unless a coefficient is already too long to render; refusing it
+    here stops a chain of products from growing it further, even where a
+    later ``* 0`` would cancel it.  Only a polynomial with a large stored
+    integer is rendered, and the renderer raises its digit-limit error.  The
+    largest stored bit length is computed on first use and kept with ``p``;
+    the digit limit is read on each call."""
+    if p._bits is None:
+        p._bits = stored_bits(p._plus.values(), () if p._minus is p._plus else p._minus.values())
+    if not bits_renderable(p._bits):
+        render_poly(p)
+    return p
 
 
 def normal_form(p: NcPolynomial) -> NcPolynomial:

@@ -1,4 +1,5 @@
-"""Shared report containers for the symbolic verification suites."""
+"""Shared report containers for the symbolic verification suites; ``pcqm.cli``
+presents them from their ``to_dict`` documents."""
 
 from __future__ import annotations
 
@@ -37,9 +38,6 @@ class IdentityReport(Record):
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def failures(self) -> tuple[Check, ...]:
-        return tuple(c for c in self.checks if not c.passed)
-
     def count(self, family: str | None = None) -> int:
         if family is None:
             return len(self.checks)
@@ -52,13 +50,3 @@ class IdentityReport(Record):
             "all_passed": self.all_passed,
             "checks": [c.to_dict() for c in self.checks],
         }
-
-    def to_text(self) -> str:
-        verdict = "all pass" if self.all_passed else f"{len(self.failures())} FAILED"
-        return f"{self.name:28s} {len(self.checks):4d} checks   {verdict}"
-
-    def to_csv_rows(self) -> list[list[str]]:
-        return [
-            [self.name, c.family, c.label, "pass" if c.passed else "fail", c.residual]
-            for c in self.checks
-        ]

@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 from .limits import current_limits, default_limits
 from .record import Record
@@ -311,30 +311,6 @@ with default_limits():
     SIGMA_MINUS = _pc(BaseScalar.zero(), BaseScalar.rational(1))
 
 
-def _atoms(plus: BaseScalar, minus: BaseScalar) -> list[tuple[int, int, bool, int, bool]]:
-    """Flatten the scalar with components ``plus`` and ``minus`` to
-    (numerator, denominator, has_i, l_degree, has_I) atoms in canonical order."""
-    (pn, pd), (mn, md) = (plus._num, plus._den), (minus._num, minus._den)
-    if plus is minus:
-        # A real scalar: re is its one component, and im is zero.
-        out = []
-        for key in sorted(pn):
-            n = pn[key]
-            g = gcd(n, pd)
-            out.append((n // g, pd // g, key[1], key[0], False))
-        return out
-    den = lcm(pd, md)
-    out: list[tuple[int, int, bool, int, bool]] = []
-    # re = (p + m)/2 and im = (p - m)/2 over twice the lcm of the denominators.
-    for has_pseudo, sign in ((False, 1), (True, -1)):
-        for key in sorted(pn.keys() | mn.keys()):
-            n = pn.get(key, 0) * (den // pd) + sign * mn.get(key, 0) * (den // md)
-            if n:
-                g = gcd(n, 2 * den)
-                out.append((n // g, 2 * den // g, key[1], key[0], has_pseudo))
-    return out
-
-
 def stored_bits(*groups: Iterable[BaseScalar]) -> int:
     """The largest bit length of an integer stored in the scalars of ``groups``,
     read as that of the bitwise or of their magnitudes."""
@@ -357,21 +333,36 @@ def bits_renderable(bits: int) -> bool:
     return not limit or bits <= (3 * limit - 1) // 2
 
 
-def _atom_str(n: int, d: int, has_i: bool, deg: int, has_pseudo: bool) -> str:
-    pieces: list[str] = []
-    if abs(n) != 1 or d != 1 or (not has_i and deg == 0 and not has_pseudo):
-        try:
-            pieces.append(str(abs(n)) if d == 1 else f"{abs(n)}/{d}")
-        except ValueError:  # past the interpreter's int-to-str digit limit
-            limit = sys.get_int_max_str_digits()
-            raise ValueError(f"coefficient too long to render (more than {limit} digits)") from None
-    if has_i:
-        pieces.append("i")
-    if deg:
-        pieces.append("l" if deg == 1 else f"l^{deg}")
-    if has_pseudo:
-        pieces.append("I")
-    return "*".join(pieces)
+def _atom_texts(plus: BaseScalar, minus: BaseScalar) -> Iterator[tuple[str, bool]]:
+    """``(text, negative)`` for each atom of the scalar with components ``plus``
+    and ``minus``, in canonical order: the atoms of ``re``, then those of
+    ``im`` with ``I``, each by ascending ``(l_degree, has_i)``.  Read straight
+    from the stored numerators; an atom's integers are reduced by one gcd."""
+    (pn, pd), (mn, md) = (plus._num, plus._den), (minus._num, minus._den)
+    if plus is minus:  # a real scalar: re is its one component, and im is zero
+        atoms = ((pn[key], pd, key, "") for key in sorted(pn))
+    else:
+        den = lcm(pd, md)
+        sp, sm, keys = den // pd, den // md, sorted(pn.keys() | mn.keys())
+        # re = (p + m)/2 and im = (p - m)/2 over twice the lcm of the denominators.
+        atoms = ((pn.get(key, 0) * sp + sign * mn.get(key, 0) * sm, 2 * den, key, unit)
+                 for sign, unit in ((1, ""), (-1, "*I")) for key in keys)
+    for n, d, (deg, has_i), unit in atoms:
+        if not n:
+            continue
+        g = gcd(n, d)
+        n, d = n // g, d // g
+        # Every unit in the tail starts with "*"; a bare 1 shows only without one.
+        tail = ("*i" if has_i else "") + ("" if not deg else "*l" if deg == 1 else f"*l^{deg}") + unit
+        if n in (1, -1) and d == 1 and tail:
+            text = tail[1:]
+        else:
+            try:
+                text = (str(abs(n)) if d == 1 else f"{abs(n)}/{d}") + tail
+            except ValueError:  # past the interpreter's int-to-str digit limit
+                limit = sys.get_int_max_str_digits()
+                raise ValueError(f"coefficient too long to render (more than {limit} digits)") from None
+        yield text, n < 0
 
 
 def _join_signed(terms: Iterable[tuple[str, bool]]) -> str:
@@ -382,10 +373,6 @@ def _join_signed(terms: Iterable[tuple[str, bool]]) -> str:
     return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
-def _join_atoms(atoms: list[tuple[int, int, bool, int, bool]]) -> str:
-    return _join_signed((_atom_str(*atom), atom[0] < 0) for atom in atoms)
-
-
 def render_pc(x: PcScalar) -> str:
     """Plain-text rendering, e.g. ``3/2 + 1/2*i - l^2*I``; parseable by the CLI."""
-    return _join_atoms(_atoms(x._plus, x._minus))
+    return _join_signed(_atom_texts(x._plus, x._minus))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pcqm.cli import bound_text, config_from_args, main, parse_value_with_unit, run, spectrum_rows
+from pcqm.cli import FORMATS, bound_text, config_from_args, main, parse_value_with_unit, run, spectrum_rows
 from pcqm.hydrogen import corrected_spectrum, length_bound
 from pcqm.limits import current_limits
 
@@ -252,6 +252,20 @@ def test_convert_text_and_flag_positions():
         0, "0 fm = 0 cm")
 
 
+def test_negative_zero_reads_as_zero(capsys):
+    # The exact conversion has no negative zero, so the echoed value has none either.
+    argv = ["convert", "--value", "-0.0", "--from", "fm", "--to", "cm"]
+    expected = {
+        "text": "0 fm = 0 cm",
+        "json": json.dumps({"schema": "convert/v1", "value": 0.0, "from": "fm", "to": "cm", "result": 0.0,
+                            "constants": "paper-approx"}, indent=2),
+        "csv": "value,from,to,result\r\n0.0,fm,cm,0.0\r",  # the CSV writer ends its rows with \r\n
+    }
+    for fmt, output in expected.items():
+        assert main(["--format", fmt, *argv]) == 0
+        assert capsys.readouterr() == (output + "\n", "")
+
+
 def test_convert_dimension_error():
     code, output = run_argv(["convert", "--value", "1", "--from", "fm", "--to", "GeV"])
     assert code == 2
@@ -283,15 +297,23 @@ def test_constants_env_default(monkeypatch):
         ({}, ["spectrum", "--kappa", "abc"], "correction strength kappa must be a number, got 'abc'"),
         ({}, ["convert", "--value", "1,5", "--from", "fm", "--to", "cm"],
          "value must be a number, got '1,5'"),
+        # So are the degree window, the word cap and --n-max: text that is no
+        # integer is refused on stdout, not by argparse on stderr.
+        ({}, ["--degree-window", "a:b", "eval", "l"], "degree window must look like '-4:4', got 'a:b'"),
+        ({}, ["eval", "--degree-window=-4", "l"], "degree window must look like '-4:4', got '-4'"),
+        ({}, ["--word-cap", "abc", "eval", "l"], "word length cap must be an integer, got 'abc'"),
+        ({}, ["verify", "--word-cap", "1.5"], "word length cap must be an integer, got '1.5'"),
+        ({}, ["spectrum", "--n-max", "abc"], "n_max must be an integer, got 'abc'"),
+        ({}, ["spectrum", "--n-max", "2.0"], "n_max must be an integer, got '2.0'"),
     ],
 )
 def test_constant_set_and_unit_refusals_exit_2(env, argv, message, monkeypatch, capsys):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
-    assert main(argv) == 2
-    out, err = capsys.readouterr()
-    assert out == f"error: {message}\n"
-    assert err == ""
+    for fmt, expected in (("text", f"error: {message}"),
+                          ("json", json.dumps({"schema": "error/v1", "error": message}))):
+        assert main(["--format", fmt, *argv]) == 2
+        assert capsys.readouterr() == (expected + "\n", "")
 
 
 def test_verify_ignores_the_constant_set(monkeypatch, verify_main):
@@ -582,7 +604,30 @@ def test_verify_text_names_failing_checks(monkeypatch):
     assert [line for line in lines if line.startswith("FAIL ")] == [
         "FAIL canonical-quantization [same-branch] [X+_1, P+_1]  residual: i"
     ]
+    assert lines[0] == "canonical-quantization          1 checks   1 FAILED"
     assert lines[-1] == "VERIFY: FAIL (467 checks)"
+    code, output = run_argv(["--format", "csv", "verify"])
+    assert code == 1
+    assert output.splitlines()[1] == 'canonical-quantization,same-branch,"[X+_1, P+_1]",fail,i'
+
+
+def test_verify_reads_each_report_document_once(monkeypatch):
+    # Text, JSON and CSV are all read from one to_dict() document per report.
+    from pcqm.reports import IdentityReport
+
+    to_dict, calls = IdentityReport.to_dict, []
+
+    def counted(report):
+        calls.append(len(report.checks))
+        return to_dict(report)
+
+    monkeypatch.setattr(IdentityReport, "to_dict", counted)
+    for fmt in FORMATS:
+        calls.clear()
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["--format", fmt, "verify"]) == 0
+        assert (len(calls), sum(calls)) == (7, 530), fmt
 
 
 @pytest.mark.parametrize("limit, error", [

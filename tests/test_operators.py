@@ -48,8 +48,7 @@ from pcqm.scalars import (
     SIGMA_MINUS,
     SIGMA_PLUS,
     PcScalar,
-    _atom_str,
-    _atoms,
+    _atom_texts,
     _join_signed,
     pc_gaussian,
     pc_imag,
@@ -849,9 +848,9 @@ def _render_per_coefficient(p: NcPolynomial) -> str:
     component maps instead."""
 
     def signed_term(word, coeff):
-        atoms = _atoms(coeff._plus, coeff._minus)
+        atoms = list(_atom_texts(coeff._plus, coeff._minus))
         if len(atoms) == 1:
-            body, negative = _atom_str(*atoms[0]), atoms[0][0] < 0
+            (body, negative), = atoms
         else:
             body, negative = f"({render_pc(coeff)})", False
         if word:
@@ -887,7 +886,7 @@ def test_render_matches_the_per_coefficient_rendering():
     one, two = BaseScalar.rational(1), BaseScalar.rational(2)
     mixed = operators._poly({(XP1,): one, (XP2,): one, (PP1,): two}, {(XP1,): one, (XP2,): two, (PP1,): one})
     polys += [shared, apart, multiply(apart, shared), mixed]
-    assert any(len(_atoms(c._plus, c._minus)) > 1 for p in polys for c in p.terms().values())
+    assert any(len(list(_atom_texts(c._plus, c._minus))) > 1 for p in polys for c in p.terms().values())
     for p in polys:
         assert render_poly(p) == _render_per_coefficient(p)
     assert render_poly(NcPolynomial.zero()) == "0"

@@ -9,9 +9,8 @@ import pytest
 import sympy
 
 from helpers import random_pc_scalar, random_rational
-from pcqm import expr
 from pcqm.limits import current_limits, limits
-from pcqm.operators import NcPolynomial
+from pcqm.operators import NcPolynomial, renderable
 from pcqm.scalars import (
     BaseScalar,
     DegreeWindowError,
@@ -352,7 +351,7 @@ def test_early_size_check_refuses_exactly_what_render_refuses():
                 except ValueError:
                     renders = False
                 try:
-                    expr._renderable(NcPolynomial.scalar(x))
+                    renderable(NcPolynomial.scalar(x))
                     passes = True
                 except ValueError as err:
                     assert "coefficient too long to render" in str(err)

@@ -138,8 +138,7 @@ def test_every_public_name_resolves_to_its_module():
 
 # ---------------------------------------------------------------------------
 # The parser: every subcommand listed, each parsed in full when named.
-# A number option other than --n-max and --word-cap holds its text as typed;
-# the command reads it.
+# Every option that takes a value holds its text as typed; the command reads it.
 
 COMMON = {"format": "text", "constants": "paper-approx", "degree_window": None, "word_cap": None}
 
@@ -148,18 +147,18 @@ COMMON = {"format": "text", "constants": "paper-approx", "degree_window": None, 
     (["verify"], {}),
     (["--format", "json", "--constants", "precise", "--degree-window", "-2:3", "--word-cap", "5",
       "verify"],
-     {"format": "json", "constants": "precise", "degree_window": (-2, 3), "word_cap": 5}),
+     {"format": "json", "constants": "precise", "degree_window": "-2:3", "word_cap": "5"}),
     (["verify", "-f", "csv", "--constants", "precise", "--degree-window=-1:1", "--word-cap", "4"],
-     {"format": "csv", "constants": "precise", "degree_window": (-1, 1), "word_cap": 4}),
+     {"format": "csv", "constants": "precise", "degree_window": "-1:1", "word_cap": "4"}),
     (["irrep"], {"k_max": "5"}),
     (["irrep", "--k-max", "3/2", "--format", "json"], {"k_max": "3/2", "format": "json"}),
-    (["spectrum"], {"l": "0", "kappa": "1", "n_max": 5, "literal_e2": False}),
+    (["spectrum"], {"l": "0", "kappa": "1", "n_max": "5", "literal_e2": False}),
     (["spectrum", "--l", "0.1", "--kappa", "2", "--n-max", "3", "--literal-e2", "--constants",
       "precise"],
-     {"l": "0.1", "kappa": "2", "n_max": 3, "literal_e2": True, "constants": "precise"}),
+     {"l": "0.1", "kappa": "2", "n_max": "3", "literal_e2": True, "constants": "precise"}),
     (["bound"], {"delta_e": "4e-9eV", "e_ref": "13eV", "kappa": "1"}),
     (["--word-cap", "3", "bound", "--delta-e", "1e-9Hz", "--e-ref", "-13eV", "--kappa", "0.5"],
-     {"delta_e": "1e-9Hz", "e_ref": "-13eV", "kappa": "0.5", "word_cap": 3}),
+     {"delta_e": "1e-9Hz", "e_ref": "-13eV", "kappa": "0.5", "word_cap": "3"}),
     (["convert", "--value", "-1e5", "--from", "fm", "--to", "cm"],
      {"value": "-1e5", "from_unit": "fm", "to_unit": "cm"}),
     (["-f", "csv", "convert", "--value", "2", "--from", "kg", "--to", "GeV", "--constants",
@@ -167,7 +166,7 @@ COMMON = {"format": "text", "constants": "paper-approx", "degree_window": None, 
      {"value": "2", "from_unit": "kg", "to_unit": "GeV", "format": "csv", "constants": "precise"}),
     (["eval", "-X+_1"], {"expression": "-X+_1"}),
     (["--degree-window", "-4:0", "eval", "-f", "json", "--word-cap", "6", "--", "[x_1, px_1]"],
-     {"expression": "[x_1, px_1]", "format": "json", "degree_window": (-4, 0), "word_cap": 6}),
+     {"expression": "[x_1, px_1]", "format": "json", "degree_window": "-4:0", "word_cap": "6"}),
 ])
 def test_each_subcommand_parses_its_full_option_set(argv, values, monkeypatch):
     monkeypatch.delenv("PCQM_CONSTANTS", raising=False)
