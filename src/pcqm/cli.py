@@ -41,7 +41,7 @@ def _number(text: str, name: str) -> float:
 def parse_value_with_unit(text: str, default_unit: str, name: str = "value") -> tuple[float, str]:
     m = _VALUE_UNIT_RE.match(text)
     if m is None:
-        raise ValueError(f"cannot parse value {text!r} (expected e.g. '4e-9eV')")
+        raise ValueError(f"{name}: cannot parse value {text!r} (expected e.g. '4e-9eV')")
     return _number(m.group(1), name), m.group(2) or default_unit
 
 
@@ -50,7 +50,11 @@ def _energy_in_ev(text: str, constants: str, name: str) -> float:
     units.require_finite(value, name)
     if unit == "eV":
         return value
-    return units.as_float(units.convert(value, unit, "eV", constants), name)
+    try:
+        energy = units.convert(value, unit, "eV", constants)
+    except ValueError as err:  # an unknown unit, or one of no energy
+        raise ValueError(f"{name}: {err}") from None
+    return units.as_float(energy, name)
 
 
 def _integer(text: str, name: str) -> int:

@@ -207,8 +207,7 @@ class NcPolynomial:
 
     __slots__ = ("_plus", "_minus", "_scanned", "_bits")
 
-    def __init__(self, terms: Mapping[Word, PcScalar] | Iterable[tuple[Word, PcScalar]] = ()):
-        items = list(terms.items() if hasattr(terms, "items") else terms)
+    def __init__(self, terms: Mapping[Word, PcScalar] = {}):
         runs: dict[Word, Terms] = {}
         window = current_limits().window
 
@@ -222,27 +221,16 @@ class NcPolynomial:
             return out
 
         self._plus, self._minus = _share(
-            ordered(_accumulate({}, ((w, c._plus) for w, c in items))),
-            ordered(_accumulate({}, ((w, c._minus) for w, c in items))),
+            ordered(_accumulate({}, ((w, c._plus) for w, c in terms.items()))),
+            ordered(_accumulate({}, ((w, c._minus) for w, c in terms.items()))),
         )
         self._scanned = self._bits = None
-
-    @classmethod
-    def zero(cls) -> "NcPolynomial":
-        return cls()
 
     @classmethod
     def scalar(cls, c: PcScalar | Fraction | int) -> "NcPolynomial":
         if not isinstance(c, PcScalar):
             c = pc_rational(c)
         return cls({(): c})
-
-    @classmethod
-    def from_word(cls, word: Sequence[Generator], coeff: PcScalar = PC_ONE) -> "NcPolynomial":
-        word, cap = tuple(word), current_limits().word_cap
-        if len(word) > cap:
-            raise WordLengthError(f"word length {len(word)} exceeds cap {cap}")
-        return cls({word: coeff})
 
     def terms(self) -> dict[Word, PcScalar]:
         plus, minus = self._plus, self._minus
@@ -263,11 +251,8 @@ class NcPolynomial:
     def is_zero(self) -> bool:
         return not self._plus and not self._minus
 
-    def branches(self) -> set[str]:
-        return {g.branch for word in _words(self) for g in word}
-
     def __add__(self, other: "NcPolynomial") -> "NcPolynomial":
-        return _by_component(lambda a, b: _accumulate(dict(a), b.items()), self, other)
+        return poly_sum((self, other))
 
     def __sub__(self, other: "NcPolynomial") -> "NcPolynomial":
         return _by_component(_difference, self, other)
@@ -325,8 +310,9 @@ class NcPolynomial:
 
 
 def poly_sum(polys: Sequence[NcPolynomial]) -> NcPolynomial:
-    """The sum of ``polys`` in one accumulation, so a long sum stays linear."""
-    return _by_component(lambda *maps: _accumulate({}, (t for m in maps for t in m.items())), *polys)
+    """The sum of ``polys`` (zero for none) in one accumulation, so a long sum
+    stays linear; a word that cancels and comes back goes last."""
+    return _by_component(lambda a={}, *rest: _accumulate(dict(a), itertools.chain(*map(dict.items, rest))), *polys)
 
 
 def render_poly(p: NcPolynomial) -> str:

@@ -41,10 +41,6 @@ class GaussianRational(Record):
     __slots__ = ("re", "im")
     _defaults = {"re": Fraction(0), "im": Fraction(0)}
 
-    @staticmethod
-    def of(re: Rational = 0, im: Rational = 0) -> "GaussianRational":
-        return GaussianRational(Fraction(re), Fraction(im))
-
 
 def _outside(d: int, window: tuple[int, int]) -> DegreeWindowError:
     return DegreeWindowError(f"l^{d} outside degree window {window[0]}..{window[1]}")
@@ -103,15 +99,15 @@ class BaseScalar:
 
     @classmethod
     def rational(cls, q: Rational) -> "BaseScalar":
-        return cls([(0, GaussianRational.of(q))])
+        return cls([(0, GaussianRational(q))])
 
     @classmethod
     def gaussian(cls, re: Rational = 0, im: Rational = 0) -> "BaseScalar":
-        return cls([(0, GaussianRational.of(re, im))])
+        return cls([(0, GaussianRational(re, im))])
 
     @classmethod
     def l_power(cls, degree: int, coeff: Rational = 1) -> "BaseScalar":
-        return cls([(degree, GaussianRational.of(coeff))])
+        return cls([(degree, GaussianRational(coeff))])
 
     def terms(self) -> tuple[tuple[int, GaussianRational], ...]:
         """``(degree, coefficient)`` pairs in ascending degree."""

@@ -32,6 +32,7 @@ from .operators import (
     multiply,
     pc_coordinate,
     pc_momentum,
+    poly_sum,
     shared_products,
     suite,
 )
@@ -110,24 +111,16 @@ def labelled(comp: str | None, i: int, j: int) -> NcPolynomial:
 
 
 class VectorOperators(Record):
-    """L_a, M_a vectors with their squares and Casimir for one component level."""
+    """L_a, M_a vectors and their Casimir for one component level."""
 
-    __slots__ = ("comp", "l_vec", "m_vec", "l_squared", "m_squared", "casimir")
+    __slots__ = ("l_vec", "m_vec", "casimir")
 
 
 def vector_operators(comp: str | None = None) -> VectorOperators:
     l_vec = tuple(labelled(comp, *L_VECTOR_PAIRS[a]) for a in (1, 2, 3))
     m_vec = tuple(labelled(comp, *M_VECTOR_PAIRS[a]) for a in (1, 2, 3))
-    l_squared = sum((multiply(op, op) for op in l_vec), NcPolynomial.zero())
-    m_squared = sum((multiply(op, op) for op in m_vec), NcPolynomial.zero())
-    return VectorOperators(
-        comp=comp,
-        l_vec=l_vec,
-        m_vec=m_vec,
-        l_squared=l_squared,
-        m_squared=m_squared,
-        casimir=(l_squared + m_squared).scale(_HALF),
-    )
+    squares = poly_sum([multiply(op, op) for op in l_vec + m_vec])
+    return VectorOperators(l_vec=l_vec, m_vec=m_vec, casimir=squares.scale(_HALF))
 
 
 def casimir(comp: str | None = None) -> NcPolynomial:
@@ -139,16 +132,13 @@ _PAIRS = tuple(itertools.combinations(INDICES, 2))
 
 def _so4_rhs(build, i: int, j: int, k: int, q: int) -> NcPolynomial:
     """i*(d_jk L_qi + d_qj L_ik + d_ik L_jq + d_iq L_kj) for a given builder."""
-    out = NcPolynomial.zero()
-    for (a, b), present in (
+    deltas = (
         ((q, i), j == k),
         ((i, k), q == j),
         ((j, q), i == k),
         ((k, j), i == q),
-    ):
-        if present:
-            out = out + build(a, b)
-    return out.scale(PC_I)
+    )
+    return poly_sum([build(a, b) for (a, b), present in deltas if present]).scale(PC_I)
 
 
 @suite("so4-commutators")
@@ -268,10 +258,10 @@ def _symmetrized_dot(
     a: Sequence[NcPolynomial], b: Sequence[NcPolynomial]
 ) -> NcPolynomial:
     """(1/2) sum_a (A_a B_a + B_a A_a)."""
-    out = NcPolynomial.zero()
+    products = []
     for op_a, op_b in zip(a, b):
-        out = out + multiply(op_a, op_b) + multiply(op_b, op_a)
-    return out.scale(_HALF)
+        products += multiply(op_a, op_b), multiply(op_b, op_a)
+    return poly_sum(products).scale(_HALF)
 
 
 class CasimirExpansion(Record):
@@ -287,7 +277,7 @@ class CasimirExpansion(Record):
     """
 
     __slots__ = (
-        "c_x", "c_r", "decomposition_residual", "ordering_residual", "order4_residual", "difference",
+        "decomposition_residual", "ordering_residual", "order4_residual", "difference",
     )
 
 
@@ -305,29 +295,17 @@ def casimir_expansion() -> CasimirExpansion:
     c_x == s0 + l^2 s1 + l^4 s2 is an engine-level theorem, not a
     construction.  s2 is the leading correction the truncated form drops.
     """
-    ops_x = vector_operators("x")
+    c_x = casimir("x")
     ops_r = vector_operators("R")
     ops_y = vector_operators("y")
-    c_x = ops_x.casimir
-    c_r = ops_r.casimir
+    r_vec, y_vec = ops_r.l_vec + ops_r.m_vec, ops_y.l_vec + ops_y.m_vec
 
-    slice1 = -(
-        _symmetrized_dot(ops_r.l_vec, ops_y.l_vec)
-        + _symmetrized_dot(ops_r.m_vec, ops_y.m_vec)
-    )
-    slice1_literal = -sum(
-        (
-            multiply(a, b)
-            for a, b in zip(ops_r.l_vec + ops_r.m_vec, ops_y.l_vec + ops_y.m_vec)
-        ),
-        NcPolynomial.zero(),
-    )
+    slice1 = -_symmetrized_dot(r_vec, y_vec)
+    slice1_literal = -poly_sum([multiply(a, b) for a, b in zip(r_vec, y_vec)])
     slice2 = ops_y.casimir
 
-    difference = c_x - (c_r + slice1.scale(_L2))
+    difference = c_x - (ops_r.casimir + slice1.scale(_L2))
     return CasimirExpansion(
-        c_x=c_x,
-        c_r=c_r,
         decomposition_residual=difference - slice2.scale(pc_l(4)),
         ordering_residual=slice1 - slice1_literal,
         order4_residual=slice2,

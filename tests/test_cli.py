@@ -288,8 +288,9 @@ def test_constants_env_default(monkeypatch):
          "unknown constant-set mode 'bogus'"),
         ({"PCQM_CONSTANTS": "bogus"}, ["convert", "--value", "nan", "--from", "fm", "--to", "cm"],
          "unknown constant-set mode 'bogus'"),
-        ({}, ["bound", "--delta-e", "4e-9parsec"], "unknown unit 'parsec'"),
-        ({}, ["bound", "--delta-e", "4fm"], "cannot convert fm (GeV^-1) to eV (GeV^1)"),
+        # A value with a unit is refused by its argument's name.
+        ({}, ["bound", "--delta-e", "4e-9parsec"], "observed splitting: unknown unit 'parsec'"),
+        ({}, ["bound", "--delta-e", "4fm"], "observed splitting: cannot convert fm (GeV^-1) to eV (GeV^1)"),
         ({"PCQM_CONSTANTS": "bogus"}, ["convert", "--value", "1e-330", "--from", "fm", "--to", "cm"],
          "unknown constant-set mode 'bogus'"),
         # A number option is read by its command, so text that is no number is
@@ -305,6 +306,12 @@ def test_constants_env_default(monkeypatch):
         ({}, ["verify", "--word-cap", "1.5"], "word length cap must be an integer, got '1.5'"),
         ({}, ["spectrum", "--n-max", "abc"], "n_max must be an integer, got 'abc'"),
         ({}, ["spectrum", "--n-max", "2.0"], "n_max must be an integer, got '2.0'"),
+        # The other refusals of a bound energy name their argument too.
+        ({}, ["bound", "--delta-e", "abc"],
+         "observed splitting: cannot parse value 'abc' (expected e.g. '4e-9eV')"),
+        ({}, ["bound", "--e-ref", "13parsec"], "reference energy: unknown unit 'parsec'"),
+        ({}, ["bound", "--e-ref", "5fm"], "reference energy: cannot convert fm (GeV^-1) to eV (GeV^1)"),
+        ({}, ["bound", "--e-ref", "abc"], "reference energy: cannot parse value 'abc' (expected e.g. '4e-9eV')"),
     ],
 )
 def test_constant_set_and_unit_refusals_exit_2(env, argv, message, monkeypatch, capsys):

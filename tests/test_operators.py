@@ -33,6 +33,7 @@ from pcqm.operators import (
     normal_form,
     pc_coordinate,
     pc_momentum,
+    poly_sum,
     render_poly,
     render_word,
     shared_products,
@@ -89,24 +90,24 @@ def test_generator_encoding_follows_documented_algebra():
         contracts = ka == "P" and kb == "X" and ba == bb and ia == ib
         sorted_word = (a, b) if a_before_b or (ka, ba, ia) == (kb, bb, ib) else (b, a)
         expected = {sorted_word: PC_ONE, **({(): minus_i} if contracts else {})}
-        assert NcPolynomial.from_word((a, b)).terms() == expected
+        assert NcPolynomial({(a, b): PC_ONE}).terms() == expected
 
 
 def test_normal_form_single_swap():
     # P+_1 X+_1 -> X+_1 P+_1 - i
     expected = {(XP1, PP1): PC_ONE, (): pc_imag(-1)}
-    assert NcPolynomial.from_word((PP1, XP1)).terms() == expected
+    assert NcPolynomial({(PP1, XP1): PC_ONE}).terms() == expected
 
 
 def test_normal_form_leaves_sorted_words_alone():
-    p = NcPolynomial.from_word((XP1, XP2))
+    p = NcPolynomial({(XP1, XP2): PC_ONE})
     assert p.terms() == {(XP1, XP2): PC_ONE}
     assert normal_form(p) is p
 
 
 def test_normal_form_double_coordinate():
     # P+_1 X+_1 X+_1 -> X+_1 X+_1 P+_1 - 2i X+_1
-    result = NcPolynomial.from_word((PP1, XP1, XP1))
+    result = NcPolynomial({(PP1, XP1, XP1): PC_ONE})
     expected = {(XP1, XP1, PP1): PC_ONE, (XP1,): pc_imag(-2)}
     assert result.terms() == expected
     assert_oracle_equal(result, oracle_normal_order({(PP1, XP1, XP1): PC_ONE}))
@@ -267,10 +268,10 @@ def test_multiply_distributes_over_branch_sums():
         generator_poly("P", "+", 1) - generator_poly("P", "-", 1),
     )
     expected = (
-        NcPolynomial.from_word((XP1, PP1))
-        - NcPolynomial.from_word((XP1, PM1))
-        + NcPolynomial.from_word((XM1, PP1))
-        - NcPolynomial.from_word((XM1, PM1))
+        NcPolynomial({(XP1, PP1): PC_ONE})
+        - NcPolynomial({(XP1, PM1): PC_ONE})
+        + NcPolynomial({(XM1, PP1): PC_ONE})
+        - NcPolynomial({(XM1, PM1): PC_ONE})
     )
     assert lhs == expected
     # cross-branch words sort with the whole + block first
@@ -349,6 +350,35 @@ def test_commutator_canonical_examples():
         NcPolynomial.scalar(pc_imag())
     )
     assert commutator(generator_poly("X", "+", 1), generator_poly("P", "-", 1)).is_zero()
+
+
+def _word_order(p: NcPolynomial) -> tuple[list, list]:
+    return list(p._plus), list(p._minus)
+
+
+def test_sum_keeps_the_order_in_which_words_first_appear():
+    # Products scan their operands' maps in order, so the order decides which
+    # term pair leaves a narrow window first: one accumulation must keep the
+    # order of the left fold of pairwise sums.
+    x, y = generator_poly("X", "+", 1), generator_poly("P", "-", 2)
+    back = poly_sum([x + y, -x, x])
+    assert back == x + y and _word_order(back) == ([(PM2,), (XP1,)],) * 2
+    assert poly_sum([]) == NcPolynomial() and poly_sum([x]) == x
+    # The right-hand side of a bracket of disjoint pairs is the empty sum.
+    assert so4._so4_rhs(so4.pc_generator_poly, 1, 2, 3, 4).is_zero()
+    rng = random.Random(SEED + 40)
+    for _ in range(200):
+        a, b, c = (random_poly(rng, max_terms=4, max_len=3) for _ in range(3))
+        # The second list cancels the words of a and brings them back.
+        for summands in ([a, b, c], [a + b, -a, a + c]):
+            total = poly_sum(summands)
+            fold = (summands[0] + summands[1]) + summands[2]
+            assert total == fold and _word_order(total) == _word_order(fold)
+            expected: dict = {}
+            for p in summands:
+                for w, coeff in oracle_poly(p).items():
+                    expected[w] = expected.get(w, PC_ZERO) + coeff
+            assert_oracle_equal(total, expected)
 
 
 def test_commutator_antisymmetry_and_jacobi():
@@ -435,20 +465,18 @@ def test_verify_induced_relations():
 
 def test_word_cap_enforced():
     with limits(word_cap=3):
-        p = NcPolynomial.from_word((XP1, XP1))
+        p = NcPolynomial({(XP1, XP1): PC_ONE})
         with pytest.raises(WordLengthError):
             multiply(p, p)
-        with pytest.raises(WordLengthError):
-            NcPolynomial.from_word((XP1,) * 4)
         assert multiply(p, generator_poly("P", "+", 1)) is not None
 
 
 def test_degree_overflow_propagates_through_multiply():
-    p = NcPolynomial.from_word((XP1,), pc_l(3))
+    p = NcPolynomial({(XP1,): pc_l(3)})
     with pytest.raises(DegreeWindowError):
-        multiply(p, NcPolynomial.from_word((PP1,), pc_l(3)))
+        multiply(p, NcPolynomial({(PP1,): pc_l(3)}))
     with pytest.raises(DegreeWindowError, match=r"^l\^5 outside degree window -4\.\.4$"):
-        multiply(p, NcPolynomial.from_word((PP1,), pc_l(2)))
+        multiply(p, NcPolynomial({(PP1,): pc_l(2)}))
 
 
 def test_power_and_scalar_arithmetic():
@@ -556,7 +584,7 @@ def test_commutator_dropping_commuting_terms_matches_oracle(case, kind):
         p, q = NcPolynomial(pt), NcPolynomial(qt)
         for (a, at), (b, bt) in (((p, pt), (q, qt)), ((q, qt), (p, pt))):
             assert_oracle_equal(commutator(a, b), _oracle_commutator(at, bt))
-        assert commutator(p, NcPolynomial.zero()).is_zero()
+        assert commutator(p, NcPolynomial()).is_zero()
 
 
 # Operand word lists whose pairs contract.  The sorted words of the first
@@ -713,8 +741,8 @@ def test_narrow_window_raises_at_the_first_failing_pair(kind):
 
 
 def test_commuting_operands_past_the_degree_window_raise_as_the_products_do():
-    p = NcPolynomial.from_word((XP1,), pc_l(3))
-    q = NcPolynomial.from_word((XM1,), pc_l(2))
+    p = NcPolynomial({(XP1,): pc_l(3)})
+    q = NcPolynomial({(XM1,): pc_l(2)})
     with pytest.raises(DegreeWindowError, match=r"^l\^5 outside degree window -4\.\.4$"):
         commutator(p, q)
     # Degrees that add past the window in opposite components never meet.
@@ -732,8 +760,8 @@ def test_commuting_operands_past_the_degree_window_raise_as_the_products_do():
 
 def test_commuting_operands_past_the_word_cap_raise_as_the_products_do():
     with limits(word_cap=4):
-        p = NcPolynomial.from_word(_w("X+1*X+2*X+3"))
-        q = NcPolynomial.from_word(_w("X-1*X-2"))
+        p = NcPolynomial({_w("X+1*X+2*X+3"): PC_ONE})
+        q = NcPolynomial({_w("X-1*X-2"): PC_ONE})
         with pytest.raises(WordLengthError, match=r"^product word length 5 exceeds cap 4$"):
             commutator(p, q)
 
@@ -813,17 +841,17 @@ def test_sigma_parts_sum_back_to_the_polynomial():
 def test_degree_overflow_in_minus_component_alone_raises():
     # The sigma_plus product l*l stays inside the window; the sigma_minus
     # product l^3*l^2 does not.
-    p = NcPolynomial.from_word((XP1,), SIGMA_PLUS * pc_l(1) + SIGMA_MINUS * pc_l(3))
-    q = NcPolynomial.from_word((PP1,), SIGMA_PLUS * pc_l(1) + SIGMA_MINUS * pc_l(2))
+    p = NcPolynomial({(XP1,): SIGMA_PLUS * pc_l(1) + SIGMA_MINUS * pc_l(3)})
+    q = NcPolynomial({(PP1,): SIGMA_PLUS * pc_l(1) + SIGMA_MINUS * pc_l(2)})
     with pytest.raises(DegreeWindowError):
         multiply(p, q)
 
 
 def test_product_of_opposite_sigma_components_is_zero():
-    p = NcPolynomial.from_word((XP1,), SIGMA_PLUS * pc_l(3))
-    q = NcPolynomial.from_word((PP1,), SIGMA_MINUS * pc_l(2))
+    p = NcPolynomial({(XP1,): SIGMA_PLUS * pc_l(3)})
+    q = NcPolynomial({(PP1,): SIGMA_MINUS * pc_l(2)})
     assert multiply(p, q).is_zero()
-    assert multiply(p, q) == NcPolynomial.zero()
+    assert multiply(p, q) == NcPolynomial()
 
 
 def test_render_word_order_longest_first():
@@ -864,7 +892,7 @@ def _render_per_coefficient(p: NcPolynomial) -> str:
 def test_render_matches_the_per_coefficient_rendering():
     rng = random.Random(SEED)
     zero = BaseScalar.zero()
-    polys = [NcPolynomial.zero(), NcPolynomial.scalar(PC_ONE)]
+    polys = [NcPolynomial(), NcPolynomial.scalar(PC_ONE)]
     for _ in range(150):
         p, q = random_poly(rng, max_terms=4), random_poly(rng, max_terms=4)
         real = NcPolynomial({w: PcScalar(c.re, zero) for w, c in p.terms().items()})
@@ -889,7 +917,7 @@ def test_render_matches_the_per_coefficient_rendering():
     assert any(len(list(_atom_texts(c._plus, c._minus))) > 1 for p in polys for c in p.terms().values())
     for p in polys:
         assert render_poly(p) == _render_per_coefficient(p)
-    assert render_poly(NcPolynomial.zero()) == "0"
+    assert render_poly(NcPolynomial()) == "0"
     several = NcPolynomial({(XP1,): pc_gaussian(1, 1), (): PSEUDO_UNIT + pc_l(-1)})
     assert render_poly(several) == "(1 + i)*X+_1 + (l^-1 + I)"
 
@@ -915,8 +943,8 @@ def test_shared_products_match_the_oracle_and_the_unscoped_products(kind):
 
 
 def test_shared_products_refuse_under_narrower_limits():
-    p = NcPolynomial.from_word((XP1,), pc_l(-1) + pc_l(1))
-    q = NcPolynomial.from_word((PP1, XP2), pc_l(-1))
+    p = NcPolynomial({(XP1,): pc_l(-1) + pc_l(1)})
+    q = NcPolynomial({(PP1, XP2): pc_l(-1)})
     with shared_products():
         formed = multiply(p, q)
         with limits(window=(-1, 1)):

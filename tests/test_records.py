@@ -35,10 +35,9 @@ SAMPLES = [
                      "extra": None}),
     (reports.IdentityReport, {"name": "suite", "checks": (CHECK,), "schema": "identity-report/v1"}),
     (scalars.GaussianRational, {"re": Fraction(1, 2), "im": Fraction(-3)}),
-    (so4.VectorOperators, {"comp": "x", "l_vec": (X1, P1, X1), "m_vec": (P1, X1, P1),
-                           "l_squared": X1, "m_squared": P1, "casimir": X1}),
-    (so4.CasimirExpansion, {"c_x": X1, "c_r": P1, "decomposition_residual": X1,
-                            "ordering_residual": P1, "order4_residual": X1, "difference": P1}),
+    (so4.VectorOperators, {"l_vec": (X1, P1, X1), "m_vec": (P1, X1, P1), "casimir": X1}),
+    (so4.CasimirExpansion, {"decomposition_residual": X1, "ordering_residual": P1,
+                            "order4_residual": X1, "difference": P1}),
     (irrep.SpinBlock, {"k": Fraction(1, 2), "j1": ARRAY, "j2": ARRAY, "j3": ARRAY}),
     (irrep.LadderBlock, {"k": Fraction(1, 2), "jp": {(0, 1): Fraction(1)},
                          "jm": {(1, 0): Fraction(1)}, "j3": {(0, 0): Fraction(1, 2)}}),

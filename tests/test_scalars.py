@@ -162,7 +162,7 @@ def test_unit_reciprocal():
 
 def test_render_examples():
     x = PcScalar(
-        BaseScalar([(0, GaussianRational.of(Fraction(3, 2), Fraction(1, 2)))]),
+        BaseScalar([(0, GaussianRational(Fraction(3, 2), Fraction(1, 2)))]),
         BaseScalar.l_power(2, -1),
     )
     assert render_pc(x) == "3/2 + 1/2*i - l^2*I"
