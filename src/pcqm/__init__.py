@@ -16,7 +16,6 @@ from .irrep import (
     build_irrep,
     casimir_eigenvalue,
     denominator_eigenvalue,
-    export_matrices,
     spin_block,
 )
 from .hydrogen import (
@@ -40,7 +39,7 @@ _LAZY = {
         "pc_momentum", "verify_canonical_relations", "verify_induced_relations",
     ),
     "so4": (
-        "CasimirExpansion", "VectorOperators", "branch_generator", "casimir",
+        "CasimirExpansion", "VectorOperators", "branch_generator",
         "casimir_expansion", "component", "pc_generator_poly", "vector_operators", "verify",
         "verify_casimir_expansion", "verify_component_closure", "verify_recomposition",
         "verify_so4_relations",

@@ -57,18 +57,23 @@ def _energy_in_ev(text: str, constants: str, name: str) -> float:
     return units.as_float(energy, name)
 
 
-def _integer(text: str, name: str) -> int:
-    """An integer literal, named ``name`` when it is refused."""
+def _integer(text: str, name: str, option: str) -> int:
+    """An integer literal, named ``name`` when it is no integer.  Digit text
+    past the interpreter's int-from-str limit raises an ArithmeticError naming
+    ``option`` and the limit, which passes the callers' ValueError handlers."""
     try:
         return int(text)
     except ValueError:
+        limit = sys.get_int_max_str_digits()
+        if limit and re.fullmatch(r"\s*[-+]?\d+(_\d+)*\s*", text):  # only the limit refuses digit text
+            raise OverflowError(f"{option}: integer longer than {limit} digits") from None
         raise ValueError(f"{name} must be an integer, got {text!r}") from None
 
 
 def _parse_window(text: str) -> tuple[int, int]:
     try:
-        lo, hi = text.split(":")
-        return int(lo), int(hi)
+        lo, hi = (_integer(bound, "degree window", "--degree-window") for bound in text.split(":"))
+        return lo, hi
     except ValueError:
         raise ValueError(f"degree window must look like '-4:4', got {text!r}") from None
 
@@ -299,7 +304,7 @@ def spectrum_rows(levels: tuple[hydrogen.EnergyLevel, ...]) -> list[dict]:
 
 def _run_spectrum(cfg: argparse.Namespace) -> Result:
     l, kappa = _number(cfg.l, "minimal length l"), _number(cfg.kappa, "correction strength kappa")
-    n_max = _integer(cfg.n_max, "n_max")
+    n_max = _integer(cfg.n_max, "n_max", "--n-max")
     rows = spectrum_rows(hydrogen.corrected_spectrum(n_max, l, kappa, cfg.literal_e2))
     return Result(0, {"schema": "spectrum/v1", "levels": rows}, *_table(_SPECTRUM_COLUMNS, rows))
 
@@ -374,7 +379,7 @@ def run(cfg: argparse.Namespace) -> tuple[int, str]:
         if cfg.degree_window is not None:
             overrides["window"] = _parse_window(cfg.degree_window)
         if cfg.word_cap is not None:
-            overrides["word_cap"] = _integer(cfg.word_cap, "word length cap")
+            overrides["word_cap"] = _integer(cfg.word_cap, "word length cap", "--word-cap")
         with limits(**overrides):
             result = _RUNNERS[cfg.command](cfg)
             return result.code, render(result, cfg.format)

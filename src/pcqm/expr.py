@@ -304,19 +304,20 @@ class _Parser:
             comp = self.next()[0]
         if comp not in so4.COMPONENTS:
             raise ExprSyntaxError(f"unknown component tag {comp!r} on {letter}", pos)
+        symbol = letter + (comp or "")
         digits = self._indices(1, 2)
         if len(digits) == 1:
             a = digits[0]
             table = so4.L_VECTOR_PAIRS if letter == "L" else so4.M_VECTOR_PAIRS
             if a not in table:
-                raise ExprSyntaxError(f"vector label {letter}_{a} must use 1..3", pos)
+                raise ExprSyntaxError(f"vector label {symbol}_{a} must use 1..3", pos)
             i, j = table[a]
         else:
             i, j = digits
             self._check_index(i, pos)
             self._check_index(j, pos)
             if i == j:
-                raise ExprSyntaxError(f"indices must differ in {letter}_{i}{j}", pos)
+                raise ExprSyntaxError(f"indices must differ in {symbol}_{i}{j}", pos)
             if letter == "M" and j != 4:
                 raise ExprSyntaxError("M takes indices (a, 4); use M_14, M_24 or M_34", pos)
         return NamedOp(letter, comp, i, j)
@@ -478,20 +479,20 @@ def _leaf_value(node: Node, limits: Limits) -> NcPolynomial:
     if isinstance(node, Mul):
         return evaluate(node.left) * evaluate(node.right)
     if isinstance(node, Num):
-        return NcPolynomial.scalar(pc_rational(node.value))
+        return NcPolynomial({(): pc_rational(node.value)})
     if isinstance(node, ImagUnit):
-        return NcPolynomial.scalar(pc_imag())
+        return NcPolynomial({(): pc_imag()})
     if isinstance(node, PseudoUnit):
-        return NcPolynomial.scalar(PSEUDO_UNIT)
+        return NcPolynomial({(): PSEUDO_UNIT})
     if isinstance(node, LengthPower):
-        return NcPolynomial.scalar(pc_l(node.power))
+        return NcPolynomial({(): pc_l(node.power)})
     if isinstance(node, GenSym):
         return generator_poly(node.kind, node.branch, node.index)
     if isinstance(node, AliasSym):
         return expand_alias(node.name, node.index)
     if isinstance(node, NamedOp):
         return so4.labelled(node.comp, node.i, node.j)
-    return so4.casimir(node.comp)
+    return so4.vector_operators(node.comp).casimir
 
 
 def evaluate_text(text: str) -> NcPolynomial:

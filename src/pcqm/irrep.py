@@ -17,7 +17,7 @@ A^2 = B^2 = k(k+1), and the spectrum-denominator combination
 The sweep checks each spin block exactly, in the rational ladder gauge
 (``ladder_block``, ``check_ladder_block``), never building the
 (2k+1)^2-dimensional product space.  The dense matrices of ``spin_block``
-and ``build_irrep`` use binary floating point and serve export and the tests.
+and ``build_irrep`` use binary floating point and serve the tests.
 """
 
 from __future__ import annotations
@@ -198,18 +198,3 @@ def shell_degeneracy(k: SpinLike) -> int:
     """Multiplicity of the scalar Casimir: (2k+1)^2 = n^2 with n = 2k+1."""
     k = _as_spin(k)
     return int((2 * k + 1) ** 2)
-
-
-def export_matrices(rep: So4Irrep) -> dict:
-    """JSON-ready dense dump of all six matrices."""
-
-    def dense(m: np.ndarray) -> dict:
-        return {"re": m.real.tolist(), "im": m.imag.tolist()}
-
-    return {
-        "schema": "so4-irrep/v1",
-        "k": str(rep.k),
-        "dim": rep.dim,
-        "L": [dense(m) for m in rep.l_ops],
-        "M": [dense(m) for m in rep.m_ops],
-    }

@@ -28,6 +28,7 @@ from .reports import Check, IdentityReport
 from .scalars import (
     PC_ONE,
     BaseScalar,
+    GaussianRational,
     PcScalar,
     SIGMA_MINUS,
     SIGMA_PLUS,
@@ -181,11 +182,11 @@ def _words(p: "NcPolynomial") -> Iterable[Word]:
 
 
 with default_limits():
-    _ZERO = BaseScalar.zero()
-    _UNIT = BaseScalar.gaussian(1, 0)
+    _ZERO = BaseScalar()
+    _UNIT = BaseScalar({0: GaussianRational(1)})
     # (-i)^k for k = 0..3.
     _MINUS_I_POWERS = tuple(
-        BaseScalar.gaussian(re, im) for re, im in ((1, 0), (0, -1), (-1, 0), (0, 1))
+        BaseScalar({0: GaussianRational(re, im)}) for re, im in ((1, 0), (0, -1), (-1, 0), (0, 1))
     )
 
 
@@ -225,12 +226,6 @@ class NcPolynomial:
             ordered(_accumulate({}, ((w, c._minus) for w, c in terms.items()))),
         )
         self._scanned = self._bits = None
-
-    @classmethod
-    def scalar(cls, c: PcScalar | Fraction | int) -> "NcPolynomial":
-        if not isinstance(c, PcScalar):
-            c = pc_rational(c)
-        return cls({(): c})
 
     def terms(self) -> dict[Word, PcScalar]:
         plus, minus = self._plus, self._minus
@@ -272,7 +267,7 @@ class NcPolynomial:
     def __pow__(self, n: int) -> "NcPolynomial":
         if n < 0:
             raise ValueError("negative operator powers are not defined")
-        out = NcPolynomial.scalar(PC_ONE)
+        out = NcPolynomial({(): PC_ONE})
         for _ in range(n):
             out = multiply(out, self)
         return out
@@ -285,9 +280,6 @@ class NcPolynomial:
             c = pc_rational(c)
         window = current_limits().window
         return _by_component(lambda a, s: {w: _mul(v, s, window) for w, v in a.items()} if s._num else {}, self, c)
-
-    def __truediv__(self, q: Fraction | int) -> "NcPolynomial":
-        return self.scale(Fraction(1, 1) / Fraction(q))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -610,7 +602,7 @@ with default_limits():
     _HALF = pc_rational(Fraction(1, 2))
     _HALF_OVER_L = pc_l(-1, Fraction(1, 2))
     # i*delta_ij for delta_ij = 0 and 1.
-    _DELTAS = (NcPolynomial.scalar(pc_imag(0)), NcPolynomial.scalar(pc_imag(1)))
+    _DELTAS = (NcPolynomial({(): pc_imag(0)}), NcPolynomial({(): pc_imag(1)}))
     _L2 = pc_l(2)
 
 

@@ -93,22 +93,6 @@ class BaseScalar:
         num = {key: q.numerator * (den // q.denominator) for key, q in acc.items() if q}
         self._num = _in_window(num, current_limits().window)
 
-    @classmethod
-    def zero(cls) -> "BaseScalar":
-        return cls()
-
-    @classmethod
-    def rational(cls, q: Rational) -> "BaseScalar":
-        return cls([(0, GaussianRational(q))])
-
-    @classmethod
-    def gaussian(cls, re: Rational = 0, im: Rational = 0) -> "BaseScalar":
-        return cls([(0, GaussianRational(re, im))])
-
-    @classmethod
-    def l_power(cls, degree: int, coeff: Rational = 1) -> "BaseScalar":
-        return cls([(degree, GaussianRational(coeff))])
-
     def terms(self) -> tuple[tuple[int, GaussianRational], ...]:
         """``(degree, coefficient)`` pairs in ascending degree."""
         return tuple((d, self.coefficient(d)) for d in self.degrees())
@@ -275,27 +259,27 @@ def _real(base: BaseScalar) -> PcScalar:
 
 
 def pc_rational(q: Rational) -> PcScalar:
-    return _real(BaseScalar.rational(q))
+    return pc_gaussian(q)
 
 
 def pc_gaussian(re: Rational = 0, im: Rational = 0) -> PcScalar:
     """re + i*im with the ordinary imaginary unit."""
-    return _real(BaseScalar.gaussian(re, im))
+    return _real(BaseScalar({0: GaussianRational(re, im)}))
 
 
 def pc_imag(q: Rational = 1) -> PcScalar:
     """q*i."""
-    return _real(BaseScalar.gaussian(0, q))
+    return pc_gaussian(0, q)
 
 
 def pc_l(degree: int = 1, coeff: Rational = 1) -> PcScalar:
     """coeff * l**degree."""
-    return _real(BaseScalar.l_power(degree, coeff))
+    return _real(BaseScalar({degree: GaussianRational(coeff)}))
 
 
 def pc_pseudo(q: Rational = 1) -> PcScalar:
     """q*I."""
-    return _pc(BaseScalar.rational(q), BaseScalar.rational(-Fraction(q)))
+    return PcScalar(BaseScalar(), BaseScalar({0: GaussianRational(q)}))
 
 
 with default_limits():
@@ -303,8 +287,8 @@ with default_limits():
     PC_ONE = pc_rational(1)
     PC_I = pc_imag()
     PSEUDO_UNIT = pc_pseudo()
-    SIGMA_PLUS = _pc(BaseScalar.rational(1), BaseScalar.zero())
-    SIGMA_MINUS = _pc(BaseScalar.zero(), BaseScalar.rational(1))
+    SIGMA_PLUS = _pc(BaseScalar({0: GaussianRational(1)}), BaseScalar())
+    SIGMA_MINUS = _pc(BaseScalar(), BaseScalar({0: GaussianRational(1)}))
 
 
 def stored_bits(*groups: Iterable[BaseScalar]) -> int:

@@ -123,10 +123,6 @@ def vector_operators(comp: str | None = None) -> VectorOperators:
     return VectorOperators(l_vec=l_vec, m_vec=m_vec, casimir=squares.scale(_HALF))
 
 
-def casimir(comp: str | None = None) -> NcPolynomial:
-    return vector_operators(comp).casimir
-
-
 _PAIRS = tuple(itertools.combinations(INDICES, 2))
 
 
@@ -295,7 +291,7 @@ def casimir_expansion() -> CasimirExpansion:
     c_x == s0 + l^2 s1 + l^4 s2 is an engine-level theorem, not a
     construction.  s2 is the leading correction the truncated form drops.
     """
-    c_x = casimir("x")
+    c_x = vector_operators("x").casimir
     ops_r = vector_operators("R")
     ops_y = vector_operators("y")
     r_vec, y_vec = ops_r.l_vec + ops_r.m_vec, ops_y.l_vec + ops_y.m_vec
@@ -316,7 +312,7 @@ def casimir_expansion() -> CasimirExpansion:
 @suite("casimir-central")
 def verify_casimir_commutes():
     """C^R commutes with every LR_ij."""
-    c_r = casimir("R")
+    c_r = vector_operators("R").casimir
     for i, j in _PAIRS:
         yield "casimir-central", f"[C^R, LR_{i}{j}]", commutator(c_r, component(i, j, "R"))
 

@@ -312,15 +312,36 @@ def test_constants_env_default(monkeypatch):
         ({}, ["bound", "--e-ref", "13parsec"], "reference energy: unknown unit 'parsec'"),
         ({}, ["bound", "--e-ref", "5fm"], "reference energy: cannot convert fm (GeV^-1) to eV (GeV^1)"),
         ({}, ["bound", "--e-ref", "abc"], "reference energy: cannot parse value 'abc' (expected e.g. '4e-9eV')"),
+        # Digit text past the interpreter's int-from-str limit is refused by its
+        # length and the option as typed, at the default limit and a lower one.
+        ({}, ["--word-cap", "9" * 4301, "eval", "l"], "--word-cap: integer longer than 4300 digits"),
+        ({}, ["spectrum", "--n-max", "9" * 4301], "--n-max: integer longer than 4300 digits"),
+        ({}, ["--degree-window", f"-{'9' * 4301}:4", "eval", "l"],
+         "--degree-window: integer longer than 4300 digits"),
+        ({"int_max_str_digits": 640}, ["--word-cap", "9" * 641, "eval", "l"],
+         "--word-cap: integer longer than 640 digits"),
+        ({"int_max_str_digits": 640}, ["spectrum", "--n-max", "9" * 641], "--n-max: integer longer than 640 digits"),
+        ({"int_max_str_digits": 640}, ["--degree-window", f"0:{'9' * 641}", "eval", "l"],
+         "--degree-window: integer longer than 640 digits"),
+        # Without a limit (0), the option is read and refused by its value.
+        ({"int_max_str_digits": 0}, ["spectrum", "--n-max", "9" * 4301],
+         f"n_max must lie in 1..10000, got {'9' * 4301}"),
     ],
 )
 def test_constant_set_and_unit_refusals_exit_2(env, argv, message, monkeypatch, capsys):
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
-    for fmt, expected in (("text", f"error: {message}"),
-                          ("json", json.dumps({"schema": "error/v1", "error": message}))):
-        assert main(["--format", fmt, *argv]) == 2
-        assert capsys.readouterr() == (expected + "\n", "")
+    # ``env`` sets environment variables, and ``int_max_str_digits`` the
+    # interpreter's int-from-str limit for this case alone.
+    env, previous = dict(env), sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(env.pop("int_max_str_digits", previous))
+    try:
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        for fmt, expected in (("text", f"error: {message}"),
+                              ("json", json.dumps({"schema": "error/v1", "error": message}))):
+            assert main(["--format", fmt, *argv]) == 2
+            assert capsys.readouterr() == (expected + "\n", "")
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 def test_verify_ignores_the_constant_set(monkeypatch, verify_main):

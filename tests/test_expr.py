@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import re
 import sys
@@ -89,7 +90,7 @@ def test_evaluate_examples():
     assert evaluate_text("[X+_1, P+_1]").terms() == {(): pc_imag()}
     assert evaluate_text("[L_12, L_23]") == evaluate_text("i*L_31")
     assert evaluate_text("[L+_12, L-_23]").is_zero()
-    assert evaluate_text("Cx") == so4.casimir("x")
+    assert evaluate_text("Cx") == so4.vector_operators("x").casimir
     assert evaluate_text("x_1") == expand_alias("x", 1)
     assert evaluate_text("2^3") == evaluate_text("8")
 
@@ -302,11 +303,11 @@ def test_cached_operators_equal_fresh_builds_under_each_limits():
         *[(NamedOp(letter, c, i, j), lambda c=c, i=i, j=j: so4.labelled(c, i, j))
           for c in comps for i in range(1, 5) for j in range(1, 5)
           for letter in "LM" if i != j and (letter == "L" or j == 4)],
-        *[(CasimirOp(c), lambda c=c: so4.casimir(c)) for c in ("R", "x", "y", "+", "-")],
-        (Num(Fraction(3, 7)), lambda: NcPolynomial.scalar(pc_rational(Fraction(3, 7)))),
-        (ImagUnit(), lambda: NcPolynomial.scalar(pc_imag())),
-        (PseudoUnit(), lambda: NcPolynomial.scalar(PSEUDO_UNIT)),
-        *[(LengthPower(d), lambda d=d: NcPolynomial.scalar(pc_l(d))) for d in range(-4, 5)],
+        *[(CasimirOp(c), lambda c=c: so4.vector_operators(c).casimir) for c in ("R", "x", "y", "+", "-")],
+        (Num(Fraction(3, 7)), lambda: NcPolynomial({(): pc_rational(Fraction(3, 7))})),
+        (ImagUnit(), lambda: NcPolynomial({(): pc_imag()})),
+        (PseudoUnit(), lambda: NcPolynomial({(): PSEUDO_UNIT})),
+        *[(LengthPower(d), lambda d=d: NcPolynomial({(): pc_l(d)})) for d in range(-4, 5)],
         *[(node, lambda node=node: multiply(evaluate(node.left), evaluate(node.right)))
           for node in map(parse, ("l*y_1", "i*X+_1", "1/2*CR", "l^2*Ly_12"))],
     ]
@@ -329,7 +330,7 @@ def test_arithmetic_on_a_cached_operator_leaves_it_unchanged():
         evaluate_text("Cx")
     again = evaluate_text("Cx")
     assert again.render() == text
-    assert again == so4.casimir("x")
+    assert again == so4.vector_operators("x").casimir
 
 
 def test_operand_scans_kept_with_cached_operators_carry_no_limits():
@@ -517,7 +518,9 @@ def test_symbol_lookup_is_exact_and_bounded():
             assert parse(f"2*{spelling}^2 - {spelling}") == Sub(Mul(Num(Fraction(2)), Pow(node, 2)), node)
             assert parse(f"[{spelling}, i]") == Bracket(node, ImagUnit())
     assert parse("l*l^2") == Mul(LengthPower(1), LengthPower(2))
-    # Misspellings of symbols the table holds keep their messages and columns.
+    # Misspellings of symbols the table holds keep their messages and columns,
+    # and a named operator's refusal names it with its component tag.  eval
+    # prints each as one line, in text and in JSON.
     for text, message in (
         ("X+_5", "col 1: index 5 out of range 1..4"),
         ("X + _ 5", "col 1: index 5 out of range 1..4"),
@@ -526,6 +529,9 @@ def test_symbol_lookup_is_exact_and_bounded():
         ("L_11", "col 1: indices must differ in L_11"),
         ("M_12", "col 1: M takes indices (a, 4); use M_14, M_24 or M_34"),
         ("L_4", "col 1: vector label L_4 must use 1..3"),
+        ("Lxy_22", "col 1: indices must differ in Lxy_22"),
+        ("M+_5", "col 1: vector label M+_5 must use 1..3"),
+        ("LR_0", "col 1: vector label LR_0 must use 1..3"),
         ("C+_1", "col 3: trailing input '_'"),
         ("CR_1", "col 3: trailing input '_'"),
         ("L+", "col 2: expected '_', got '+'"),
@@ -533,6 +539,9 @@ def test_symbol_lookup_is_exact_and_bounded():
         with pytest.raises(ExprSyntaxError) as err:
             parse(text)
         assert str(err.value) == message
+        for fmt, expected in (("text", f"error: {message}"),
+                              ("json", json.dumps({"schema": "error/v1", "error": message}))):
+            assert run(config_from_args(["--format", fmt, "eval", text])) == (2, expected)
     # '\d' reads every script's digits, so the spellings are unbounded; the
     # table stops at its bound, and a spelling past it is still read right.
     digits = [c for c in map(chr, range(0x80, 0x110000)) if c.isdecimal() and 1 <= int(c) <= 4]

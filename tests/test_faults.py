@@ -21,7 +21,7 @@ from pcqm.cli import config_from_args, run
 from pcqm.expr import evaluate_text
 from pcqm.operators import NcPolynomial, gen, render_word
 from pcqm.reports import Check
-from pcqm.scalars import PC_ONE, BaseScalar, DegreeWindowError, pc_rational
+from pcqm.scalars import PC_ONE, BaseScalar, DegreeWindowError, GaussianRational, pc_rational
 
 CHECKS = 530
 
@@ -48,12 +48,12 @@ REFUSAL = "l^5 outside degree window -4..4"
 
 
 def _plus_i_powers():
-    return tuple(BaseScalar.gaussian(re, im) for re, im in ((1, 0), (0, 1), (-1, 0), (0, -1)))
+    return tuple(BaseScalar({0: GaussianRational(re, im)}) for re, im in ((1, 0), (0, 1), (-1, 0), (0, -1)))
 
 
 def _minus_i_squared_one():
     powers = operators._MINUS_I_POWERS
-    return powers[:2] + (BaseScalar.gaussian(1, 0),) + powers[3:]
+    return powers[:2] + (BaseScalar({0: GaussianRational(1, 0)}),) + powers[3:]
 
 
 def _factors_2_1_bumped():

@@ -1,5 +1,4 @@
 import itertools
-import json
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +12,6 @@ from pcqm.irrep import (
     casimir_matrix,
     check_ladder_block,
     denominator_eigenvalue,
-    export_matrices,
     ladder_block,
     shell_degeneracy,
     spin_block,
@@ -104,16 +102,6 @@ def test_casimir_scalar_guard():
     broken = type(rep)(k=rep.k, dim=rep.dim, l_ops=rep.l_ops, m_ops=(rep.l_ops[0] + 1,) + rep.m_ops[1:])
     with pytest.raises(ArithmeticError):
         casimir_eigenvalue(broken)
-
-
-def test_export_matrices_roundtrip():
-    rep = build_irrep(Fraction(1, 2))
-    payload = json.loads(json.dumps(export_matrices(rep)))
-    assert payload["schema"] == "so4-irrep/v1"
-    assert payload["k"] == "1/2"
-    assert payload["dim"] == 4
-    first = np.array(payload["L"][0]["re"]) + 1j * np.array(payload["L"][0]["im"])
-    assert np.allclose(first, rep.l_ops[0])
 
 
 def _spins(k_max):

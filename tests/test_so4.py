@@ -160,7 +160,7 @@ def test_casimir_order4_residual_matches_oracle():
 def test_vector_operator_squares_are_symmetric_under_label_order():
     ops = so4.vector_operators("R")
     recomputed = poly_sum([multiply(op, op) for op in reversed(ops.l_vec + ops.m_vec)])
-    assert recomputed / 2 == ops.casimir
+    assert recomputed * Fraction(1, 2) == ops.casimir
 
 
 def test_component_validation():
